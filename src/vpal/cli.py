@@ -2,14 +2,17 @@
 
 Exit codes: 0 success, 1 verification failure, 2 factorization budget
 exhausted, 64 usage error. Numbers are accepted as decimal strings of
-unbounded length; VPAL_BUDGET overrides the default per-factorization budget
-in seconds.
+unbounded length. The per-factorization budget in seconds is --budget, else
+VPAL_BUDGET, else 10; a value that is not a positive finite number is a usage
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -57,12 +60,11 @@ def _decimal(s: str) -> int:
     return n
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="vpal", description="v-palindrome arithmetic and verification")
     parser.add_argument(
         "--budget",
-        type=float,
-        default=float(os.environ.get("VPAL_BUDGET", "10")),
         metavar="SECONDS",
         help="wall-clock budget per factorization (env: VPAL_BUDGET, default 10)",
     )
@@ -162,9 +164,8 @@ def _render_procedure_text(result: ProcedureResult) -> str:
                 f"  {tuple(col['solution'])}: A={col['A']} B={col['B']}"
                 f" first accepted k = {col['first_member']}"
             )
-    omega0 = d["omega0"] if d["omega0"] is not None else "not computed (period too large)"
     c = d["c"] if d["c"] is not None else "infinity"
-    lines.append(f"omega = {d['omega']}, omega0 = {omega0}, c = {c}")
+    lines.append(f"omega = {d['omega']}, omega0 = {d['omega0']}, c = {c}")
     lines.append(
         "nondegenerate solutions: "
         + ("  ".join(str(tuple(s)) for s in d["nondegenerate"]) if d["nondegenerate"] else "none")
@@ -259,10 +260,19 @@ def _cmd_verify(args, budget: Budget) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.budget <= 0:
-        print("vpal: error: --budget must be positive", file=sys.stderr)
+    if args.budget is None:
+        source, raw = "VPAL_BUDGET", os.environ.get("VPAL_BUDGET", "10")
+    else:
+        source, raw = "--budget", args.budget
+    try:
+        seconds = float(raw)
+    except ValueError:
+        seconds = math.nan
+    if not (math.isfinite(seconds) and seconds > 0):
+        print(f"vpal: error: {source} must be a positive number of seconds, got {raw!r}",
+              file=sys.stderr)
         return EXIT_USAGE
-    budget = Budget(seconds=args.budget)
+    budget = Budget(seconds=seconds)
     handlers = {
         "v": _cmd_v,
         "check": _cmd_check,

@@ -295,9 +295,9 @@ def verify_periodicity(
 def verify_disjointness(n: int, budget: Budget | None = None, window: int = 500) -> VerificationReport:
     """No k may be accepted by two solution columns.
 
-    Decided exactly over a full period by inclusion-exclusion on each column
-    pair (the intersection of two columns is itself a divisibility constraint
-    set), plus a direct scan of an initial window as a cross-check.
+    Decided exactly on each column pair: the intersection of two columns is
+    itself a divisibility constraint set, empty exactly when some b in B
+    divides lcm(A). A direct scan of an initial window is a cross-check.
     """
     t0 = time.monotonic()
     report = VerificationReport(corpus=f"column disjointness: n={n}")

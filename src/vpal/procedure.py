@@ -33,8 +33,6 @@ from .digits import decimal_string, digit_count, reverse_digits
 from .factor import Budget, factorize
 from .order import repunit_order, repunit_valuation
 
-DEFAULT_MINIMAL_PERIOD_CAP = 1_000_000
-
 
 class InvalidInput(ValueError):
     """The number is outside the procedure's domain (10 | n or n equals its reversal)."""
@@ -167,17 +165,13 @@ class ConstraintPair:
         return total
 
     def is_empty(self) -> bool:
-        return self.member_count() == 0
+        return self.first_member() is None
 
     def first_member(self) -> int | None:
-        """Least positive member, or None if the set is empty."""
-        if self.is_empty():
-            return None
-        base = math.lcm(*self.A) if self.A else 1
-        x = base
-        while not self.accepts(x):
-            x += base
-        return x
+        """Least positive member, or None: every member is a multiple of lcm(A),
+        so the least is lcm(A) itself unless some b in B divides it."""
+        base = math.lcm(*self.A)
+        return None if any(base % b == 0 for b in self.B) else base
 
     def to_dict(self) -> dict:
         return {"A": sorted(self.A), "B": sorted(self.B)}
@@ -318,41 +312,47 @@ class ProcedureResult:
         firsts = [f for col in self.columns if (f := col.first_member()) is not None]
         return min(firsts) if firsts else None
 
-    def minimal_period(self, cap: int = DEFAULT_MINIMAL_PERIOD_CAP) -> int | None:
-        """Least divisor of omega that is a period of the acceptance pattern.
+    def minimal_period(self) -> int:
+        """Least period of the acceptance pattern; it divides omega.
 
-        Verified over a full period window, which is exact. Returns None when
-        omega exceeds ``cap`` (the scan would be quadratic in omega).
+        With E the constraint elements and D(k) = lcm{e in E : e | k}, e | k iff
+        e | D(k), so accept(k) = accept(D(k)) and D(k) lies in M, the lcm-closure
+        of E and 1. Hence d | omega is a period iff accept(m) = accept(D(gcd(m, d)))
+        for all m in M; necessity is a CRT step, as some k = m (mod d) has gcd(k,
+        omega) = gcd(m, d). Periods are closed under gcd, so the least, d0, divides
+        every period and equals D(d0), a product of powers of a coprime base of E.
+        Dividing omega by base elements while the quotient stays a period stops at d0.
         """
-        if self.omega > cap:
-            return None
-        pattern = bytes(self.accepts(k) for k in range(1, 2 * self.omega + 1))
-        for d in sorted(_divisors(self.omega)):
-            if all(pattern[k] == pattern[k + d] for k in range(self.omega)):
-                return d
-        return self.omega
+        elements = {x for col in self.columns for x in col.A | col.B}
+        below = lambda k: frozenset(e for e in elements if k % e == 0)  # equal for k and D(k)
+        closure = {1}
+        for e in elements:
+            closure |= {math.lcm(m, e) for m in closure}
+        accept = {
+            s: any(c.A <= s and not c.B & s for c in self.columns) for s in map(below, closure)
+        }
+        d = self.omega
+        for b in _coprime_base(elements):
+            while d % b == 0:
+                q = below(d // b)  # s & q is below(D(gcd(m, d // b))) for s = below(m)
+                if any(accept[s & q] != v for s, v in accept.items()):
+                    break
+                d //= b
+        return d
 
     def nondegenerate_solutions(self, horizon: int | None = None) -> tuple[Solution, ...]:
-        """Solutions whose accepted set meets [1, horizon]; default horizon is omega.
-
-        The accepted set of a column is periodic with period dividing omega,
-        so the default decides plain nonemptiness exactly.
-        """
-        if horizon is None:
-            horizon = self.omega
-        out = []
-        for sol, col in zip(self.solutions, self.columns):
-            first = col.first_member()
-            if first is not None and first <= horizon:
-                out.append(sol)
-        return tuple(out)
+        """Solutions whose accepted set meets [1, horizon]; by default, those with any member."""
+        return tuple(
+            sol for sol, col in zip(self.solutions, self.columns)
+            if (first := col.first_member()) is not None and (horizon is None or first <= horizon)
+        )
 
     @cached_property
     def case_vii_count(self) -> int:
         """Occurrences of the catch-all case in the table (expected never to accept)."""
         return sum(row.count(CaseLabel.VII) for row in self.case_table)
 
-    def to_dict(self, period_cap: int = DEFAULT_MINIMAL_PERIOD_CAP) -> dict:
+    def to_dict(self) -> dict:
         return {
             "n": decimal_string(self.n),
             "copies": self.copies,
@@ -371,7 +371,7 @@ class ProcedureResult:
                 for sol, col in zip(self.solutions, self.columns)
             ],
             "omega": self.omega,
-            "omega0": self.minimal_period(period_cap),
+            "omega0": self.minimal_period(),
             "c": self.first_member(),
             "nondegenerate": [list(sol) for sol in self.nondegenerate_solutions()],
             "case_vii_count": self.case_vii_count,
@@ -397,14 +397,14 @@ class ProcedureResult:
         )
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    for i in range(1, math.isqrt(n) + 1):
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-    return small + large[::-1]
+def _coprime_base(xs) -> set[int]:
+    """Pairwise coprime integers > 1 over which every x in xs factors, by gcd refinement."""
+    base = {x for x in xs if x > 1}
+    while pairs := [(a, b) for a, b in itertools.combinations(base, 2) if math.gcd(a, b) > 1]:
+        a, b = pairs[0]
+        g = math.gcd(a, b)
+        base = base - {a, b} | {g, a // g, b // g} - {1}
+    return base
 
 
 def run_procedure(n: int, copies: int = 1, budget: Budget | None = None) -> ProcedureResult:
@@ -440,8 +440,7 @@ def run_procedure(n: int, copies: int = 1, budget: Budget | None = None) -> Proc
         )
         for l in range(len(solutions))
     )
-    elements = [x for col in columns for x in col.A | col.B]
-    omega = math.lcm(*elements) if elements else 1
+    omega = math.lcm(*(x for col in columns for x in col.A | col.B))
     return ProcedureResult(
         n=n,
         copies=copies,

@@ -105,6 +105,19 @@ def test_budget_env_var(capsys, monkeypatch):
     assert code == EXIT_BUDGET
 
 
+@pytest.mark.parametrize("value", ["abc", "nan", "-1"])
+def test_bad_budget_env_var_exits_64(capsys, monkeypatch, value):
+    monkeypatch.setenv("VPAL_BUDGET", value)
+    code, _, err = run(capsys, "v", "18")
+    assert code == EXIT_USAGE and "VPAL_BUDGET" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["abc", "inf", "0"])
+def test_bad_budget_flag_exits_64(capsys, value):
+    code, _, err = run(capsys, "--budget", value, "v", "18")
+    assert code == EXIT_USAGE and "--budget" in err
+
+
 def test_budget_exhaustion_exit_2(capsys):
     # product of two 30-digit primes; tiny budget cannot split it
     n = str(100000000000000000000000000319 * 100000000000000000000000000379)

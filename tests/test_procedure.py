@@ -1,9 +1,12 @@
 import json
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from vpal.oracle import corpus
 from vpal.procedure import (
     AmbiguousType,
     CaseLabel,
@@ -255,16 +258,57 @@ def test_nondegenerate_examples():
 def test_minimal_period_divides_omega_and_preserves_pattern():
     for n in (12, 13, 112, 132):
         r = run_procedure(n)
-        d = r.minimal_period(cap=10**4)
-        if d is None:
-            continue
+        d = r.minimal_period()
         assert r.omega % d == 0
         assert all(r.accepts(k) == r.accepts(k + d) for k in range(1, r.omega + 1))
 
 
-def test_minimal_period_cap_returns_none():
-    r = run_procedure(13)
-    assert r.minimal_period(cap=10) is None
+def test_minimal_period_of_13_is_omega():
+    assert run_procedure(13).minimal_period() == 6045
+
+
+def _scan_minimal_period(r: ProcedureResult) -> int:
+    # least d | omega under which the pattern over [1, 2*omega] repeats
+    w = r.omega
+    pattern = bytes(r.accepts(k) for k in range(1, 2 * w + 1))
+    return next(d for d in range(1, w + 1) if w % d == 0 and pattern[:w] == pattern[d:d + w])
+
+
+def _scan_onset(accepts, omega: int) -> int | None:
+    return next((k for k in range(1, omega + 1) if accepts(k)), None)
+
+
+# Every element pool divides its modulus, so omega <= 7429 and the scans stay cheap.
+_ELEMENT_POOLS = [[e for e in range(1, 61) if m % e == 0] for m in (5040, 3960, 6552, 2652, 7429)]
+
+
+@st.composite
+def _columns(draw):
+    pool = draw(st.sampled_from(_ELEMENT_POOLS))
+    side = st.sets(st.sampled_from(pool), max_size=3)
+    return tuple(ConstraintPair(draw(side), draw(side)) for _ in range(draw(st.integers(0, 4))))
+
+
+@given(_columns())
+@settings(max_examples=150, deadline=None)
+def test_closed_forms_match_scan_on_random_columns(columns):
+    omega = math.lcm(*(x for col in columns for x in col.A | col.B))
+    r = replace(run_procedure(13), columns=columns, omega=omega)
+    assert r.minimal_period() == _scan_minimal_period(r)
+    assert r.first_member() == _scan_onset(r.accepts, omega)
+    for col in columns:
+        assert col.first_member() == _scan_onset(col.accepts, omega)
+
+
+def test_closed_forms_match_scan_on_corpus():
+    checked = 0
+    for n in corpus(2000):
+        r = run_procedure(n)
+        if r.omega <= 20_000:
+            assert r.minimal_period() == _scan_minimal_period(r), n
+            assert r.first_member() == _scan_onset(r.accepts, r.omega), n
+            checked += 1
+    assert checked == 602
 
 
 def test_shift_parametrization_copies():
