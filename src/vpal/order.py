@@ -4,6 +4,17 @@ For a prime p not in {2, 5}, repunit_order(p, alpha, L) is the order of
 10**L in the unit group modulo p**(alpha + c) with c the p-adic valuation of
 10**L - 1. Equivalently (and this is how the rest of the package uses it):
 the least k >= 1 such that p**alpha divides repunit(k, L). It is always >= 2.
+
+Entry orders are computed from the prime itself, factoring only p - 1. The
+order d of g = 10**L modulo p is ord_p(10) / gcd(L, ord_p(10)), and ord_p(10)
+divides p - 1. The order of g modulo p**e is then d * p**j for the least j
+with g**(d * p**j) == 1 (mod p**e), and j <= e - 1. Proof: reduction mod p
+sends g to an element of order d, so d divides ord(g) and ord(g) =
+d * ord(g**d); g**d lies in the kernel of (Z/p**e)^x -> (Z/p)^x, a group of
+order p**(e-1), so ord(g**d) = p**j with j <= e - 1.
+
+Each factorize() call takes the caller's budget. ord_p(10) is kept per prime
+once found, whatever budget found it.
 """
 
 from __future__ import annotations
@@ -11,11 +22,14 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .factor import Budget, Factorization, factorize, valuation
+from .factor import Budget, Factorization, factorize, is_probable_prime, valuation
 
 # Threshold under which ord_p(10**L - 1) is taken on the explicit integer;
 # above it the lifting-the-exponent route avoids materializing 10**L - 1.
 _EXPLICIT_VALUATION_LIMIT = 64
+
+# p -> ord_p(10) for primes p outside {2, 5}.
+_ORDER_OF_TEN: dict[int, int] = {}
 
 
 def _carmichael(f: Factorization) -> int:
@@ -30,6 +44,15 @@ def _carmichael(f: Factorization) -> int:
     return lam
 
 
+def _order_dividing(g: int, modulus: int, exponent: int, budget: Budget | None) -> int:
+    """Least e >= 1 with g**e == 1 (mod modulus), given g**exponent == 1 (mod modulus)."""
+    order = exponent
+    for q, _ in factorize(exponent, budget):
+        while order % q == 0 and pow(g, order // q, modulus) == 1:
+            order //= q
+    return order
+
+
 def multiplicative_order(g: int, modulus: int, budget: Budget | None = None) -> int:
     """Least e >= 1 with g**e == 1 (mod modulus); g must be a unit."""
     if modulus < 2:
@@ -39,12 +62,7 @@ def multiplicative_order(g: int, modulus: int, budget: Budget | None = None) -> 
         raise ValueError(f"{g} is not a unit modulo {modulus}")
     if g == 1:
         return 1
-    exponent = _carmichael(factorize(modulus, budget))
-    order = exponent
-    for q, _ in factorize(exponent, budget):
-        while order % q == 0 and pow(g, order // q, modulus) == 1:
-            order //= q
-    return order
+    return _order_dividing(g, modulus, _carmichael(factorize(modulus, budget)), budget)
 
 
 def _require_coprime_to_ten(p: int) -> None:
@@ -54,33 +72,56 @@ def _require_coprime_to_ten(p: int) -> None:
         raise ValueError(f"expected a prime, got {p}")
 
 
-@lru_cache(maxsize=None)
-def ten_power_valuation(p: int, L: int) -> int:
-    """ord_p(10**L - 1) for p not in {2, 5}, without huge intermediates for large L."""
+def _order_of_ten(p: int, budget: Budget | None) -> int:
+    """ord_p(10) for a prime p outside {2, 5}, from factorize(p - 1)."""
+    order = _ORDER_OF_TEN.get(p)
+    if order is None:
+        if not is_probable_prime(p):
+            raise ValueError(f"expected a prime, got {p}")
+        order = _ORDER_OF_TEN[p] = _order_dividing(10, p, p - 1, budget)
+    return order
+
+
+def ten_power_valuation(p: int, L: int, budget: Budget | None = None) -> int:
+    """ord_p(10**L - 1) for a prime p not in {2, 5}, without huge intermediates for large L."""
     _require_coprime_to_ten(p)
     if L < 1:
         raise ValueError(f"expected L >= 1, got {L}")
     if L <= _EXPLICIT_VALUATION_LIMIT:
         return valuation(p, 10**L - 1)
-    d = multiplicative_order(10, p)
+    d = _order_of_ten(p, budget)
     if L % d != 0:
         return 0
     # Lifting the exponent: ord_p((10**d)**m - 1) = ord_p(10**d - 1) + ord_p(m).
-    return valuation(p, 10**d - 1) + valuation(p, L // d)
+    c = 1
+    while pow(10, d, p ** (c + 1)) == 1:
+        c += 1
+    return c + valuation(p, L // d)
 
 
 @lru_cache(maxsize=None)
-def repunit_order(p: int, alpha: int, L: int) -> int:
-    """Least k with p**alpha dividing repunit(k, L); order of 10**L as described above."""
+def repunit_order(p: int, alpha: int, L: int, budget: Budget | None = None) -> int:
+    """Least k with p**alpha dividing repunit(k, L); order of 10**L as described above.
+
+    Starts from the order of 10**L modulo p and multiplies by p until 10**L
+    raised to it is 1 modulo p**e, e = alpha + ten_power_valuation(p, L): at
+    most e - 1 steps, since the units that are 1 modulo p form a p-group of
+    order p**(e-1) (proof in the module docstring).
+    """
     _require_coprime_to_ten(p)
     if alpha < 1 or L < 1:
         raise ValueError(f"expected alpha, L >= 1, got alpha={alpha}, L={L}")
-    modulus = p ** (alpha + ten_power_valuation(p, L))
-    return multiplicative_order(pow(10, L, modulus), modulus)
+    modulus = p ** (alpha + ten_power_valuation(p, L, budget))
+    g = pow(10, L, modulus)
+    t = _order_of_ten(p, budget)
+    order = t // math.gcd(L, t)
+    while pow(g, order, modulus) != 1:
+        order *= p
+    return order
 
 
-def repunit_valuation(p: int, k: int, block_len: int = 1) -> int:
-    """ord_p(repunit(k, block_len)), via the entry-order divisibility criterion.
+def repunit_valuation(p: int, k: int, block_len: int = 1, budget: Budget | None = None) -> int:
+    """ord_p(repunit(k, block_len)) = ord_p(10**(k*block_len) - 1) - ord_p(10**block_len - 1).
 
     Zero for p in {2, 5}: repunits end in 1.
     """
@@ -88,10 +129,7 @@ def repunit_valuation(p: int, k: int, block_len: int = 1) -> int:
         raise ValueError(f"expected k, block_len >= 1, got k={k}, block_len={block_len}")
     if p in (2, 5):
         return 0
-    a = 0
-    while k % repunit_order(p, a + 1, block_len) == 0:
-        a += 1
-    return a
+    return ten_power_valuation(p, k * block_len, budget) - ten_power_valuation(p, block_len, budget)
 
 
 def repunit_order_rescaled(p: int, alpha: int, k: int, L: int) -> int:

@@ -181,7 +181,9 @@ class ConstraintPair:
         return f"({fmt(self.A)},{fmt(self.B)})"
 
 
-def constraint_entry(p: int, label: CaseLabel, digit_len: int) -> ConstraintPair:
+def constraint_entry(
+    p: int, label: CaseLabel, digit_len: int, budget: Budget | None = None
+) -> ConstraintPair:
     """Divisibility constraints contributed by prime p under the given case.
 
     Entry orders are taken at the digit length of the analyzed number; they
@@ -195,7 +197,7 @@ def constraint_entry(p: int, label: CaseLabel, digit_len: int) -> ConstraintPair
         return ConstraintPair()
     if label is CaseLabel.VII:
         return ConstraintPair((), (1,))
-    h = lambda alpha: repunit_order(p, alpha, digit_len)
+    h = lambda alpha: repunit_order(p, alpha, digit_len, budget)
     if label is CaseLabel.I:
         return ConstraintPair((), (h(1),))
     if label is CaseLabel.II:
@@ -413,7 +415,8 @@ def run_procedure(n: int, copies: int = 1, budget: Budget | None = None) -> Proc
     With copies == 1 this is the plain classification of n. With copies == k
     the result describes n(k): crucial primes and deltas are reused, mu is
     shifted by the repunit valuation at each prime, and entry orders are taken
-    at the concatenation's digit length.
+    at the concatenation's digit length. ``budget`` caps each factorization:
+    of n, of its reversal, and of p - 1 for each entry-order prime p.
     """
     if copies < 1:
         raise ValueError(f"expected copies >= 1, got {copies}")
@@ -423,14 +426,14 @@ def run_procedure(n: int, copies: int = 1, budget: Budget | None = None) -> Proc
     if copies == 1:
         crucial = base
     else:
-        crucial = tuple(cp.shifted(repunit_valuation(cp.p, copies, block)) for cp in base)
+        crucial = tuple(cp.shifted(repunit_valuation(cp.p, copies, block, budget)) for cp in base)
     solutions = solve_characteristic(crucial)
     case_table = tuple(
         tuple(classify_case(cp.p, abs(cp.delta), sol[i], cp.mu) for sol in solutions)
         for i, cp in enumerate(crucial)
     )
     constraint_table = tuple(
-        tuple(constraint_entry(crucial[i].p, label, digit_len) for label in row)
+        tuple(constraint_entry(crucial[i].p, label, digit_len, budget) for label in row)
         for i, row in enumerate(case_table)
     )
     columns = tuple(

@@ -51,6 +51,9 @@ def test_ten_power_valuation_small_vs_lte():
         for L in (1, 2, 3, 6, 12, 60, 63, 100, 123):
             direct = valuation(p, 10**L - 1)
             assert ten_power_valuation(p, L) == direct, (p, L)
+    # 487**2 divides 10**486 - 1 (ord_487(10) = 486), so the lifted route starts at 2.
+    for L in (486, 486 * 487):
+        assert ten_power_valuation(487, L) == valuation(487, 10**L - 1), L
 
 
 def test_repunit_order_examples():
@@ -67,6 +70,25 @@ def test_repunit_order_rejects_2_and_5():
     for p in (2, 5):
         with pytest.raises(ValueError):
             repunit_order(p, 1, 1)
+
+
+def test_repunit_order_rejects_composites():
+    for m in (9, 21, 91):
+        with pytest.raises(ValueError):
+            repunit_order(m, 2, 1)
+
+
+@given(
+    st.sampled_from([p for p in primes_up_to(10**4) if p not in (2, 5)]),
+    st.integers(1, 4),
+    st.integers(1, 8),
+)
+@settings(max_examples=300, deadline=None)
+def test_repunit_order_matches_generic_order(p, alpha, L):
+    # The lift from ord_p against the generic order, which factors p**e and its
+    # Carmichael exponent.
+    m = p ** (alpha + ten_power_valuation(p, L))
+    assert repunit_order(p, alpha, L) == multiplicative_order(pow(10, L, m), m)
 
 
 def test_repunit_order_is_entry_point():

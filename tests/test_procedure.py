@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from vpal.factor import Budget, BudgetExhausted
 from vpal.oracle import corpus
 from vpal.procedure import (
     AmbiguousType,
@@ -321,6 +322,26 @@ def test_shift_parametrization_copies():
     assert shifted.solutions == base.solutions
     # 18(3) = 181818 = 2 * 3^3 * 7 * 13 * 37; exponents of 2 and 3 shift by ord(rho)
     assert [(c.p, c.a, c.b) for c in shifted.crucial] == [(2, 1, 0), (3, 3, 5)]
+
+
+@pytest.mark.parametrize(
+    "n, copies",
+    [(5078732016940072, 1), (7955605587183862, 3), (123456789012345678901234567, 1)],
+)
+def test_large_inputs_finish_within_an_iteration_budget(n, copies):
+    # Entry orders at primes of 16 to 23 digits factor only p - 1.
+    result = run_procedure(n, copies=copies, budget=Budget(seconds=1e9, iterations=10**6))
+    assert result.omega % result.minimal_period() == 0
+
+
+def test_entry_orders_spend_the_callers_budget():
+    n = 390003068004863  # prime; n - 1 = 2 * 13 * 3000017 * 5000011 needs rho
+    with pytest.raises(BudgetExhausted) as exc:
+        run_procedure(n, budget=Budget(seconds=1e9, iterations=1))
+    assert (n - 1) % exc.value.cofactor == 0
+    # The failure is not cached: a larger budget finds h(1) = n - 1, h(2) = n * (n - 1).
+    result = run_procedure(n, budget=Budget(seconds=1e9, iterations=10**6))
+    assert result.constraint_table[-1][1] == ConstraintPair((n - 1,), (n * (n - 1),))
 
 
 def test_ambiguous_type_assertion_fires_on_bad_columns():
