@@ -60,6 +60,7 @@ from .oracle import (
     enumerate_vpals,
     oracle_is_vpal,
     oracle_is_vpal_concat,
+    sweep,
     verify_disjointness,
     verify_invariance,
     verify_lemmas,

@@ -25,13 +25,14 @@ from .oracle import (
     DEFAULT_NMAX,
     DEFAULT_OMEGA_CAP,
     VerificationReport,
+    compare_procedure_oracle,
     enumerate_vpals,
-    run_disjointness_sweep,
-    run_invariance_sweep,
-    run_oracle_sweep,
-    run_periodicity_sweep,
-    run_shift_sweep,
+    sweep,
+    verify_disjointness,
+    verify_invariance,
     verify_lemmas,
+    verify_periodicity,
+    verify_shift_parametrization,
 )
 from .procedure import InvalidInput, NotAVPalindrome, ProcedureResult, run_procedure
 
@@ -58,6 +59,13 @@ def _decimal(s: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {s}")
     return n
+
+
+def _periods(s: str) -> int:
+    periods = _decimal(s)
+    if periods < 2:
+        raise argparse.ArgumentTypeError(f"expected at least 2 periods to compare, got {s}")
+    return periods
 
 
 @functools.cache
@@ -89,36 +97,37 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run a verification harness")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_decimal, default=1,
+                   help="worker processes for the corpus sweeps (at most the CPU count)")
     what = p.add_subparsers(dest="what", required=True, parser_class=_Parser)
 
     q = what.add_parser("oracle", help="procedure verdicts vs the factorization oracle")
-    q.add_argument("--nmax", type=int, default=DEFAULT_NMAX)
-    q.add_argument("--kmax", type=int, default=DEFAULT_KMAX)
-    q.add_argument("--digit-cap", type=int, default=DEFAULT_DIGIT_CAP)
+    q.add_argument("--nmax", type=_decimal, default=DEFAULT_NMAX)
+    q.add_argument("--kmax", type=_decimal, default=DEFAULT_KMAX)
+    q.add_argument("--digit-cap", type=_decimal, default=DEFAULT_DIGIT_CAP)
 
     q = what.add_parser("invariance", help="type agreement across concatenation bases")
-    q.add_argument("--nmax", type=int, default=500)
-    q.add_argument("--kmax", type=int, default=6)
-    q.add_argument("--jmax", type=int, default=6)
+    q.add_argument("--nmax", type=_decimal, default=500)
+    q.add_argument("--kmax", type=_decimal, default=6)
+    q.add_argument("--jmax", type=_decimal, default=6)
     q.add_argument("--shift-tables", action="store_true",
                    help="also compare shift-parametrized tables against from-scratch runs")
 
     q = what.add_parser("periodicity", help="oracle membership is omega-periodic")
-    q.add_argument("--nmax", type=int, default=1000)
-    q.add_argument("--periods", type=int, default=2)
-    q.add_argument("--omega-cap", type=int, default=DEFAULT_OMEGA_CAP)
+    q.add_argument("--nmax", type=_decimal, default=1000)
+    q.add_argument("--periods", type=_periods, default=2)
+    q.add_argument("--omega-cap", type=_decimal, default=DEFAULT_OMEGA_CAP)
 
     q = what.add_parser("lemmas", help="entry-order divisibility and rescaling identities")
-    q.add_argument("--pmax", type=int, default=100)
-    q.add_argument("--alphamax", type=int, default=3)
-    q.add_argument("--kmax", type=int, default=60)
-    q.add_argument("--lmax", type=int, default=6)
+    q.add_argument("--pmax", type=_decimal, default=100)
+    q.add_argument("--alphamax", type=_decimal, default=3)
+    q.add_argument("--kmax", type=_decimal, default=60)
+    q.add_argument("--lmax", type=_decimal, default=6)
     q.add_argument("--check", choices=["divisibility", "rescale", "both"], default="both")
 
     q = what.add_parser("disjointness", help="no k accepted by two solution columns")
-    q.add_argument("--nmax", type=int, default=DEFAULT_NMAX)
-    q.add_argument("--window", type=int, default=500)
+    q.add_argument("--nmax", type=_decimal, default=DEFAULT_NMAX)
+    q.add_argument("--window", type=_decimal, default=500)
 
     q = what.add_parser("enumerate", help="list v-palindromes and compare to the golden file")
     q.add_argument("--limit", type=int, default=1000)
@@ -230,18 +239,20 @@ def _cmd_type(args, budget: Budget) -> int:
 
 def _cmd_verify(args, budget: Budget) -> int:
     if args.what == "oracle":
-        report = run_oracle_sweep(args.nmax, args.kmax, budget, args.digit_cap, jobs=args.jobs)
+        report = sweep(compare_procedure_oracle, args.nmax, args.jobs,
+                       kmax=args.kmax, budget=budget, digit_cap=args.digit_cap)
     elif args.what == "invariance":
-        report = run_invariance_sweep(args.nmax, args.kmax, args.jmax, budget, jobs=args.jobs)
+        report = sweep(verify_invariance, args.nmax, args.jobs, kmax=args.kmax, jmax=args.jmax, budget=budget)
         if args.shift_tables:
-            report.merge(run_shift_sweep(args.nmax, args.kmax, budget, jobs=args.jobs))
+            report.merge(sweep(verify_shift_parametrization, args.nmax, args.jobs, kmax=args.kmax, budget=budget))
     elif args.what == "periodicity":
-        report = run_periodicity_sweep(args.nmax, args.periods, budget, args.omega_cap, jobs=args.jobs)
+        report = sweep(verify_periodicity, args.nmax, args.jobs,
+                       periods=args.periods, budget=budget, omega_cap=args.omega_cap)
     elif args.what == "lemmas":
         checks = ("divisibility", "rescale") if args.check == "both" else (args.check,)
         report = verify_lemmas(args.pmax, args.alphamax, args.kmax, args.lmax, checks)
     elif args.what == "disjointness":
-        report = run_disjointness_sweep(args.nmax, budget, args.window, jobs=args.jobs)
+        report = sweep(verify_disjointness, args.nmax, args.jobs, budget=budget, window=args.window)
     else:  # enumerate
         report = VerificationReport(corpus=f"enumeration vs golden file: limit {args.limit}")
         values = enumerate_vpals(args.limit, budget, report)

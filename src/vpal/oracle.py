@@ -8,8 +8,11 @@ under the budget are recorded as skips, never guessed.
 
 from __future__ import annotations
 
+import inspect
+import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import Pool
 
 from .digits import digit_count, repeat_concat, repunit, reverse_digits
@@ -138,6 +141,16 @@ def oracle_is_vpal_concat(n: int, k: int, budget: Budget | None = None) -> bool:
     return vn == vr
 
 
+def _labelled(template: str):
+    """Give a per-n harness its report label; the {n} slot reads "=13" for one n
+    and "<=500" for a sweep, the other slots name the harness's parameters."""
+    def attach(check):
+        check.label = template
+        return check
+    return attach
+
+
+@_labelled("procedure vs oracle: n{n}, k<={kmax}, cap {digit_cap} digits")
 def compare_procedure_oracle(
     n: int,
     kmax: int = DEFAULT_KMAX,
@@ -146,7 +159,9 @@ def compare_procedure_oracle(
 ) -> VerificationReport:
     """Procedure verdicts against the factorization oracle for k = 1..kmax."""
     t0 = time.monotonic()
-    report = VerificationReport(corpus=f"procedure vs oracle: n={n}, k<={kmax}, cap {digit_cap} digits")
+    report = VerificationReport(
+        corpus=compare_procedure_oracle.label.format(n=f"={n}", kmax=kmax, digit_cap=digit_cap)
+    )
     result = run_procedure(n, budget=budget)
     block = digit_count(n)
     for k in range(1, kmax + 1):
@@ -163,6 +178,23 @@ def compare_procedure_oracle(
     return report
 
 
+def _concatenations(n: int, kmax: int, budget: Budget | None, report: VerificationReport):
+    """(k, run_procedure(n, copies=k), run_procedure(n(k))) for k = 1..kmax.
+
+    A k whose from-scratch classification exhausts the budget is recorded in
+    ``report`` as a skip and not yielded.
+    """
+    for k in range(1, kmax + 1):
+        shifted = run_procedure(n, copies=k, budget=budget)
+        try:
+            scratch = run_procedure(repeat_concat(n, k), budget=budget)
+        except BudgetExhausted as exc:
+            report.record_skip(n=n, k=k, cofactor=str(exc.cofactor))
+            continue
+        yield k, shifted, scratch
+
+
+@_labelled("type invariance: n{n}, k<={kmax}, j<={jmax}")
 def verify_invariance(
     n: int,
     kmax: int = DEFAULT_JMAX,
@@ -177,15 +209,9 @@ def verify_invariance(
     from-scratch classification of the integer n(k) accepting j.
     """
     t0 = time.monotonic()
-    report = VerificationReport(corpus=f"type invariance: n={n}, k<={kmax}, j<={jmax}")
+    report = VerificationReport(corpus=verify_invariance.label.format(n=f"={n}", kmax=kmax, jmax=jmax))
     base = run_procedure(n, budget=budget)
-    for k in range(1, kmax + 1):
-        shifted = run_procedure(n, copies=k, budget=budget)
-        try:
-            scratch = run_procedure(repeat_concat(n, k), budget=budget)
-        except BudgetExhausted as exc:
-            report.record_skip(n=n, k=k, cofactor=str(exc.cofactor))
-            continue
+    for k, shifted, scratch in _concatenations(n, kmax, budget, report):
         for j in range(1, jmax + 1):
             if not base.accepts(k * j):
                 # The shifted and scratch views must reject j as well.
@@ -208,6 +234,7 @@ def verify_invariance(
     return report
 
 
+@_labelled("shift parametrization: n{n}, k<={kmax}")
 def verify_shift_parametrization(
     n: int,
     kmax: int = DEFAULT_JMAX,
@@ -220,16 +247,10 @@ def verify_shift_parametrization(
     solutions, identical tables and columns, equal omega.
     """
     t0 = time.monotonic()
-    report = VerificationReport(corpus=f"shift parametrization: n={n}, k<={kmax}")
+    report = VerificationReport(corpus=verify_shift_parametrization.label.format(n=f"={n}", kmax=kmax))
     base = run_procedure(n, budget=budget)
     block = digit_count(n)
-    for k in range(1, kmax + 1):
-        shifted = run_procedure(n, copies=k, budget=budget)
-        try:
-            scratch = run_procedure(repeat_concat(n, k), budget=budget)
-        except BudgetExhausted as exc:
-            report.record_skip(n=n, k=k, cofactor=str(exc.cofactor))
-            continue
+    for k, shifted, scratch in _concatenations(n, kmax, budget, report):
         same_primes = [cp.p for cp in scratch.crucial] == [cp.p for cp in base.crucial]
         same_delta = [cp.delta for cp in scratch.crucial] == [cp.delta for cp in base.crucial]
         # Independent shift check: materialize the repunit and take valuations.
@@ -256,6 +277,7 @@ def verify_shift_parametrization(
     return report
 
 
+@_labelled("periodicity: n{n}, periods={periods}, omega cap {omega_cap}")
 def verify_periodicity(
     n: int,
     periods: int = 2,
@@ -269,7 +291,9 @@ def verify_periodicity(
     reported as skipped (their window is too wide to factor exhaustively).
     """
     t0 = time.monotonic()
-    report = VerificationReport(corpus=f"periodicity: n={n}, periods={periods}, omega cap {omega_cap}")
+    report = VerificationReport(
+        corpus=verify_periodicity.label.format(n=f"={n}", periods=periods, omega_cap=omega_cap)
+    )
     result = run_procedure(n, budget=budget)
     omega = result.omega
     if omega > omega_cap:
@@ -292,6 +316,7 @@ def verify_periodicity(
     return report
 
 
+@_labelled("column disjointness: n{n}")
 def verify_disjointness(n: int, budget: Budget | None = None, window: int = 500) -> VerificationReport:
     """No k may be accepted by two solution columns.
 
@@ -300,7 +325,7 @@ def verify_disjointness(n: int, budget: Budget | None = None, window: int = 500)
     divides lcm(A). A direct scan of an initial window is a cross-check.
     """
     t0 = time.monotonic()
-    report = VerificationReport(corpus=f"column disjointness: n={n}")
+    report = VerificationReport(corpus=verify_disjointness.label.format(n=f"={n}"))
     result = run_procedure(n, budget=budget)
     cols = result.columns
     for i in range(len(cols)):
@@ -381,99 +406,25 @@ def enumerate_vpals(
     return out
 
 
-# --- corpus drivers (parallelizable) -----------------------------------------
+def sweep(check, nmax: int, jobs: int = 1, **params) -> VerificationReport:
+    """Run check(n, **params) for every n in corpus(nmax); merge the reports in corpus order.
 
-
-def _oracle_item(args) -> VerificationReport:
-    n, kmax, budget, digit_cap = args
-    return compare_procedure_oracle(n, kmax, budget, digit_cap)
-
-
-def _invariance_item(args) -> VerificationReport:
-    n, kmax, jmax, budget = args
-    return verify_invariance(n, kmax, jmax, budget)
-
-
-def _shift_item(args) -> VerificationReport:
-    n, kmax, budget = args
-    return verify_shift_parametrization(n, kmax, budget)
-
-
-def _periodicity_item(args) -> VerificationReport:
-    n, periods, budget, omega_cap = args
-    return verify_periodicity(n, periods, budget, omega_cap)
-
-
-def _disjointness_item(args) -> VerificationReport:
-    n, budget, window = args
-    return verify_disjointness(n, budget, window)
-
-
-def _sweep(item_fn, items, jobs: int, label: str) -> VerificationReport:
+    ``check`` is one of the per-n harnesses above. The merged report takes the
+    harness's label with n<=nmax, and its elapsed time is wall time. With
+    jobs > 1 the corpus is spread over at most os.cpu_count() worker processes.
+    """
     t0 = time.monotonic()
-    merged = VerificationReport(corpus=label)
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            for rep in pool.imap(item_fn, items, chunksize=8):
+    args = inspect.signature(check).bind(0, **params)
+    args.apply_defaults()
+    merged = VerificationReport(corpus=check.label.format(**{**args.arguments, "n": f"<={nmax}"}))
+    item = partial(check, **params)
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(workers) as pool:
+            for rep in pool.imap(item, corpus(nmax), chunksize=8):
                 merged.merge(rep)
     else:
-        for item in items:
-            merged.merge(item_fn(item))
+        for n in corpus(nmax):
+            merged.merge(item(n))
     merged.elapsed = time.monotonic() - t0
     return merged
-
-
-def run_oracle_sweep(
-    nmax: int = DEFAULT_NMAX,
-    kmax: int = DEFAULT_KMAX,
-    budget: Budget | None = None,
-    digit_cap: int = DEFAULT_DIGIT_CAP,
-    jobs: int = 1,
-) -> VerificationReport:
-    items = [(n, kmax, budget, digit_cap) for n in corpus(nmax)]
-    return _sweep(_oracle_item, items, jobs, f"procedure vs oracle: n<={nmax}, k<={kmax}, cap {digit_cap} digits")
-
-
-def run_invariance_sweep(
-    nmax: int = 500,
-    kmax: int = DEFAULT_JMAX,
-    jmax: int = DEFAULT_JMAX,
-    budget: Budget | None = None,
-    jobs: int = 1,
-) -> VerificationReport:
-    items = [(n, kmax, jmax, budget) for n in corpus(nmax)]
-    return _sweep(_invariance_item, items, jobs, f"type invariance: n<={nmax}, k<={kmax}, j<={jmax}")
-
-
-def run_shift_sweep(
-    nmax: int = 500,
-    kmax: int = DEFAULT_JMAX,
-    budget: Budget | None = None,
-    jobs: int = 1,
-) -> VerificationReport:
-    items = [(n, kmax, budget) for n in corpus(nmax)]
-    return _sweep(_shift_item, items, jobs, f"shift parametrization: n<={nmax}, k<={kmax}")
-
-
-def run_periodicity_sweep(
-    nmax: int = 1000,
-    periods: int = 2,
-    budget: Budget | None = None,
-    omega_cap: int = DEFAULT_OMEGA_CAP,
-    jobs: int = 1,
-) -> VerificationReport:
-    items = [(n, periods, budget, omega_cap) for n in corpus(nmax)]
-    return _sweep(
-        _periodicity_item, items, jobs,
-        f"periodicity: n<={nmax}, periods={periods}, omega cap {omega_cap}",
-    )
-
-
-def run_disjointness_sweep(
-    nmax: int = DEFAULT_NMAX,
-    budget: Budget | None = None,
-    window: int = 500,
-    jobs: int = 1,
-) -> VerificationReport:
-    items = [(n, budget, window) for n in corpus(nmax)]
-    return _sweep(_disjointness_item, items, jobs, f"column disjointness: n<={nmax}")

@@ -22,11 +22,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .factor import Budget, Factorization, factorize, is_probable_prime, valuation
-
-# Threshold under which ord_p(10**L - 1) is taken on the explicit integer;
-# above it the lifting-the-exponent route avoids materializing 10**L - 1.
-_EXPLICIT_VALUATION_LIMIT = 64
+from .factor import Budget, Factorization, factorize, is_probable_prime
 
 # p -> ord_p(10) for primes p outside {2, 5}.
 _ORDER_OF_TEN: dict[int, int] = {}
@@ -82,21 +78,15 @@ def _order_of_ten(p: int, budget: Budget | None) -> int:
     return order
 
 
-def ten_power_valuation(p: int, L: int, budget: Budget | None = None) -> int:
-    """ord_p(10**L - 1) for a prime p not in {2, 5}, without huge intermediates for large L."""
+def ten_power_valuation(p: int, L: int) -> int:
+    """ord_p(10**L - 1) for a prime p not in {2, 5}, without building 10**L - 1."""
     _require_coprime_to_ten(p)
     if L < 1:
         raise ValueError(f"expected L >= 1, got {L}")
-    if L <= _EXPLICIT_VALUATION_LIMIT:
-        return valuation(p, 10**L - 1)
-    d = _order_of_ten(p, budget)
-    if L % d != 0:
-        return 0
-    # Lifting the exponent: ord_p((10**d)**m - 1) = ord_p(10**d - 1) + ord_p(m).
-    c = 1
-    while pow(10, d, p ** (c + 1)) == 1:
+    c = 0
+    while pow(10, L, p ** (c + 1)) == 1:
         c += 1
-    return c + valuation(p, L // d)
+    return c
 
 
 @lru_cache(maxsize=None)
@@ -111,7 +101,7 @@ def repunit_order(p: int, alpha: int, L: int, budget: Budget | None = None) -> i
     _require_coprime_to_ten(p)
     if alpha < 1 or L < 1:
         raise ValueError(f"expected alpha, L >= 1, got alpha={alpha}, L={L}")
-    modulus = p ** (alpha + ten_power_valuation(p, L, budget))
+    modulus = p ** (alpha + ten_power_valuation(p, L))
     g = pow(10, L, modulus)
     t = _order_of_ten(p, budget)
     order = t // math.gcd(L, t)
@@ -120,7 +110,7 @@ def repunit_order(p: int, alpha: int, L: int, budget: Budget | None = None) -> i
     return order
 
 
-def repunit_valuation(p: int, k: int, block_len: int = 1, budget: Budget | None = None) -> int:
+def repunit_valuation(p: int, k: int, block_len: int = 1) -> int:
     """ord_p(repunit(k, block_len)) = ord_p(10**(k*block_len) - 1) - ord_p(10**block_len - 1).
 
     Zero for p in {2, 5}: repunits end in 1.
@@ -129,7 +119,7 @@ def repunit_valuation(p: int, k: int, block_len: int = 1, budget: Budget | None 
         raise ValueError(f"expected k, block_len >= 1, got k={k}, block_len={block_len}")
     if p in (2, 5):
         return 0
-    return ten_power_valuation(p, k * block_len, budget) - ten_power_valuation(p, block_len, budget)
+    return ten_power_valuation(p, k * block_len) - ten_power_valuation(p, block_len)
 
 
 def repunit_order_rescaled(p: int, alpha: int, k: int, L: int) -> int:

@@ -426,7 +426,7 @@ def run_procedure(n: int, copies: int = 1, budget: Budget | None = None) -> Proc
     if copies == 1:
         crucial = base
     else:
-        crucial = tuple(cp.shifted(repunit_valuation(cp.p, copies, block, budget)) for cp in base)
+        crucial = tuple(cp.shifted(repunit_valuation(cp.p, copies, block)) for cp in base)
     solutions = solve_characteristic(crucial)
     case_table = tuple(
         tuple(classify_case(cp.p, abs(cp.delta), sol[i], cp.mu) for sol in solutions)

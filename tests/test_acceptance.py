@@ -12,14 +12,15 @@ from pathlib import Path
 from vpal.digits import repeat_concat, reverse_digits
 from vpal.factor import Budget, v_value
 from vpal.oracle import (
+    compare_procedure_oracle,
     enumerate_vpals,
     oracle_is_vpal,
-    run_disjointness_sweep,
-    run_invariance_sweep,
-    run_oracle_sweep,
-    run_periodicity_sweep,
-    run_shift_sweep,
+    sweep,
+    verify_disjointness,
+    verify_invariance,
     verify_lemmas,
+    verify_periodicity,
+    verify_shift_parametrization,
 )
 from vpal.procedure import CaseLabel, run_procedure
 
@@ -44,13 +45,13 @@ def _report_line(cid, name, rep, skip_cap=None):
 
 
 def test_criterion_1_oracle_equivalence():
-    rep = run_oracle_sweep(nmax=2000, kmax=8, digit_cap=48)
+    rep = sweep(compare_procedure_oracle, 2000, kmax=8, digit_cap=48)
     ok = _report_line(1, "procedure vs factorization oracle, n<=2000 k<=8", rep, skip_cap=0.01)
     assert ok, rep.failures[:5] or rep.skips[:5]
 
 
 def test_criterion_2_type_invariance():
-    rep = run_invariance_sweep(nmax=500, kmax=6, jmax=6)
+    rep = sweep(verify_invariance, 500, kmax=6, jmax=6)
     ok = _report_line(2, "type invariance across bases, n<=500 k,j<=6", rep)
     assert ok, rep.failures[:5]
     assert rep.skipped == 0
@@ -71,7 +72,7 @@ def test_criterion_4_rescaling_identity():
 
 
 def test_criterion_5_periodicity():
-    rep = run_periodicity_sweep(nmax=1000, periods=2, budget=SCAN_BUDGET, omega_cap=60)
+    rep = sweep(verify_periodicity, 1000, periods=2, budget=SCAN_BUDGET, omega_cap=60)
     ok = _report_line(5, "oracle pattern is omega-periodic, n<=1000 omega<=60", rep)
     assert ok, rep.failures[:5]
     assert rep.passed > 500  # the comparable corpus must stay substantial
@@ -112,14 +113,14 @@ def test_criterion_6_golden_traces():
 
 
 def test_criterion_7_shift_invariances():
-    rep = run_shift_sweep(nmax=500, kmax=6)
+    rep = sweep(verify_shift_parametrization, 500, kmax=6)
     ok = _report_line(7, "crucial primes/solutions/delta invariant, mu shifts, n<=500 k<=6", rep)
     assert ok, rep.failures[:5]
     assert rep.skipped == 0
 
 
 def test_criterion_8_disjointness():
-    rep = run_disjointness_sweep(nmax=2000)
+    rep = sweep(verify_disjointness, 2000)
     ok = _report_line(8, "no k accepted by two columns, full corpus", rep)
     assert ok, rep.failures[:5]
     assert rep.skipped == 0

@@ -181,3 +181,23 @@ def test_unbounded_decimal_input(capsys):
     code, out, _ = run(capsys, "check", n)
     assert code == EXIT_OK  # palindrome: verdict needs no factorization
     assert out.startswith("no")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--jobs", "0", "oracle", "--nmax", "30"],
+        ["verify", "--jobs", "-4", "oracle", "--nmax", "30"],
+        ["verify", "oracle", "--kmax", "0"],
+        ["verify", "oracle", "--nmax", "-5"],
+        ["verify", "invariance", "--jmax", "0"],
+        ["verify", "periodicity", "--periods", "1"],
+    ],
+)
+def test_verify_counts_that_check_nothing_exit_64(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_USAGE
+    assert "expected a positive integer" in err or "expected at least 2 periods" in err
+    assert "Traceback" not in err

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import factorint
 
+from vpal import oracle
 from vpal.digits import repeat_concat
 from vpal.factor import Budget
 from vpal.oracle import (
@@ -12,6 +13,7 @@ from vpal.oracle import (
     enumerate_vpals,
     oracle_is_vpal,
     oracle_is_vpal_concat,
+    sweep,
     verify_disjointness,
     verify_invariance,
     verify_lemmas,
@@ -157,3 +159,40 @@ def test_report_serialization():
         (Path(__file__).parent.parent / "docs" / "verification-report.schema.json").read_text()
     )
     jsonschema.validate(d, schema)
+
+
+@pytest.mark.parametrize(
+    "check, nmax, params, label, label_13",
+    [
+        (compare_procedure_oracle, 60, {"kmax": 3},
+         "procedure vs oracle: n<=60, k<=3, cap 48 digits",
+         "procedure vs oracle: n=13, k<=3, cap 48 digits"),
+        (verify_invariance, 40, {"kmax": 3, "jmax": 2},
+         "type invariance: n<=40, k<=3, j<=2", "type invariance: n=13, k<=3, j<=2"),
+        (verify_shift_parametrization, 40, {"kmax": 3},
+         "shift parametrization: n<=40, k<=3", "shift parametrization: n=13, k<=3"),
+        (verify_periodicity, 60, {"omega_cap": 12},
+         "periodicity: n<=60, periods=2, omega cap 12", "periodicity: n=13, periods=2, omega cap 12"),
+        (verify_disjointness, 100, {"window": 30},
+         "column disjointness: n<=100", "column disjointness: n=13"),
+    ],
+)
+def test_sweep_parallel_matches_serial_and_keeps_labels(check, nmax, params, label, label_13):
+    serial = sweep(check, nmax, **params)
+    parallel = sweep(check, nmax, jobs=2, **params)
+    assert serial.corpus == parallel.corpus == label
+    assert check(13, **params).corpus == label_13
+    assert serial.checked > 0 and serial.failed == 0
+    assert serial.checked == sum(check(n, **params).checked for n in corpus(nmax))
+    for key in ("checked", "passed", "failed", "skipped", "failures", "skips"):
+        assert getattr(serial, key) == getattr(parallel, key), key
+
+
+def test_sweep_starts_no_more_workers_than_cpus(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("sweep started a worker pool")
+
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(oracle, "Pool", no_pool)
+    rep = sweep(verify_disjointness, 40, jobs=10**6, window=10)
+    assert rep.checked > 0 and rep.failed == 0
