@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 factorization budget
-exhausted, 64 usage error. Numbers are accepted as decimal strings of
+exhausted, 64 usage error (including options that leave a verification
+harness nothing to check). Numbers are accepted as decimal strings of
 unbounded length. The per-factorization budget in seconds is --budget, else
 VPAL_BUDGET, else 10; a value that is not a positive finite number is a usage
 error.
@@ -127,7 +128,6 @@ def _build_parser() -> _Parser:
 
     q = what.add_parser("disjointness", help="no k accepted by two solution columns")
     q.add_argument("--nmax", type=_decimal, default=DEFAULT_NMAX)
-    q.add_argument("--window", type=_decimal, default=500)
 
     q = what.add_parser("enumerate", help="list v-palindromes and compare to the golden file")
     q.add_argument("--limit", type=int, default=1000)
@@ -143,6 +143,9 @@ def _load_golden() -> list[int]:
 
 
 def _emit_report(report: VerificationReport, as_json: bool) -> int:
+    if report.checked == 0:
+        print(f"vpal: error: the options leave nothing to check ({report.corpus})", file=sys.stderr)
+        return EXIT_USAGE
     if as_json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -252,7 +255,7 @@ def _cmd_verify(args, budget: Budget) -> int:
         checks = ("divisibility", "rescale") if args.check == "both" else (args.check,)
         report = verify_lemmas(args.pmax, args.alphamax, args.kmax, args.lmax, checks)
     elif args.what == "disjointness":
-        report = sweep(verify_disjointness, args.nmax, args.jobs, budget=budget, window=args.window)
+        report = sweep(verify_disjointness, args.nmax, args.jobs, budget=budget)
     else:  # enumerate
         report = VerificationReport(corpus=f"enumeration vs golden file: limit {args.limit}")
         values = enumerate_vpals(args.limit, budget, report)

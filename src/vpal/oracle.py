@@ -317,12 +317,14 @@ def verify_periodicity(
 
 
 @_labelled("column disjointness: n{n}")
-def verify_disjointness(n: int, budget: Budget | None = None, window: int = 500) -> VerificationReport:
+def verify_disjointness(n: int, budget: Budget | None = None) -> VerificationReport:
     """No k may be accepted by two solution columns.
 
     Decided exactly on each column pair: the intersection of two columns is
     itself a divisibility constraint set, empty exactly when some b in B
-    divides lcm(A). A direct scan of an initial window is a cross-check.
+    divides lcm(A). Independently, every k is accepted by the same columns as
+    some m in the lattice M (see ProcedureResult.lattice), so counting the
+    columns that accept each m in M checks every k.
     """
     t0 = time.monotonic()
     report = VerificationReport(corpus=verify_disjointness.label.format(n=f"={n}"))
@@ -332,9 +334,9 @@ def verify_disjointness(n: int, budget: Budget | None = None, window: int = 500)
         for j in range(i + 1, len(cols)):
             inter = cols[i].union(cols[j])
             report.record(inter.is_empty(), n=n, columns=[i, j], kind="pairwise intersection")
-    for k in range(1, min(result.omega, window) + 1):
-        hits = sum(col.accepts(k) for col in cols)
-        report.record(hits <= 1, n=n, k=k, hits=hits, kind="window scan")
+    for m in sorted(result.lattice):
+        hits = sum(col.accepts(m) for col in cols)
+        report.record(hits <= 1, n=n, k=m, hits=hits, kind="lattice scan")
     report.elapsed = time.monotonic() - t0
     return report
 

@@ -27,7 +27,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .digits import decimal_string, digit_count, reverse_digits
 from .factor import Budget, factorize
@@ -67,36 +67,14 @@ def v_increment_range(p: int, delta: int) -> frozenset[int]:
     return frozenset(v_increment(p, delta, alpha) for alpha in (0, 1, 2))
 
 
-class _Preimage(enum.Enum):
-    # Structural preimage of a value under v_increment(p, delta, .): which
-    # alpha produce it. TWO_UP is every alpha >= 2.
-    ZERO = "{0}"
-    ONE = "{1}"
-    ZERO_ONE = "{0,1}"
-    TWO_UP = "{2,3,...}"
-
-
-def _preimage(p: int, delta: int, u: int) -> _Preimage:
-    if p == 2 and delta == 1:
-        if u == 2:
-            return _Preimage.ZERO_ONE
-        if u == 1:
-            return _Preimage.TWO_UP
-    elif delta == 1:
-        if u == p:
-            return _Preimage.ZERO
-        if u == 2:
-            return _Preimage.ONE
-        if u == 1:
-            return _Preimage.TWO_UP
-    else:
-        if u == p + delta:
-            return _Preimage.ZERO
-        if u == 1 + delta:
-            return _Preimage.ONE
-        if u == delta:
-            return _Preimage.TWO_UP
-    raise ValueError(f"{u} is not a possible v-increment for p={p}, delta={delta}")
+@cache
+def _preimage(p: int, delta: int, u: int) -> frozenset[int]:
+    # The alpha with v_increment(p, delta, alpha) == u; 2 stands for every
+    # alpha >= 2, where v_increment no longer depends on alpha.
+    pre = frozenset(alpha for alpha in (0, 1, 2) if v_increment(p, delta, alpha) == u)
+    if not pre:
+        raise ValueError(f"{u} is not a possible v-increment for p={p}, delta={delta}")
+    return pre
 
 
 class CaseLabel(str, enum.Enum):
@@ -109,12 +87,16 @@ class CaseLabel(str, enum.Enum):
     VII = "vii"
 
 
+# Keyed by preimage and min(mu, 2); a missing key is case vii.
 _CASE_BY_PREIMAGE_AND_MU = {
-    (_Preimage.ZERO, 0): CaseLabel.I,
-    (_Preimage.ONE, 1): CaseLabel.I,
-    (_Preimage.ZERO_ONE, 1): CaseLabel.I,
-    (_Preimage.ONE, 0): CaseLabel.II,
-    (_Preimage.ZERO_ONE, 0): CaseLabel.III,
+    (frozenset({0}), 0): CaseLabel.I,
+    (frozenset({1}), 1): CaseLabel.I,
+    (frozenset({0, 1}), 1): CaseLabel.I,
+    (frozenset({1}), 0): CaseLabel.II,
+    (frozenset({0, 1}), 0): CaseLabel.III,
+    (frozenset({2}), 1): CaseLabel.IV,
+    (frozenset({2}), 0): CaseLabel.V,
+    (frozenset({2}), 2): CaseLabel.VI,
 }
 
 
@@ -122,10 +104,7 @@ def classify_case(p: int, delta_abs: int, u: int, mu: int) -> CaseLabel:
     """Which of the seven cases the quadruple falls into; exactly one always holds."""
     if mu < 0:
         raise ValueError(f"expected mu >= 0, got {mu}")
-    pre = _preimage(p, delta_abs, u)
-    if pre is _Preimage.TWO_UP:
-        return {0: CaseLabel.V, 1: CaseLabel.IV}.get(mu, CaseLabel.VI)
-    return _CASE_BY_PREIMAGE_AND_MU.get((pre, mu), CaseLabel.VII)
+    return _CASE_BY_PREIMAGE_AND_MU.get((_preimage(p, delta_abs, u), min(mu, 2)), CaseLabel.VII)
 
 
 @dataclass(frozen=True)
@@ -146,23 +125,6 @@ class ConstraintPair:
 
     def union(self, other: "ConstraintPair") -> "ConstraintPair":
         return ConstraintPair(self.A | other.A, self.B | other.B)
-
-    @property
-    def period(self) -> int:
-        """lcm of all constraint elements; membership depends only on x mod period."""
-        return math.lcm(*self.A, *self.B) if self.A | self.B else 1
-
-    def member_count(self) -> int:
-        """Exact count of members in one full period, by inclusion-exclusion over B."""
-        base = math.lcm(*self.A) if self.A else 1
-        period = self.period
-        bs = list(self.B)
-        total = 0
-        for r in range(len(bs) + 1):
-            sign = -1 if r % 2 else 1
-            for combo in itertools.combinations(bs, r):
-                total += sign * (period // math.lcm(base, *combo))
-        return total
 
     def is_empty(self) -> bool:
         return self.first_member() is None
@@ -314,24 +276,33 @@ class ProcedureResult:
         firsts = [f for col in self.columns if (f := col.first_member()) is not None]
         return min(firsts) if firsts else None
 
+    @cached_property
+    def lattice(self) -> frozenset[int]:
+        """M: 1 and every constraint element, closed under lcm.
+
+        With E the constraint elements and D(k) = lcm{e in E : e | k}, e | k iff
+        e | D(k), so D(k) lies in M and k is accepted by exactly the columns that
+        accept D(k). A fact about the acceptance of every k is decided on M alone.
+        """
+        closure = {1}
+        for e in {x for col in self.columns for x in col.A | col.B}:
+            closure |= {math.lcm(m, e) for m in closure}
+        return frozenset(closure)
+
     def minimal_period(self) -> int:
         """Least period of the acceptance pattern; it divides omega.
 
-        With E the constraint elements and D(k) = lcm{e in E : e | k}, e | k iff
-        e | D(k), so accept(k) = accept(D(k)) and D(k) lies in M, the lcm-closure
-        of E and 1. Hence d | omega is a period iff accept(m) = accept(D(gcd(m, d)))
-        for all m in M; necessity is a CRT step, as some k = m (mod d) has gcd(k,
-        omega) = gcd(m, d). Periods are closed under gcd, so the least, d0, divides
-        every period and equals D(d0), a product of powers of a coprime base of E.
-        Dividing omega by base elements while the quotient stays a period stops at d0.
+        Since accept(k) = accept(D(k)) with D(k) in the lattice M, d | omega is a
+        period iff accept(m) = accept(D(gcd(m, d))) for all m in M; necessity is a
+        CRT step, as some k = m (mod d) has gcd(k, omega) = gcd(m, d). Periods are
+        closed under gcd, so the least, d0, divides every period and equals D(d0),
+        a product of powers of a coprime base of E. Dividing omega by base
+        elements while the quotient stays a period stops at d0.
         """
         elements = {x for col in self.columns for x in col.A | col.B}
         below = lambda k: frozenset(e for e in elements if k % e == 0)  # equal for k and D(k)
-        closure = {1}
-        for e in elements:
-            closure |= {math.lcm(m, e) for m in closure}
         accept = {
-            s: any(c.A <= s and not c.B & s for c in self.columns) for s in map(below, closure)
+            s: any(c.A <= s and not c.B & s for c in self.columns) for s in map(below, self.lattice)
         }
         d = self.omega
         for b in _coprime_base(elements):
@@ -342,12 +313,9 @@ class ProcedureResult:
                 d //= b
         return d
 
-    def nondegenerate_solutions(self, horizon: int | None = None) -> tuple[Solution, ...]:
-        """Solutions whose accepted set meets [1, horizon]; by default, those with any member."""
-        return tuple(
-            sol for sol, col in zip(self.solutions, self.columns)
-            if (first := col.first_member()) is not None and (horizon is None or first <= horizon)
-        )
+    def nondegenerate_solutions(self) -> tuple[Solution, ...]:
+        """Solutions whose column accepts some k."""
+        return tuple(sol for sol, col in zip(self.solutions, self.columns) if not col.is_empty())
 
     @cached_property
     def case_vii_count(self) -> int:

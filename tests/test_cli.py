@@ -87,6 +87,9 @@ def test_usage_errors_exit_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["v", "abc"])
     assert exc.value.code == EXIT_USAGE
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "disjointness", "--window", "50"])  # the lattice scan has no window
+    assert exc.value.code == EXIT_USAGE
 
 
 def test_domain_errors_exit_64(capsys):
@@ -146,7 +149,7 @@ def test_verify_periodicity_cli(capsys):
 
 
 def test_verify_disjointness_cli(capsys):
-    code, out, _ = run(capsys, "verify", "disjointness", "--nmax", "60", "--window", "50")
+    code, out, _ = run(capsys, "verify", "disjointness", "--nmax", "60")
     assert code == EXIT_OK and "0 failed" in out
 
 
@@ -201,3 +204,17 @@ def test_verify_counts_that_check_nothing_exit_64(capsys, argv):
     assert exc.value.code == EXIT_USAGE
     assert "expected a positive integer" in err or "expected at least 2 periods" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "oracle", "--nmax", "11"],  # no eligible n <= 11
+        ["verify", "oracle", "--nmax", "100", "--digit-cap", "1"],
+        ["verify", "lemmas", "--pmax", "2"],  # 2 is skipped
+    ],
+)
+def test_verify_that_checks_nothing_exits_64(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert "nothing to check" in err and "Traceback" not in err

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import factorint
@@ -20,6 +22,7 @@ from vpal.oracle import (
     verify_periodicity,
     verify_shift_parametrization,
 )
+from vpal.procedure import ConstraintPair, run_procedure
 
 
 def _is_vpal_reference(n):
@@ -115,6 +118,19 @@ def test_verify_disjointness():
         assert rep.failed == 0
 
 
+def test_verify_disjointness_checks_past_any_window(monkeypatch):
+    # columns 24 | k and 25 | k overlap first at k = 600
+    rigged = replace(
+        run_procedure(13),
+        columns=(ConstraintPair((24,), ()), ConstraintPair((25,), ())),
+        omega=600,
+    )
+    monkeypatch.setattr(oracle, "run_procedure", lambda n, budget=None: rigged)
+    rep = verify_disjointness(13)
+    assert {"n": 13, "k": 600, "hits": 2, "kind": "lattice scan"} in rep.failures
+    assert [f["k"] for f in rep.failures if f["kind"] == "lattice scan"] == [600]
+
+
 def test_verify_lemmas_small_grid():
     rep = verify_lemmas(p_max=20, alpha_max=2, k_max=10, L_max=2)
     assert rep.failed == 0
@@ -173,7 +189,7 @@ def test_report_serialization():
          "shift parametrization: n<=40, k<=3", "shift parametrization: n=13, k<=3"),
         (verify_periodicity, 60, {"omega_cap": 12},
          "periodicity: n<=60, periods=2, omega cap 12", "periodicity: n=13, periods=2, omega cap 12"),
-        (verify_disjointness, 100, {"window": 30},
+        (verify_disjointness, 100, {},
          "column disjointness: n<=100", "column disjointness: n=13"),
     ],
 )
@@ -194,5 +210,5 @@ def test_sweep_starts_no_more_workers_than_cpus(monkeypatch):
 
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 1)
     monkeypatch.setattr(oracle, "Pool", no_pool)
-    rep = sweep(verify_disjointness, 40, jobs=10**6, window=10)
+    rep = sweep(verify_disjointness, 40, jobs=10**6)
     assert rep.checked > 0 and rep.failed == 0
