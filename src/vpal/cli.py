@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 1 verification failure, 2 factorization budget
 exhausted, 64 usage error (including options that leave a verification
-harness nothing to check). Numbers are accepted as decimal strings of
-unbounded length. The per-factorization budget in seconds is --budget, else
-VPAL_BUDGET, else 10; a value that is not a positive finite number is a usage
-error.
+harness nothing to check). Numbers are accepted as decimal strings of ASCII
+digits, of unbounded length. The per-factorization budget in seconds is
+--budget, else VPAL_BUDGET, else 10; a value that is not a positive finite
+number is a usage error.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("procedure", help="print the classification tables for n")
     p.add_argument("n", type=_decimal)
-    p.add_argument("--copies", type=int, default=1, metavar="K",
+    p.add_argument("--copies", type=_decimal, default=1, metavar="K",
                    help="analyze the K-fold concatenation of n (without factoring it)")
     p.add_argument("--json", action="store_true")
 
@@ -130,7 +130,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--nmax", type=_decimal, default=DEFAULT_NMAX)
 
     q = what.add_parser("enumerate", help="list v-palindromes and compare to the golden file")
-    q.add_argument("--limit", type=int, default=1000)
+    q.add_argument("--limit", type=_decimal, default=1000)
     q.add_argument("--print", dest="print_values", action="store_true",
                    help="print the enumerated values")
 

@@ -6,7 +6,10 @@ never the source of truth.
 
 from __future__ import annotations
 
+import re
 import sys
+
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 def _lift_str_digit_limit() -> None:
@@ -26,13 +29,17 @@ def decimal_string(n: int) -> str:
 
 
 def parse_decimal(s: str) -> int:
-    """Parse a decimal string of unbounded length."""
+    """Parse a decimal string of unbounded length.
+
+    Only ASCII digits with an optional sign and surrounding whitespace are
+    accepted; unlike int(), no underscores and no non-ASCII digits.
+    """
     s = s.strip()
+    if not _DECIMAL.fullmatch(s):
+        raise ValueError(f"not a decimal integer: {s!r}")
     try:
         return int(s)
-    except ValueError:
-        if not s.lstrip("+-").isdigit():
-            raise
+    except ValueError:  # longer than the interpreter's int/str conversion cap
         _lift_str_digit_limit()
         return int(s)
 

@@ -8,7 +8,11 @@ n(k) is a v-palindrome, by pure divisibility arithmetic:
    crucial primes, each carrying delta (exponent difference) and mu (shared
    exponent part);
 2. solve the signed-sum equation over the per-prime ranges of possible
-   v-increments; each solution is one way the v values can balance;
+   v-increments; each solution is one way the v values can balance. A
+   prefix of a vector is extended only while the suffix sums reachable from
+   the remaining primes can still cancel it, so every prefix kept completes
+   to a solution: the cost is the suffix sets plus O(m * #solutions) for m
+   crucial primes, not the 3^m vectors of the full product;
 3. classify every (prime, solution-entry) pair into one of seven cases and
    translate cases into divisibility constraints on k;
 4. a solution's column accepts exactly the k in S(A, B) = {x : every a in A
@@ -223,14 +227,33 @@ def solve_characteristic(crucial: tuple[CrucialPrime, ...]) -> tuple[Solution, .
 
     Entry i ranges over v_increment_range(p_i, |delta_i|); a vector solves the
     equation when the delta-signed sum of its entries is zero.
+
+    With t_i = s_i * u_i the signed entries and [lo_i, hi_i] the range of the
+    prefix sums t_0 + ... + t_{i-1}, R_i holds the suffix sums t_i + ... +
+    t_{m-1} that lie in [-hi_i, -lo_i], the only ones a prefix can cancel;
+    R_m = {0}.
+    A prefix with sum P extends by u_i only when -(P + t_i) lies in R_{i+1}, so
+    every prefix the walk keeps completes to a solution. The cost is building
+    the R_i plus O(m * #solutions), in place of the 3^m vectors of the product;
+    extending each prefix in ascending u_i keeps the lexicographic order.
     """
     if not crucial:
         raise ValueError("need at least one crucial prime")
-    signs = [1 if cp.delta > 0 else -1 for cp in crucial]
-    ranges = [sorted(v_increment_range(cp.p, abs(cp.delta))) for cp in crucial]
-    return tuple(
-        u for u in itertools.product(*ranges) if sum(s * x for s, x in zip(signs, u)) == 0
-    )
+    levels = [(1 if cp.delta > 0 else -1, sorted(v_increment_range(cp.p, abs(cp.delta))))
+              for cp in crucial]
+    lo, hi = [0], [0]
+    for s, us in levels:
+        lo.append(lo[-1] + min(s * u for u in us))
+        hi.append(hi[-1] + max(s * u for u in us))
+    reach = [{0}]  # R_m, ..., R_1
+    for i in range(len(levels) - 1, 0, -1):
+        s, us = levels[i]
+        reach.append({x for u in us for r in reach[-1] if -hi[i] <= (x := s * u + r) <= -lo[i]})
+    prefixes = [((), 0)]  # (entries so far, their signed sum)
+    for (s, us), rest in zip(levels, reversed(reach)):
+        prefixes = [(pre + (u,), total + s * u) for pre, total in prefixes for u in us
+                    if -(total + s * u) in rest]
+    return tuple(pre for pre, _ in prefixes)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from vpal.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILED, main
+from vpal.oracle import VerificationReport
 
 
 def run(capsys, *argv):
@@ -95,8 +96,10 @@ def test_usage_errors_exit_64(capsys):
 def test_domain_errors_exit_64(capsys):
     code, _, err = run(capsys, "procedure", "20")
     assert code == EXIT_USAGE and "divisible by 10" in err
-    code, _, err = run(capsys, "procedure", "18", "--copies", "0")
-    assert code == EXIT_USAGE
+    with pytest.raises(SystemExit) as exc:  # rejected by the parser, with the usage line
+        main(["procedure", "18", "--copies", "0"])
+    assert exc.value.code == EXIT_USAGE
+    assert "expected a positive integer" in capsys.readouterr().err
     code, _, err = run(capsys, "type", "22", "3")
     assert code == EXIT_USAGE and "reversal" in err
 
@@ -218,3 +221,37 @@ def test_verify_that_checks_nothing_exits_64(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == EXIT_USAGE and out == ""
     assert "nothing to check" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["v", "1_3"],  # int() would read 13
+        ["v", "\u0661\u0663"],  # Arabic-Indic 13
+        ["procedure", "18", "--copies", "1_0"],
+        ["verify", "enumerate", "--limit", "1_0"],
+    ],
+)
+def test_non_decimal_syntax_exits_64(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE and out == ""
+    assert "not a decimal integer" in err and "usage:" in err and "Traceback" not in err
+
+
+def test_verification_failure_exits_1(capsys, monkeypatch):
+    def failing_sweep(check, nmax, jobs=1, **params):
+        report = VerificationReport(corpus="patched")
+        report.record(True, n=13)
+        report.record(False, n=18, k=2)
+        return report
+
+    monkeypatch.setattr("vpal.cli.sweep", failing_sweep)
+    code, out, _ = run(capsys, "verify", "disjointness")
+    assert code == EXIT_VERIFICATION_FAILED
+    assert "1 failed" in out and "FAIL {'n': 18, 'k': 2}" in out
+    code, out, _ = run(capsys, "verify", "--json", "disjointness")
+    assert code == EXIT_VERIFICATION_FAILED
+    d = json.loads(out)
+    assert d["failed"] == 1 and d["failures"] == [{"n": 18, "k": 2}]

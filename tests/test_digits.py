@@ -88,3 +88,16 @@ def test_unbounded_decimal_strings_round_trip():
     assert parse_decimal(s) == n
     with pytest.raises(ValueError):
         parse_decimal("12x3")
+
+
+@pytest.mark.parametrize("s", ["1_3", "\u0661\u0663", "\uff11\uff13", "", "+", "+-1", "1 3", "0x13"])
+def test_parse_decimal_accepts_ascii_digits_only(s):
+    # int() reads "1_3", Arabic-Indic and fullwidth digits as 13
+    with pytest.raises(ValueError):
+        parse_decimal(s)
+
+
+def test_parse_decimal_sign_and_whitespace():
+    assert parse_decimal(" +13\n") == 13
+    assert parse_decimal("-7") == -7
+    assert parse_decimal("0013") == 13

@@ -1,5 +1,7 @@
+import itertools
 import json
 import math
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -195,6 +197,54 @@ def test_solutions_satisfy_signed_sum_and_are_sorted():
             assert sum((1 if c.delta > 0 else -1) * x for c, x in zip(crucial, u)) == 0
             for c, x in zip(crucial, u):
                 assert x in v_increment_range(c.p, abs(c.delta))
+
+
+def _brute_force_solutions(crucial):
+    # the literal definition: every increment vector, kept when its signed sum is zero
+    signs = [1 if cp.delta > 0 else -1 for cp in crucial]
+    ranges = [sorted(v_increment_range(cp.p, abs(cp.delta))) for cp in crucial]
+    return tuple(u for u in itertools.product(*ranges) if sum(s * x for s, x in zip(signs, u)) == 0)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([2, 3, 5, 7, 11, 13, 1_000_003, 1_000_033, 1_000_037, 1_000_039]),
+            st.integers(-4, 4).filter(bool),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_solve_characteristic_matches_brute_force(primes_and_deltas):
+    crucial = tuple(CrucialPrime(p, max(d, 0), max(-d, 0)) for p, d in primes_and_deltas)
+    assert solve_characteristic(crucial) == _brute_force_solutions(crucial)
+
+
+# 2 and the 23 primes from 29 on, each with delta 1: entries in {1, 2} below 29
+_SMALL = [2] + [p for p in range(29, 200) if all(p % d for d in range(2, p))][:23]
+
+
+def test_solve_characteristic_one_signed_is_empty():
+    # 28 crucial primes (2 * 3^27 vectors), every delta positive: no sum can be zero
+    crucial = tuple(CrucialPrime(p, 1, 0) for p in _SMALL) + tuple(
+        CrucialPrime(p, 4, 1) for p in (1_000_003, 1_000_033, 1_000_037, 1_000_039)
+    )
+    assert solve_characteristic(crucial) == ()
+
+
+def test_solve_characteristic_closed_form_at_25_primes():
+    # 24 entries in {1, 2, p >= 29} balance q = 1000003 with delta -24, whose entry is
+    # 24, 25 or q + 24; the 24 sum to at most 1753 and 29 > 25, so the solutions are
+    # all ones against 24 and a single 2 against 25.
+    crucial = tuple(CrucialPrime(p, 1, 0) for p in _SMALL) + (CrucialPrime(1_000_003, 0, 24),)
+    expected = sorted(
+        [(1,) * 24 + (24,)] + [(1,) * j + (2,) + (1,) * (23 - j) + (25,) for j in range(24)]
+    )
+    start = time.perf_counter()
+    assert solve_characteristic(crucial) == tuple(expected)
+    assert time.perf_counter() - start < 1.0  # the product has 2 * 3^24 vectors
 
 
 # --- full runs against frozen traces ------------------------------------------
