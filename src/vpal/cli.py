@@ -5,7 +5,8 @@ exhausted, 64 usage error (including options that leave a verification
 harness nothing to check). Numbers are accepted as decimal strings of ASCII
 digits, of unbounded length. The per-factorization budget in seconds is
 --budget, else VPAL_BUDGET, else 10; a value that is not a positive finite
-number is a usage error.
+number written in ASCII decimal digits, with an optional fraction and
+exponent, is a usage error.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from importlib import resources
 
 from .digits import decimal_string, parse_decimal, reverse_digits
 from .factor import Budget, BudgetExhausted, factorize, v_of_factorization
 from .oracle import (
-    DEFAULT_DIGIT_CAP,
     DEFAULT_KMAX,
     DEFAULT_NMAX,
     DEFAULT_OMEGA_CAP,
@@ -44,6 +45,7 @@ EXIT_USAGE = 64
 
 _GOLDEN_ENUMERATION = "data/vpalindromes_1e4.txt"
 _GOLDEN_LIMIT = 10_000
+_SECONDS = re.compile(r"([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,7 +107,6 @@ def _build_parser() -> _Parser:
     q = what.add_parser("oracle", help="procedure verdicts vs the factorization oracle")
     q.add_argument("--nmax", type=_decimal, default=DEFAULT_NMAX)
     q.add_argument("--kmax", type=_decimal, default=DEFAULT_KMAX)
-    q.add_argument("--digit-cap", type=_decimal, default=DEFAULT_DIGIT_CAP)
 
     q = what.add_parser("invariance", help="type agreement across concatenation bases")
     q.add_argument("--nmax", type=_decimal, default=500)
@@ -242,8 +243,7 @@ def _cmd_type(args, budget: Budget) -> int:
 
 def _cmd_verify(args, budget: Budget) -> int:
     if args.what == "oracle":
-        report = sweep(compare_procedure_oracle, args.nmax, args.jobs,
-                       kmax=args.kmax, budget=budget, digit_cap=args.digit_cap)
+        report = sweep(compare_procedure_oracle, args.nmax, args.jobs, kmax=args.kmax, budget=budget)
     elif args.what == "invariance":
         report = sweep(verify_invariance, args.nmax, args.jobs, kmax=args.kmax, jmax=args.jmax, budget=budget)
         if args.shift_tables:
@@ -278,10 +278,7 @@ def main(argv: list[str] | None = None) -> int:
         source, raw = "VPAL_BUDGET", os.environ.get("VPAL_BUDGET", "10")
     else:
         source, raw = "--budget", args.budget
-    try:
-        seconds = float(raw)
-    except ValueError:
-        seconds = math.nan
+    seconds = float(raw) if _SECONDS.fullmatch(raw.strip()) else math.nan
     if not (math.isfinite(seconds) and seconds > 0):
         print(f"vpal: error: {source} must be a positive number of seconds, got {raw!r}",
               file=sys.stderr)

@@ -286,7 +286,6 @@ def v_value(n: int, budget: Budget | None = None) -> int:
 # itself and is factored once, process-wide.
 
 _phi10_done: dict[int, Factorization] = {}
-_phi10_failed: dict[int, tuple[float, int]] = {}  # d -> (budget seconds tried, cofactor)
 
 
 def _divisors(n: int) -> list[int]:
@@ -327,18 +326,9 @@ def _cyclotomic_at_ten(d: int) -> int:
 
 
 def _phi10_factorization(d: int, budget: Budget) -> Factorization:
-    cached = _phi10_done.get(d)
-    if cached is not None:
-        return cached
-    failed = _phi10_failed.get(d)
-    if failed is not None and budget.seconds <= failed[0]:
-        raise BudgetExhausted(failed[1])
-    try:
-        f = factorize(_cyclotomic_at_ten(d), budget)
-    except BudgetExhausted as exc:
-        _phi10_failed[d] = (budget.seconds, exc.cofactor)
-        raise
-    _phi10_done[d] = f
+    f = _phi10_done.get(d)
+    if f is None:
+        f = _phi10_done[d] = factorize(_cyclotomic_at_ten(d), budget)
     return f
 
 

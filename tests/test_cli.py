@@ -111,17 +111,24 @@ def test_budget_env_var(capsys, monkeypatch):
     assert code == EXIT_BUDGET
 
 
-@pytest.mark.parametrize("value", ["abc", "nan", "-1"])
+@pytest.mark.parametrize("value", ["abc", "nan", "-1", "1_0"])
 def test_bad_budget_env_var_exits_64(capsys, monkeypatch, value):
     monkeypatch.setenv("VPAL_BUDGET", value)
     code, _, err = run(capsys, "v", "18")
     assert code == EXIT_USAGE and "VPAL_BUDGET" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("value", ["abc", "inf", "0"])
+@pytest.mark.parametrize("value", ["abc", "inf", "0", "1_0", "\u0661\u0660"])
 def test_bad_budget_flag_exits_64(capsys, value):
+    # 1_0 and Arabic-Indic 10 would both read as 10 seconds through float()
     code, _, err = run(capsys, "--budget", value, "v", "18")
-    assert code == EXIT_USAGE and "--budget" in err
+    assert code == EXIT_USAGE and "--budget" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0.3", "1e1"])
+def test_decimal_budget_flag_runs(capsys, value):
+    code, out, _ = run(capsys, "--budget", value, "v", "18")
+    assert code == EXIT_OK and out.strip() == "7"
 
 
 def test_budget_exhaustion_exit_2(capsys):
@@ -142,13 +149,15 @@ def test_verify_lemmas_cli(capsys):
 
 
 def test_verify_periodicity_cli(capsys):
-    # small budget: the unwinnable cyclotomic pieces fail fast and are skipped
+    # the oracle factors only n and r(n): even under a small budget every
+    # skip is an n whose omega exceeds the cap
     code, out, _ = run(
         capsys, "--budget", "0.3", "verify", "--json", "periodicity", "--nmax", "18",
     )
     assert code == EXIT_OK
     d = json.loads(out)
     assert d["failed"] == 0 and d["passed"] > 0
+    assert d["skips"] and all(s["reason"] == "omega exceeds cap" for s in d["skips"])
 
 
 def test_verify_disjointness_cli(capsys):
@@ -213,7 +222,7 @@ def test_verify_counts_that_check_nothing_exit_64(capsys, argv):
     "argv",
     [
         ["verify", "oracle", "--nmax", "11"],  # no eligible n <= 11
-        ["verify", "oracle", "--nmax", "100", "--digit-cap", "1"],
+        ["verify", "periodicity", "--nmax", "11"],  # no eligible n <= 11
         ["verify", "lemmas", "--pmax", "2"],  # 2 is skipped
     ],
 )

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import factorint
 
+from vpal import factor
 from vpal.digits import repunit
 from vpal.factor import (
     Budget,
@@ -124,3 +125,12 @@ def test_factor_repunit_agrees_with_direct_factorization(k, L):
     via_pieces = factor_repunit(k, L)
     direct = factorize(repunit(k, L))
     assert via_pieces == direct
+
+
+def test_factor_repunit_failure_is_not_cached(monkeypatch):
+    # A budget failure on a cyclotomic piece must not decide a later, larger budget.
+    monkeypatch.setattr(factor, "_phi10_done", {})
+    with pytest.raises(BudgetExhausted):
+        factor_repunit(37, 1, Budget(seconds=1e9, iterations=50))
+    f = factor_repunit(37, 1, Budget(seconds=1e9, iterations=10**8))
+    assert f.entries == ((2028119, 1), (247629013, 1), (2212394296770203368013, 1))

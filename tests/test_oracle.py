@@ -72,11 +72,6 @@ def test_compare_procedure_oracle_examples():
     assert rep.failed == 0 and rep.checked == 15
 
 
-def test_digit_cap_limits_oracle_comparison():
-    rep = compare_procedure_oracle(1234, 20, digit_cap=48)
-    assert rep.checked == 12  # 4-digit base, 48-digit cap
-
-
 def test_procedure_oracle_agreement_beyond_corpus():
     # seeded sample of five-digit bases, outside the acceptance corpus
     import random
@@ -85,7 +80,7 @@ def test_procedure_oracle_agreement_beyond_corpus():
     for n in (rng.randrange(2001, 100_000) for _ in range(120)):
         if not eligible(n):
             continue
-        rep = compare_procedure_oracle(n, 4, digit_cap=48)
+        rep = compare_procedure_oracle(n, 4)
         assert rep.failed == 0, (n, rep.failures[:2])
 
 
@@ -181,8 +176,7 @@ def test_report_serialization():
     "check, nmax, params, label, label_13",
     [
         (compare_procedure_oracle, 60, {"kmax": 3},
-         "procedure vs oracle: n<=60, k<=3, cap 48 digits",
-         "procedure vs oracle: n=13, k<=3, cap 48 digits"),
+         "procedure vs oracle: n<=60, k<=3", "procedure vs oracle: n=13, k<=3"),
         (verify_invariance, 40, {"kmax": 3, "jmax": 2},
          "type invariance: n<=40, k<=3, j<=2", "type invariance: n=13, k<=3, j<=2"),
         (verify_shift_parametrization, 40, {"kmax": 3},
