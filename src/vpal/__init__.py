@@ -65,7 +65,6 @@ from .oracle import (
     verify_invariance,
     verify_lemmas,
     verify_periodicity,
-    verify_shift_parametrization,
 )
 
 __version__ = "0.1.0"

@@ -34,7 +34,6 @@ from .oracle import (
     verify_invariance,
     verify_lemmas,
     verify_periodicity,
-    verify_shift_parametrization,
 )
 from .procedure import InvalidInput, NotAVPalindrome, ProcedureResult, run_procedure
 
@@ -111,9 +110,6 @@ def _build_parser() -> _Parser:
     q = what.add_parser("invariance", help="type agreement across concatenation bases")
     q.add_argument("--nmax", type=_decimal, default=500)
     q.add_argument("--kmax", type=_decimal, default=6)
-    q.add_argument("--jmax", type=_decimal, default=6)
-    q.add_argument("--shift-tables", action="store_true",
-                   help="also compare shift-parametrized tables against from-scratch runs")
 
     q = what.add_parser("periodicity", help="oracle membership is omega-periodic")
     q.add_argument("--nmax", type=_decimal, default=1000)
@@ -245,9 +241,7 @@ def _cmd_verify(args, budget: Budget) -> int:
     if args.what == "oracle":
         report = sweep(compare_procedure_oracle, args.nmax, args.jobs, kmax=args.kmax, budget=budget)
     elif args.what == "invariance":
-        report = sweep(verify_invariance, args.nmax, args.jobs, kmax=args.kmax, jmax=args.jmax, budget=budget)
-        if args.shift_tables:
-            report.merge(sweep(verify_shift_parametrization, args.nmax, args.jobs, kmax=args.kmax, budget=budget))
+        report = sweep(verify_invariance, args.nmax, args.jobs, kmax=args.kmax, budget=budget)
     elif args.what == "periodicity":
         report = sweep(verify_periodicity, args.nmax, args.jobs,
                        periods=args.periods, budget=budget, omega_cap=args.omega_cap)

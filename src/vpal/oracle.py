@@ -11,7 +11,7 @@ from __future__ import annotations
 import inspect
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from multiprocessing import Pool
 
@@ -26,13 +26,12 @@ from .factor import (
     valuation,
 )
 from .order import repunit_order, repunit_order_rescaled
-from .procedure import NotAVPalindrome, run_procedure
+from .procedure import run_procedure
 
 # Corpus defaults: small enough that worst-case factorizations stay tractable,
 # large enough to exercise nontrivial entry orders.
 DEFAULT_NMAX = 2000
 DEFAULT_KMAX = 8
-DEFAULT_JMAX = 6
 DEFAULT_OMEGA_CAP = 60
 
 
@@ -174,108 +173,61 @@ def compare_procedure_oracle(
         try:
             actual = oracle_is_vpal_concat(n, k, budget)
         except BudgetExhausted as exc:
-            report.record_skip(n=n, k=k, cofactor=str(exc.cofactor))
+            report.record_skip(n=n, k=k, reason="budget", cofactor=str(exc.cofactor))
             continue
         report.record(predicted == actual, n=n, k=k, predicted=predicted, actual=actual)
     report.elapsed = time.monotonic() - t0
     return report
 
 
-def _concatenations(n: int, kmax: int, budget: Budget | None, report: VerificationReport):
-    """(k, run_procedure(n, copies=k), run_procedure(n(k))) for k = 1..kmax.
+@_labelled("type invariance: n{n}, k<={kmax}")
+def verify_invariance(
+    n: int,
+    kmax: int = 6,
+    budget: Budget | None = None,
+) -> VerificationReport:
+    """The type of n(k*j) is the same from base n as from base n(k), for every j.
 
-    A k whose from-scratch classification exhausts the budget is recorded in
-    ``report`` as a skip and not yielded.
+    For each k, the shift-parametrized result run_procedure(n, copies=k) and
+    the from-scratch classification of the integer n(k) are built once.
+
+    "shift tables": both have the crucial primes and deltas of n, mu shifted by
+    the valuation of the materialized repunit, and identical tables.
+
+    "pullback", one per column l of n: the paper's theorem says n and n(k)
+    share their solutions and column l of n(k) accepts j exactly when column
+    l of n accepts k*j, that is, equals col_l(n).pullback(k) as a set. Both
+    sides are compared in canonical form, which decides the type of n(k*j)
+    for every j at once.
     """
+    t0 = time.monotonic()
+    report = VerificationReport(corpus=verify_invariance.label.format(n=f"={n}", kmax=kmax))
+    base = run_procedure(n, budget=budget)
+    block = digit_count(n)
     for k in range(1, kmax + 1):
         shifted = run_procedure(n, copies=k, budget=budget)
         try:
             scratch = run_procedure(repeat_concat(n, k), budget=budget)
         except BudgetExhausted as exc:
-            report.record_skip(n=n, k=k, cofactor=str(exc.cofactor))
+            report.record_skip(n=n, k=k, reason="budget", cofactor=str(exc.cofactor))
             continue
-        yield k, shifted, scratch
-
-
-@_labelled("type invariance: n{n}, k<={kmax}, j<={jmax}")
-def verify_invariance(
-    n: int,
-    kmax: int = DEFAULT_JMAX,
-    jmax: int = DEFAULT_JMAX,
-    budget: Budget | None = None,
-) -> VerificationReport:
-    """Type of n(k*j) with respect to n versus with respect to n(k).
-
-    Whenever the classification of n accepts k*j, three computations must
-    name the same solution: the column of n accepting k*j, the column of the
-    shift-parametrized result for n(k) accepting j, and the column of the
-    from-scratch classification of the integer n(k) accepting j.
-    """
-    t0 = time.monotonic()
-    report = VerificationReport(corpus=verify_invariance.label.format(n=f"={n}", kmax=kmax, jmax=jmax))
-    base = run_procedure(n, budget=budget)
-    for k, shifted, scratch in _concatenations(n, kmax, budget, report):
-        for j in range(1, jmax + 1):
-            if not base.accepts(k * j):
-                # The shifted and scratch views must reject j as well.
-                agree = not shifted.accepts(j) and not scratch.accepts(j)
-                report.record(agree, n=n, k=k, j=j, kind="rejection mismatch")
-                continue
-            try:
-                t_base = base.type_of(k * j)
-                t_shift = shifted.type_of(j)
-                t_scratch = scratch.type_of(j)
-            except NotAVPalindrome:
-                report.record(False, n=n, k=k, j=j, kind="acceptance mismatch")
-                continue
-            report.record(
-                t_base == t_shift == t_scratch,
-                n=n, k=k, j=j,
-                types=[list(t_base), list(t_shift), list(t_scratch)],
-            )
-    report.elapsed = time.monotonic() - t0
-    return report
-
-
-@_labelled("shift parametrization: n{n}, k<={kmax}")
-def verify_shift_parametrization(
-    n: int,
-    kmax: int = DEFAULT_JMAX,
-    budget: Budget | None = None,
-) -> VerificationReport:
-    """Shift-parametrized tables versus from-scratch classification of n(k).
-
-    Checks, for each k: same crucial primes (with exponents shifted by the
-    independently computed valuation of the repunit), same deltas, same
-    solutions, identical tables and columns, equal omega.
-    """
-    t0 = time.monotonic()
-    report = VerificationReport(corpus=verify_shift_parametrization.label.format(n=f"={n}", kmax=kmax))
-    base = run_procedure(n, budget=budget)
-    block = digit_count(n)
-    for k, shifted, scratch in _concatenations(n, kmax, budget, report):
         same_primes = [cp.p for cp in scratch.crucial] == [cp.p for cp in base.crucial]
         same_delta = [cp.delta for cp in scratch.crucial] == [cp.delta for cp in base.crucial]
-        # Independent shift check: materialize the repunit and take valuations.
         rho = repunit(k, block)
-        mu_shift_ok = all(
-            sc.mu == bc.mu + valuation(bc.p, rho)
-            for sc, bc in zip(scratch.crucial, base.crucial)
-        ) if same_primes else False
-        tables_equal = (
-            scratch.crucial == shifted.crucial
-            and scratch.solutions == shifted.solutions
-            and scratch.case_table == shifted.case_table
-            and scratch.constraint_table == shifted.constraint_table
-            and scratch.columns == shifted.columns
-            and scratch.omega == shifted.omega
+        mu_shift_ok = same_primes and all(
+            sc.mu == bc.mu + valuation(bc.p, rho) for sc, bc in zip(scratch.crucial, base.crucial)
         )
+        tables_equal = replace(shifted, n=scratch.n, copies=1) == scratch  # every table field
         report.record(
             same_primes and same_delta and mu_shift_ok and tables_equal,
-            n=n, k=k,
+            n=n, k=k, kind="shift tables",
             same_primes=same_primes, same_delta=same_delta,
             mu_shift_ok=mu_shift_ok, tables_equal=tables_equal,
         )
+        same_solutions = scratch.solutions == base.solutions
+        for l, col in enumerate(base.columns):
+            agree = same_solutions and col.pullback(k).canonical() == scratch.columns[l].canonical()
+            report.record(agree, n=n, k=k, column=l, kind="pullback")
     report.elapsed = time.monotonic() - t0
     return report
 
@@ -300,7 +252,7 @@ def verify_periodicity(
     result = run_procedure(n, budget=budget)
     omega = result.omega
     if omega > omega_cap:
-        report.record_skip(n=n, omega=omega, reason="omega exceeds cap")
+        report.record_skip(n=n, reason="omega_cap", omega=omega)
         report.elapsed = time.monotonic() - t0
         return report
     pattern: dict[int, bool | None] = {}
@@ -309,7 +261,7 @@ def verify_periodicity(
             pattern[k] = oracle_is_vpal_concat(n, k, budget)
         except BudgetExhausted as exc:
             pattern[k] = None
-            report.record_skip(n=n, k=k, cofactor=str(exc.cofactor))
+            report.record_skip(n=n, k=k, reason="budget", cofactor=str(exc.cofactor))
     for k in range(1, (periods - 1) * omega + 1):
         a, b = pattern[k], pattern[k + omega]
         if a is None or b is None:
@@ -407,7 +359,7 @@ def enumerate_vpals(
         except BudgetExhausted as exc:
             if report is None:
                 raise
-            report.record_skip(n=n, cofactor=str(exc.cofactor))
+            report.record_skip(n=n, reason="budget", cofactor=str(exc.cofactor))
     return out
 
 

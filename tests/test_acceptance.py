@@ -7,13 +7,17 @@ can come only from n or r(n) failing to factor under the budget (recorded,
 never guessed) or, in criterion 5, from omega exceeding the cap.
 """
 
+import functools
 import json
 import time
+from collections import defaultdict
 from pathlib import Path
+from unittest import mock
 
 from vpal.digits import digit_count, repeat_concat, reverse_digits
 from vpal.factor import factor_repunit, factorize, v_of_factorization, v_value
 from vpal.oracle import (
+    VerificationReport,
     compare_procedure_oracle,
     corpus,
     enumerate_vpals,
@@ -24,7 +28,6 @@ from vpal.oracle import (
     verify_invariance,
     verify_lemmas,
     verify_periodicity,
-    verify_shift_parametrization,
 )
 from vpal.procedure import CaseLabel, run_procedure
 
@@ -51,11 +54,31 @@ def test_criterion_1_oracle_equivalence():
     assert rep.skipped == 0, rep.skips[:5]
 
 
+@functools.cache
+def _invariance_sweep():
+    """One sweep of verify_invariance at n <= 500, k <= 6, shared by criteria 2
+    and 7: the whole report, and its checks split into one report per kind."""
+    by_kind = defaultdict(lambda: VerificationReport(corpus="by kind"))
+    record = VerificationReport.record
+
+    def tally(self, passed, **inputs):
+        record(self, passed, **inputs)
+        record(by_kind[inputs["kind"]], passed, **inputs)
+
+    with mock.patch.object(VerificationReport, "record", tally):
+        rep = sweep(verify_invariance, 500, kmax=6)
+    for part in by_kind.values():
+        part.elapsed = rep.elapsed
+    return rep, dict(by_kind)
+
+
 def test_criterion_2_type_invariance():
-    rep = sweep(verify_invariance, 500, kmax=6, jmax=6)
-    ok = _report_line(2, "type invariance across bases, n<=500 k,j<=6", rep)
-    assert ok, rep.failures[:5]
-    assert rep.skipped == 0
+    rep, by_kind = _invariance_sweep()
+    pullback = by_kind["pullback"]
+    ok = _report_line(2, "type of n(kj) from bases n and n(k), every j, n<=500 k<=6", pullback)
+    assert ok, pullback.failures[:5]
+    assert rep.skipped == 0, rep.skips[:5]
+    assert pullback.checked == 3726
 
 
 def test_criterion_3_entry_order_divisibility():
@@ -115,10 +138,12 @@ def test_criterion_6_golden_traces():
 
 
 def test_criterion_7_shift_invariances():
-    rep = sweep(verify_shift_parametrization, 500, kmax=6)
-    ok = _report_line(7, "crucial primes/solutions/delta invariant, mu shifts, n<=500 k<=6", rep)
-    assert ok, rep.failures[:5]
-    assert rep.skipped == 0
+    rep, by_kind = _invariance_sweep()
+    tables = by_kind["shift tables"]
+    ok = _report_line(7, "crucial primes/solutions/delta invariant, mu shifts, n<=500 k<=6", tables)
+    assert ok, tables.failures[:5]
+    assert rep.skipped == 0, rep.skips[:5]
+    assert tables.checked == 2352
 
 
 def test_criterion_8_disjointness():

@@ -157,7 +157,32 @@ def test_verify_periodicity_cli(capsys):
     assert code == EXIT_OK
     d = json.loads(out)
     assert d["failed"] == 0 and d["passed"] > 0
-    assert d["skips"] and all(s["reason"] == "omega exceeds cap" for s in d["skips"])
+    assert d["skips"] and all(s["reason"] == "omega_cap" for s in d["skips"])
+    jsonschema = pytest.importorskip("jsonschema")
+    from pathlib import Path
+
+    schema = json.loads(
+        (Path(__file__).parent.parent / "docs" / "verification-report.schema.json").read_text()
+    )
+    jsonschema.validate(d, schema)
+
+
+def test_verify_invariance_cli(capsys):
+    code, out, _ = run(capsys, "verify", "--json", "invariance", "--nmax", "40", "--kmax", "3")
+    assert code == EXIT_OK
+    d = json.loads(out)
+    assert d["corpus"] == "type invariance: n<=40, k<=3"
+    assert d["failed"] == 0 and d["skipped"] == 0 and d["checked"] > 0
+
+
+@pytest.mark.parametrize("option", [["--jmax", "6"], ["--shift-tables"]])
+def test_removed_invariance_options_exit_64(capsys, option):
+    # every j is checked at once and the shift tables always are
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "invariance", "--nmax", "40", *option])
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments" in err and "Traceback" not in err
 
 
 def test_verify_disjointness_cli(capsys):
@@ -205,7 +230,7 @@ def test_unbounded_decimal_input(capsys):
         ["verify", "--jobs", "-4", "oracle", "--nmax", "30"],
         ["verify", "oracle", "--kmax", "0"],
         ["verify", "oracle", "--nmax", "-5"],
-        ["verify", "invariance", "--jmax", "0"],
+        ["verify", "invariance", "--kmax", "0"],
         ["verify", "periodicity", "--periods", "1"],
     ],
 )

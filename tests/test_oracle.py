@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import factorint
 
-from vpal import oracle
+from vpal import oracle, procedure
 from vpal.digits import repeat_concat
 from vpal.factor import Budget
 from vpal.oracle import (
@@ -20,7 +20,6 @@ from vpal.oracle import (
     verify_invariance,
     verify_lemmas,
     verify_periodicity,
-    verify_shift_parametrization,
 )
 from vpal.procedure import ConstraintPair, run_procedure
 
@@ -84,18 +83,40 @@ def test_procedure_oracle_agreement_beyond_corpus():
         assert rep.failed == 0, (n, rep.failures[:2])
 
 
+def _kinds(rep):
+    return sorted({f["kind"] for f in rep.failures})
+
+
 def test_verify_invariance_examples():
-    assert verify_invariance(18, 3, 3).failed == 0
-    assert verify_invariance(12, 3, 3).failed == 0  # vacuous: never accepted
-    rep = verify_invariance(13, 5, 5)
-    assert rep.failed == 0
+    # per k: one shift-tables check plus one pullback check per column of n
+    # 12: its one column is empty, so no k is ever accepted
+    for n, kmax, columns in ((18, 3, 1), (12, 3, 1), (13, 5, 2)):
+        rep = verify_invariance(n, kmax)
+        assert len(run_procedure(n).columns) == columns
+        assert (rep.checked, rep.failed, rep.skipped) == (kmax * (1 + columns), 0, 0), n
 
 
 def test_verify_shift_parametrization():
     for n in (18, 12, 13, 132):
-        rep = verify_shift_parametrization(n, 5)
+        rep = verify_invariance(n, 5)
         assert rep.failed == 0, rep.failures[:3]
-        assert rep.passed == 5
+        assert rep.passed == 5 * (1 + len(run_procedure(n).columns))
+
+
+def test_verify_invariance_catches_each_mutant(monkeypatch):
+    # The two kinds are complementary: dropping the mu shift leaves n and n(k)
+    # classified alike from scratch, and rescaling off keeps the shifted and
+    # from-scratch tables of n(k) identical.
+    monkeypatch.setattr(procedure, "repunit_valuation", lambda p, k, L: 0)
+    rep = sweep(verify_invariance, 200, kmax=4)
+    assert (rep.failed, _kinds(rep)) == (113, ["shift tables"])
+    monkeypatch.undo()
+
+    order_at = procedure.repunit_order
+    monkeypatch.setattr(procedure, "repunit_order",
+                        lambda p, alpha, L, budget=None: order_at(p, alpha, 1, budget))
+    rep = sweep(verify_invariance, 200, kmax=4)
+    assert (rep.failed, _kinds(rep)) == (234, ["pullback"])
 
 
 def test_verify_periodicity_examples():
@@ -170,6 +191,13 @@ def test_report_serialization():
         (Path(__file__).parent.parent / "docs" / "verification-report.schema.json").read_text()
     )
     jsonschema.validate(d, schema)
+    rep.record_skip(n=13, k=2, reason="budget", cofactor="1001")
+    rep.record_skip(n=13, reason="omega_cap", omega=6045)
+    jsonschema.validate(rep.to_dict(), schema)
+    for bad in ({"n": 13}, {"n": 13, "reason": "budget"},
+                {"n": 13, "reason": "omega exceeds cap", "omega": 6045}):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**rep.to_dict(), "skips": [bad]}, schema)
 
 
 @pytest.mark.parametrize(
@@ -177,10 +205,8 @@ def test_report_serialization():
     [
         (compare_procedure_oracle, 60, {"kmax": 3},
          "procedure vs oracle: n<=60, k<=3", "procedure vs oracle: n=13, k<=3"),
-        (verify_invariance, 40, {"kmax": 3, "jmax": 2},
-         "type invariance: n<=40, k<=3, j<=2", "type invariance: n=13, k<=3, j<=2"),
-        (verify_shift_parametrization, 40, {"kmax": 3},
-         "shift parametrization: n<=40, k<=3", "shift parametrization: n=13, k<=3"),
+        (verify_invariance, 40, {"kmax": 3},
+         "type invariance: n<=40, k<=3", "type invariance: n=13, k<=3"),
         (verify_periodicity, 60, {"omega_cap": 12},
          "periodicity: n<=60, periods=2, omega cap 12", "periodicity: n=13, periods=2, omega cap 12"),
         (verify_disjointness, 100, {},
