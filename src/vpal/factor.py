@@ -6,9 +6,9 @@ each recorded prime passes primality testing and the product reconstructs the
 input exactly.
 
 Factorization pipeline: staged trial division, Miller-Rabin certification
-(deterministic below ~3.3e24, fixed-base strong probable-prime beyond), then
-Pollard-Brent rho with deterministic parameter restarts under a wall-clock
-plus iteration budget.
+(deterministic below psi_13 ~ 3.3e24, fixed-base strong probable-prime
+beyond), then Pollard-Brent rho with deterministic parameter restarts under a
+wall-clock plus iteration budget.
 """
 
 from __future__ import annotations
@@ -42,8 +42,11 @@ def primes_up_to(limit: int) -> list[int]:
     return [p for p in _SMALL_PRIMES if p <= limit]
 
 
-# Below this bound the 12-base Miller-Rabin test is a primality proof.
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+# psi_12, the least strong pseudoprime to every prime base up to 37
+# (Sorenson & Webster 2015): below it the 12 bases are a primality proof.
+# From psi_12 on the extra bases join; 41 among them keeps the test a proof
+# below psi_13 ~ 3.3e24, the least strong pseudoprime to the bases up to 41.
+_MR_DETERMINISTIC_BOUND = 318_665_857_834_031_151_167_461
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_EXTRA_BASES = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
@@ -87,7 +90,11 @@ class _Clock:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin: deterministic below ~3.3e24, fixed-base SPRP beyond."""
+    """Miller-Rabin: 12 bases below psi_12 ~ 3.2e23, 25 beyond.
+
+    A proof of primality below psi_13 ~ 3.3e24; a fixed-base strong
+    probable-prime test above it.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:

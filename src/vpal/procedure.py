@@ -13,8 +13,9 @@ n(k) is a v-palindrome, by pure divisibility arithmetic:
    the remaining primes can still cancel it, so every prefix kept completes
    to a solution: the cost is the suffix sets plus O(m * #solutions) for m
    crucial primes, not the 3^m vectors of the full product;
-3. classify every (prime, solution-entry) pair into one of seven cases and
-   translate cases into divisibility constraints on k;
+3. classify each (prime, distinct solution entry) pair, at most three per
+   prime, into one of seven cases and translate cases into divisibility
+   constraints on k; the cells of a row are looked up by their entry;
 4. a solution's column accepts exactly the k in S(A, B) = {x : every a in A
    divides x, no b in B divides x}; the accepted sets are pairwise disjoint,
    and the accepting solution is the type of the v-palindrome n(k).
@@ -440,20 +441,22 @@ def run_procedure(n: int, copies: int = 1, budget: Budget | None = None) -> Proc
     else:
         crucial = tuple(cp.shifted(repunit_valuation(cp.p, copies, block)) for cp in base)
     solutions = solve_characteristic(crucial)
-    case_table = tuple(
-        tuple(classify_case(cp.p, abs(cp.delta), sol[i], cp.mu) for sol in solutions)
-        for i, cp in enumerate(crucial)
-    )
-    constraint_table = tuple(
-        tuple(constraint_entry(crucial[i].p, label, digit_len, budget) for label in row)
-        for i, row in enumerate(case_table)
-    )
+    # A cell depends on its solution only through the entry u = sol[i], which
+    # takes at most three values per prime: classify each distinct u once and
+    # fill the row by lookup. Taking the u in order of first appearance keeps
+    # the entry orders, and so the budget they spend, in per-cell order.
+    case_rows, constraint_rows = [], []
+    for i, cp in enumerate(crucial):
+        entries = [sol[i] for sol in solutions]
+        labels = {u: classify_case(cp.p, abs(cp.delta), u, cp.mu) for u in dict.fromkeys(entries)}
+        pairs = {u: constraint_entry(cp.p, label, digit_len, budget) for u, label in labels.items()}
+        case_rows.append(tuple(labels[u] for u in entries))
+        constraint_rows.append(tuple(pairs[u] for u in entries))
+    case_table, constraint_table = tuple(case_rows), tuple(constraint_rows)
     columns = tuple(
-        ConstraintPair(
-            frozenset().union(*(row[l].A for row in constraint_table)),
-            frozenset().union(*(row[l].B for row in constraint_table)),
-        )
-        for l in range(len(solutions))
+        ConstraintPair(frozenset().union(*(pair.A for pair in column)),
+                       frozenset().union(*(pair.B for pair in column)))
+        for column in zip(*constraint_table)
     )
     omega = math.lcm(*(x for col in columns for x in col.A | col.B))
     return ProcedureResult(

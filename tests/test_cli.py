@@ -16,6 +16,8 @@ def test_v(capsys):
     assert run(capsys, "v", "18") == (EXIT_OK, "7\n", "")
     assert run(capsys, "v", "1") == (EXIT_OK, "0\n", "")
     assert run(capsys, "v", "81") == (EXIT_OK, "7\n", "")
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin at the bases 2..37
+    assert run(capsys, "v", "318665857834031151167461") == (EXIT_OK, "1197495870662\n", "")
 
 
 def test_check(capsys):

@@ -55,6 +55,20 @@ def test_factorize_large_smooth_and_semiprime():
     assert factorize(p * q).entries == ((q, 1), (p, 1))
 
 
+# psi_12 and psi_13: the least strong pseudoprimes to every prime base up to
+# 37 and up to 41 (Sorenson & Webster 2015).
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_strong_pseudoprimes_to_the_first_prime_bases_are_composite():
+    assert PSI_12 == 399165290221 * 798330580441
+    assert PSI_13 == 1287836182261 * 2575672364521
+    assert not is_probable_prime(PSI_12)
+    assert not is_probable_prime(PSI_13)
+    assert factorize(PSI_12).entries == ((399165290221, 1), (798330580441, 1))
+
+
 def test_budget_exhaustion_names_composite_cofactor():
     # Two 30-digit primes; no budget can split this quickly.
     p = 100000000000000000000000000319

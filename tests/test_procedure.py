@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vpal import procedure
 from vpal.factor import Budget, BudgetExhausted
 from vpal.oracle import corpus
 from vpal.procedure import (
@@ -442,6 +443,70 @@ def test_entry_orders_spend_the_callers_budget():
     # The failure is not cached: a larger budget finds h(1) = n - 1, h(2) = n * (n - 1).
     result = run_procedure(n, budget=Budget(seconds=1e9, iterations=10**6))
     assert result.constraint_table[-1][1] == ConstraintPair((n - 1,), (n * (n - 1),))
+
+
+def _per_cell_tables(r: ProcedureResult, budget: Budget | None = None):
+    # The tables built one cell at a time, each column the union down its cells.
+    case_table = tuple(
+        tuple(classify_case(cp.p, abs(cp.delta), sol[i], cp.mu) for sol in r.solutions)
+        for i, cp in enumerate(r.crucial)
+    )
+    constraint_table = tuple(
+        tuple(constraint_entry(cp.p, label, r.digit_len, budget) for label in row)
+        for cp, row in zip(r.crucial, case_table)
+    )
+    columns = tuple(
+        ConstraintPair(
+            frozenset().union(*(row[l].A for row in constraint_table)),
+            frozenset().union(*(row[l].B for row in constraint_table)),
+        )
+        for l in range(len(r.solutions))
+    )
+    omega = math.lcm(*(x for col in columns for x in col.A | col.B))
+    return case_table, constraint_table, columns, omega
+
+
+def _assert_tables_match_per_cell(n: int, copies: int, budget: Budget | None = None):
+    r = run_procedure(n, copies=copies, budget=budget)
+    expected = _per_cell_tables(r, budget)
+    assert (r.case_table, r.constraint_table, r.columns, r.omega) == expected, (n, copies)
+
+
+@pytest.mark.parametrize(
+    "n, copies",
+    [(5078732016940072, 1), (7955605587183862, 3), (123456789012345678901234567, 1)],
+)
+def test_tables_match_per_cell_reference_on_large_inputs(n, copies):
+    _assert_tables_match_per_cell(n, copies, Budget(seconds=1e9, iterations=10**6))
+
+
+def test_tables_match_per_cell_reference_on_corpus():
+    for n in corpus(500):
+        for copies in (1, 2, 3):
+            _assert_tables_match_per_cell(n, copies)
+
+
+@given(
+    st.integers(10**11, 10**16 - 1).filter(lambda n: n % 10 and str(n) != str(n)[::-1]),
+    st.sampled_from([1, 2, 3]),
+)
+@settings(max_examples=100, deadline=None)
+def test_tables_match_per_cell_reference_on_random_large_n(n, copies):
+    _assert_tables_match_per_cell(n, copies, Budget(seconds=1e9, iterations=10**6))
+
+
+def test_tables_classify_each_distinct_entry_once(monkeypatch):
+    calls = {"classify_case": 0, "constraint_entry": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(procedure, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(procedure, name, counted)
+    r = run_procedure(7955605587183862, copies=3)
+    distinct = sum(len({sol[i] for sol in r.solutions}) for i in range(len(r.crucial)))
+    assert calls == {"classify_case": distinct, "constraint_entry": distinct}
+    # 8 calls each, where a per-cell build makes 4 primes * 6 solutions = 24
+    assert distinct <= 3 * len(r.crucial) < len(r.crucial) * len(r.solutions)
 
 
 def test_ambiguous_type_assertion_fires_on_bad_columns():
