@@ -6,7 +6,9 @@ harness nothing to check). Numbers are accepted as decimal strings of ASCII
 digits, of unbounded length. The per-factorization budget in seconds is
 --budget, else VPAL_BUDGET, else 10; a value that is not a positive finite
 number written in ASCII decimal digits, with an optional fraction and
-exponent, is a usage error.
+exponent, is a usage error. `verify oracle` and `verify disjointness` decide
+every k on a finite set of k (see oracle.compare_procedure_oracle and
+ProcedureResult.lattice), so they take no k bound.
 """
 
 from __future__ import annotations
@@ -23,9 +25,7 @@ from importlib import resources
 from .digits import decimal_string, parse_decimal, reverse_digits
 from .factor import Budget, BudgetExhausted, factorize, v_of_factorization
 from .oracle import (
-    DEFAULT_KMAX,
     DEFAULT_NMAX,
-    DEFAULT_OMEGA_CAP,
     VerificationReport,
     compare_procedure_oracle,
     enumerate_vpals,
@@ -33,7 +33,6 @@ from .oracle import (
     verify_disjointness,
     verify_invariance,
     verify_lemmas,
-    verify_periodicity,
 )
 from .procedure import InvalidInput, NotAVPalindrome, ProcedureResult, run_procedure
 
@@ -61,13 +60,6 @@ def _decimal(s: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {s}")
     return n
-
-
-def _periods(s: str) -> int:
-    periods = _decimal(s)
-    if periods < 2:
-        raise argparse.ArgumentTypeError(f"expected at least 2 periods to compare, got {s}")
-    return periods
 
 
 @functools.cache
@@ -105,16 +97,10 @@ def _build_parser() -> _Parser:
 
     q = what.add_parser("oracle", help="procedure verdicts vs the factorization oracle")
     q.add_argument("--nmax", type=_decimal, default=DEFAULT_NMAX)
-    q.add_argument("--kmax", type=_decimal, default=DEFAULT_KMAX)
 
     q = what.add_parser("invariance", help="type agreement across concatenation bases")
     q.add_argument("--nmax", type=_decimal, default=500)
     q.add_argument("--kmax", type=_decimal, default=6)
-
-    q = what.add_parser("periodicity", help="oracle membership is omega-periodic")
-    q.add_argument("--nmax", type=_decimal, default=1000)
-    q.add_argument("--periods", type=_periods, default=2)
-    q.add_argument("--omega-cap", type=_decimal, default=DEFAULT_OMEGA_CAP)
 
     q = what.add_parser("lemmas", help="entry-order divisibility and rescaling identities")
     q.add_argument("--pmax", type=_decimal, default=100)
@@ -239,12 +225,9 @@ def _cmd_type(args, budget: Budget) -> int:
 
 def _cmd_verify(args, budget: Budget) -> int:
     if args.what == "oracle":
-        report = sweep(compare_procedure_oracle, args.nmax, args.jobs, kmax=args.kmax, budget=budget)
+        report = sweep(compare_procedure_oracle, args.nmax, args.jobs, budget=budget)
     elif args.what == "invariance":
         report = sweep(verify_invariance, args.nmax, args.jobs, kmax=args.kmax, budget=budget)
-    elif args.what == "periodicity":
-        report = sweep(verify_periodicity, args.nmax, args.jobs,
-                       periods=args.periods, budget=budget, omega_cap=args.omega_cap)
     elif args.what == "lemmas":
         checks = ("divisibility", "rescale") if args.check == "both" else (args.check,)
         report = verify_lemmas(args.pmax, args.alphamax, args.kmax, args.lmax, checks)

@@ -1,13 +1,13 @@
 """Budgeted integer factorization, p-adic valuation, and the arithmetic function v.
 
 v(n) sums p + a over prime-power divisors p**a with a >= 2 and p over primes
-of exponent 1; v(1) = 0. Every factorization this module returns is certified:
-each recorded prime passes primality testing and the product reconstructs the
-input exactly.
+of exponent 1; v(1) = 0. In every factorization this module returns, the
+product reconstructs the input exactly and each recorded prime passes
+is_probable_prime: a proof below psi_13 ~ 3.3e24, BPSW-probable above.
 
-Factorization pipeline: staged trial division, Miller-Rabin certification
-(deterministic below psi_13 ~ 3.3e24, fixed-base strong probable-prime
-beyond), then Pollard-Brent rho with deterministic parameter restarts under a
+Factorization pipeline: staged trial division, the primality test
+(Miller-Rabin with fixed bases, joined by a strong Lucas test above psi_13),
+then Pollard-Brent rho with deterministic parameter restarts under a
 wall-clock plus iteration budget.
 """
 
@@ -42,13 +42,15 @@ def primes_up_to(limit: int) -> list[int]:
     return [p for p in _SMALL_PRIMES if p <= limit]
 
 
-# psi_12, the least strong pseudoprime to every prime base up to 37
-# (Sorenson & Webster 2015): below it the 12 bases are a primality proof.
-# From psi_12 on the extra bases join; 41 among them keeps the test a proof
-# below psi_13 ~ 3.3e24, the least strong pseudoprime to the bases up to 41.
+# psi_12 and psi_13, the least strong pseudoprimes to every prime base up to
+# 37 and up to 41 (Sorenson & Webster 2015): below psi_12 the 12 bases are a
+# primality proof, and with 41 joining they stay one below psi_13. Above it
+# no fixed set of bases suffices (Arnault 1995 built a 397-digit composite
+# that passes every prime base below 307), so a strong Lucas test joins and
+# makes the test Baillie-PSW.
 _MR_DETERMINISTIC_BOUND = 318_665_857_834_031_151_167_461
+_PSI_13 = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_EXTRA_BASES = (41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
 class BudgetExhausted(Exception):
@@ -90,10 +92,11 @@ class _Clock:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin: 12 bases below psi_12 ~ 3.2e23, 25 beyond.
+    """Miller-Rabin with the bases 2..37 below psi_12 ~ 3.2e23 and 2..41 up to
+    psi_13 ~ 3.3e24, then Baillie-PSW: bases 2..41 and a strong Lucas test.
 
-    A proof of primality below psi_13 ~ 3.3e24; a fixed-base strong
-    probable-prime test above it.
+    A proof of primality below psi_13; BPSW-probable above it, where no
+    composite that passes is known.
     """
     if n < 2:
         return False
@@ -105,7 +108,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    bases = _MR_BASES if n < _MR_DETERMINISTIC_BOUND else _MR_BASES + _MR_EXTRA_BASES
+    bases = _MR_BASES if n < _MR_DETERMINISTIC_BOUND else _MR_BASES + (41,)
     for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -116,7 +119,57 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _PSI_13 or _strong_lucas_prp(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas probable-prime test with Selfridge's parameters, odd n > 1.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4 (Baillie & Wagstaff 1980). With n + 1 = d * 2**s, n passes
+    when U_d = 0 or V_(d * 2**r) = 0 (mod n) for some r < s.
+    """
+    if math.isqrt(n) ** 2 == n:  # no D would have (D/n) = -1
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:  # D shares a factor with n
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    half = lambda x: (x if x % 2 == 0 else x + n) // 2 % n
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1 and Q**1 for P = 1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n  # index doubles
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n  # index grows by 1
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _iroot(n: int, k: int) -> int:
@@ -179,7 +232,7 @@ def _pollard_brent(n: int, c: int, clock: _Clock) -> int | None:
 
 @dataclass(frozen=True)
 class Factorization:
-    """Certified prime factorization: ((p1, e1), ...) with primes ascending."""
+    """Prime factorization: ((p1, e1), ...) with primes ascending."""
 
     entries: tuple[tuple[int, int], ...]
 
@@ -223,7 +276,8 @@ class Factorization:
 
 
 def factorize(n: int, budget: Budget | None = None) -> Factorization:
-    """Complete certified factorization of n >= 1, or BudgetExhausted."""
+    """Complete factorization of n >= 1, or BudgetExhausted; its primes are
+    proven below psi_13 and BPSW-probable above."""
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
     clock = _Clock(budget or DEFAULT_BUDGET)

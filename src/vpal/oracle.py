@@ -25,13 +25,12 @@ from .factor import (
     v_of_factorization,
     valuation,
 )
-from .order import repunit_order, repunit_order_rescaled
-from .procedure import run_procedure
+from .order import repunit_order, repunit_order_rescaled, repunit_valuation
+from .procedure import lcm_closure, run_procedure
 
 # Corpus defaults: small enough that worst-case factorizations stay tractable,
 # large enough to exercise nontrivial entry orders.
 DEFAULT_NMAX = 2000
-DEFAULT_KMAX = 8
 DEFAULT_OMEGA_CAP = 60
 
 
@@ -115,11 +114,9 @@ def oracle_is_vpal(n: int, budget: Budget | None = None) -> bool:
     and v(n) equals v of the reversal, both via complete factorization."""
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
-    if n % 10 == 0:
+    if not eligible(n):
         return False
     r = reverse_digits(n)
-    if n == r:
-        return False
     return v_of_factorization(factorize(n, budget)) == v_of_factorization(factorize(r, budget))
 
 
@@ -136,16 +133,17 @@ def oracle_is_vpal_concat(n: int, k: int, budget: Budget | None = None) -> bool:
 
     every prime of R dividing neither n nor r(n) adds c(p, x_p) to both sides
     and cancels. Merging the x_p of the primes of n*r(n) into both
-    factorizations therefore decides the literal test exactly. x_p comes
-    from dividing the materialized R, independently of the entry orders.
+    factorizations therefore decides the literal test exactly. x_p is
+    repunit_valuation(p, k, L), two loops of modular powers that never build R,
+    independently of the entry orders; so k may run into the millions and past.
     """
     if not eligible(n):
         return False
     fn = factorize(n, budget)
     fr = factorize(reverse_digits(n), budget)
-    rho = repunit(k, digit_count(n))
+    L = digit_count(n)
     primes = sorted(set(fn.primes()) | set(fr.primes()))
-    shared = Factorization(tuple((p, x) for p in primes if (x := valuation(p, rho))))
+    shared = Factorization(tuple((p, x) for p in primes if (x := repunit_valuation(p, k, L))))
     return v_of_factorization(fn.merge(shared)) == v_of_factorization(fr.merge(shared))
 
 
@@ -158,24 +156,71 @@ def _labelled(template: str):
     return attach
 
 
-@_labelled("procedure vs oracle: n{n}, k<={kmax}")
-def compare_procedure_oracle(
-    n: int,
-    kmax: int = DEFAULT_KMAX,
-    budget: Budget | None = None,
-) -> VerificationReport:
-    """Procedure verdicts against the factorization oracle for k = 1..kmax."""
+def _oracle_elements(n: int, budget: Budget | None = None) -> set[int]:
+    """d_p, d_p*p and d_p*p**2 for each prime p outside {2, 5} of n*r(n).
+
+    d_p = ord_p(10**L) is the least divisor d of p - 1 with 10**(d*L) = 1
+    (mod p), found from factorize(p - 1) alone, never from the entry orders.
+    """
+    L = digit_count(n)
+    primes = set(factorize(n, budget).primes()) | set(factorize(reverse_digits(n), budget).primes())
+    out = set()
+    for p in primes - {2, 5}:
+        divisors = [1]
+        for q, e in factorize(p - 1, budget):
+            divisors = [d * q**i for d in divisors for i in range(e + 1)]
+        d = min(d for d in divisors if pow(10, d * L, p) == 1)
+        out |= {d, d * p, d * p * p}
+    return out
+
+
+@_labelled("procedure vs oracle: n{n}, every k")
+def compare_procedure_oracle(n: int, budget: Budget | None = None) -> VerificationReport:
+    """Procedure verdicts against the concatenation oracle, for every k at once.
+
+    Both are compared at each m of M', the lcm-closure of 1, the constraint
+    elements E of n and the oracle elements d_p*p**i (i <= 2, p a prime of
+    n*r(n) outside {2, 5}; see _oracle_elements). With E' the union of the
+    two element sets, both verdicts at any k >= 1 equal their verdicts at
+    D'(k) = lcm{e in E' : e | k}, which lies in M', so the checks decide
+    every k:
+
+    - e | k iff e | D'(k) for each e in E', since e | k puts e among the lcm's
+      arguments and D'(k) | k.
+    - The procedure's verdict depends on k only through {e in E : e | k}
+      (ProcedureResult.lattice), so it is the same at k and at D'(k).
+    - The oracle's verdict is whether the sum over p | n*r(n) of
+      c(p, a_p + x_p) - c(p, b_p + x_p) is 0, with x_p = v_p(repunit(k, L))
+      (see oracle_is_vpal_concat). Each term is constant in x_p once
+      x_p >= 2, as a_p + x_p and b_p + x_p are then both >= 2 and the term is
+      a_p - b_p; so only min(x_p, 2) matters. For p in {2, 5}, x_p = 0.
+      Otherwise p is odd and coprime to 10: if d_p does not divide k, p does
+      not divide 10**(kL) - 1, a multiple of repunit(k, L), so x_p = 0; if it
+      does, lifting the exponent (p odd, p | 10**(d_p L) - 1) gives
+      x_p = x_p(d_p) + v_p(k / d_p) = x_p(d_p) + v_p(k), as p does not
+      divide d_p | p - 1.
+      As d_p and p are coprime, min(x_p, 2) is fixed by which of d_p, d_p*p
+      and d_p*p**2 divide k, the same at k and at D'(k).
+
+    The oracle side takes d_p and x_p from modular powers and factorize
+    alone, so the check does not lean on the entry orders it tests.
+    """
     t0 = time.monotonic()
-    report = VerificationReport(corpus=compare_procedure_oracle.label.format(n=f"={n}", kmax=kmax))
+    report = VerificationReport(corpus=compare_procedure_oracle.label.format(n=f"={n}"))
     result = run_procedure(n, budget=budget)
-    for k in range(1, kmax + 1):
-        predicted = result.accepts(k)
+    try:
+        ks = sorted(lcm_closure(result.elements | _oracle_elements(n, budget)))
+    except BudgetExhausted as exc:
+        report.record_skip(n=n, reason="budget", cofactor=str(exc.cofactor))
+        ks = []
+    for m in ks:
+        predicted = result.accepts(m)
         try:
-            actual = oracle_is_vpal_concat(n, k, budget)
+            actual = oracle_is_vpal_concat(n, m, budget)
         except BudgetExhausted as exc:
-            report.record_skip(n=n, k=k, reason="budget", cofactor=str(exc.cofactor))
+            report.record_skip(n=n, k=m, reason="budget", cofactor=str(exc.cofactor))
             continue
-        report.record(predicted == actual, n=n, k=k, predicted=predicted, actual=actual)
+        report.record(predicted == actual, n=n, k=m, predicted=predicted, actual=actual)
     report.elapsed = time.monotonic() - t0
     return report
 
@@ -244,6 +289,12 @@ def verify_periodicity(
     omega comes from the classification; the membership pattern comes from the
     factorization oracle alone. Numbers whose omega exceeds the cap are
     reported as skipped (their window is too wide to scan).
+
+    Superseded by compare_procedure_oracle: the columns are omega-periodic by
+    construction, so agreement for every k makes the oracle omega-periodic,
+    with no cap. No harness or command of the package calls this scan; it is
+    kept only for the benchmark's periodicity workload and goes when that
+    workload is retired (ROADMAP item 7).
     """
     t0 = time.monotonic()
     report = VerificationReport(

@@ -322,6 +322,11 @@ class ProcedureResult:
         return min(firsts) if firsts else None
 
     @cached_property
+    def elements(self) -> frozenset[int]:
+        """E: every constraint element of every column; omega is their lcm."""
+        return frozenset(x for col in self.columns for x in col.A | col.B)
+
+    @cached_property
     def lattice(self) -> frozenset[int]:
         """M: 1 and every constraint element, closed under lcm.
 
@@ -329,10 +334,7 @@ class ProcedureResult:
         e | D(k), so D(k) lies in M and k is accepted by exactly the columns that
         accept D(k). A fact about the acceptance of every k is decided on M alone.
         """
-        closure = {1}
-        for e in {x for col in self.columns for x in col.A | col.B}:
-            closure |= {math.lcm(m, e) for m in closure}
-        return frozenset(closure)
+        return lcm_closure(self.elements)
 
     def minimal_period(self) -> int:
         """Least period of the acceptance pattern; it divides omega.
@@ -344,7 +346,7 @@ class ProcedureResult:
         a product of powers of a coprime base of E. Dividing omega by base
         elements while the quotient stays a period stops at d0.
         """
-        elements = {x for col in self.columns for x in col.A | col.B}
+        elements = self.elements
         below = lambda k: frozenset(e for e in elements if k % e == 0)  # equal for k and D(k)
         accept = {
             s: any(c.A <= s and not c.B & s for c in self.columns) for s in map(below, self.lattice)
@@ -410,6 +412,14 @@ class ProcedureResult:
             columns=tuple(ConstraintPair(c["A"], c["B"]) for c in d["columns"]),
             omega=d["omega"],
         )
+
+
+def lcm_closure(elements) -> frozenset[int]:
+    """1 and the given positive integers, closed under lcm: the lcm of every subset."""
+    closure = {1}
+    for e in set(elements):
+        closure |= {math.lcm(m, e) for m in closure}
+    return frozenset(closure)
 
 
 def _coprime_base(xs) -> set[int]:

@@ -1,10 +1,10 @@
 """Acceptance suite: each criterion at its stated bounds, one printed line each.
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
-Every criterion demands zero failures and, except criterion 5, zero skips.
-The concatenation oracle factors only n and its reversal, so a harness skip
-can come only from n or r(n) failing to factor under the budget (recorded,
-never guessed) or, in criterion 5, from omega exceeding the cap.
+Every criterion demands zero failures and zero skips. The every-k oracle
+check factors only n, its reversal and p - 1 for their primes p (criteria 2
+and 7 also factor n(k)), so a harness skip could come only from one of those
+failing to factor under the budget (recorded, never guessed).
 """
 
 import functools
@@ -14,8 +14,8 @@ from collections import defaultdict
 from pathlib import Path
 from unittest import mock
 
-from vpal.digits import digit_count, repeat_concat, reverse_digits
-from vpal.factor import factor_repunit, factorize, v_of_factorization, v_value
+from vpal.digits import digit_count, repeat_concat, repunit, reverse_digits
+from vpal.factor import factor_repunit, factorize, v_of_factorization, v_value, valuation
 from vpal.oracle import (
     VerificationReport,
     compare_procedure_oracle,
@@ -27,8 +27,8 @@ from vpal.oracle import (
     verify_disjointness,
     verify_invariance,
     verify_lemmas,
-    verify_periodicity,
 )
+from vpal.order import repunit_valuation
 from vpal.procedure import CaseLabel, run_procedure
 
 GOLDEN_TRACES = json.loads(
@@ -47,11 +47,36 @@ def _report_line(cid, name, rep):
     return ok
 
 
+@functools.cache
+def _every_k_sweep():
+    """One sweep of compare_procedure_oracle at n <= 2000, shared by criteria 1
+    and 5: the whole report, and the part of it for n <= 1000."""
+    head = VerificationReport(corpus="n<=1000")
+    record, record_skip = VerificationReport.record, VerificationReport.record_skip
+
+    def tally(self, passed, **inputs):
+        record(self, passed, **inputs)
+        if inputs["n"] <= 1000:
+            record(head, passed, **inputs)
+
+    def tally_skip(self, **inputs):
+        record_skip(self, **inputs)
+        if inputs["n"] <= 1000:
+            record_skip(head, **inputs)
+
+    with mock.patch.object(VerificationReport, "record", tally), \
+            mock.patch.object(VerificationReport, "record_skip", tally_skip):
+        rep = sweep(compare_procedure_oracle, 2000)
+    head.elapsed = rep.elapsed
+    return rep, head
+
+
 def test_criterion_1_oracle_equivalence():
-    rep = sweep(compare_procedure_oracle, 2000, kmax=8)
-    ok = _report_line(1, "procedure vs factorization oracle, n<=2000 k<=8", rep)
+    rep, _ = _every_k_sweep()
+    ok = _report_line(1, "procedure vs factorization oracle, n<=2000, every k", rep)
     assert ok, rep.failures[:5]
     assert rep.skipped == 0, rep.skips[:5]
+    assert rep.checked == 83_657  # one check per element of M' for each n
 
 
 @functools.cache
@@ -96,11 +121,20 @@ def test_criterion_4_rescaling_identity():
 
 
 def test_criterion_5_periodicity():
-    rep = sweep(verify_periodicity, 1000, periods=2, omega_cap=60)
-    ok = _report_line(5, "oracle pattern is omega-periodic, n<=1000 omega<=60", rep)
+    """The oracle's pattern is omega-periodic, for every n <= 1000, with no cap.
+
+    Each column accepts k by which constraint elements divide k, and all of
+    them divide omega, so the procedure's pattern is omega-periodic by
+    construction. Criterion 1's sweep shows the oracle agrees with it for
+    every k; so the oracle's pattern is omega-periodic too. This reads that
+    sweep's checks for n <= 1000, where a scan of [1, 2 omega] had to skip
+    every n with omega above a cap.
+    """
+    _, rep = _every_k_sweep()
+    ok = _report_line(5, "oracle pattern is omega-periodic, n<=1000, every omega", rep)
     assert ok, rep.failures[:5]
-    assert not [s for s in rep.skips if "cofactor" in s]  # only omega-cap skips
-    assert rep.passed > 500  # the comparable corpus must stay substantial
+    assert rep.skipped == 0, rep.skips[:5]
+    assert rep.checked == 26_580
 
 
 def test_criterion_6_golden_traces():
@@ -156,22 +190,29 @@ def test_criterion_8_disjointness():
 def test_criterion_9_cancellation_equals_full_product():
     # The concatenation oracle cancels the primes of the repunit that divide
     # neither n nor r(n); the reference factors the whole repunit instead.
+    # The oracle's x_p, repunit_valuation, is also checked against dividing
+    # the materialized repunit, at every prime of n * r(n).
     t0 = time.monotonic()
-    checked = mismatched = 0
+    checked = mismatched = valuations = 0
     for n in corpus(2000):
         fn, fr = factorize(n), factorize(reverse_digits(n))
+        L = digit_count(n)
         for k in range(1, 9):
-            rho = factor_repunit(k, digit_count(n))
+            rho = factor_repunit(k, L)
             full = v_of_factorization(fn.merge(rho)) == v_of_factorization(fr.merge(rho))
             checked += 1
             mismatched += oracle_is_vpal_concat(n, k) != full
+            R = repunit(k, L)
+            for p in set(fn.primes()) | set(fr.primes()):
+                valuations += 1
+                mismatched += repunit_valuation(p, k, L) != valuation(p, R)
     status = "PASS" if mismatched == 0 else "FAIL"
     print(
-        f"\nACCEPTANCE 9 (cancellation oracle vs full repunit product, n<=2000 k<=8): "
-        f"{status} - checked {checked}, mismatched {mismatched}, skipped 0, "
-        f"{time.monotonic() - t0:.1f}s"
+        f"\nACCEPTANCE 9 (cancellation oracle vs full repunit product, and x_p, n<=2000 k<=8): "
+        f"{status} - checked {checked} + {valuations} valuations, mismatched {mismatched}, "
+        f"skipped 0, {time.monotonic() - t0:.1f}s"
     )
-    assert checked == 13_456 and mismatched == 0
+    assert (checked, valuations, mismatched) == (13_456, 47_920, 0)
 
 
 def test_enumeration_golden_file():

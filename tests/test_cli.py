@@ -150,25 +150,6 @@ def test_verify_lemmas_cli(capsys):
     assert "0 failed" in out
 
 
-def test_verify_periodicity_cli(capsys):
-    # the oracle factors only n and r(n): even under a small budget every
-    # skip is an n whose omega exceeds the cap
-    code, out, _ = run(
-        capsys, "--budget", "0.3", "verify", "--json", "periodicity", "--nmax", "18",
-    )
-    assert code == EXIT_OK
-    d = json.loads(out)
-    assert d["failed"] == 0 and d["passed"] > 0
-    assert d["skips"] and all(s["reason"] == "omega_cap" for s in d["skips"])
-    jsonschema = pytest.importorskip("jsonschema")
-    from pathlib import Path
-
-    schema = json.loads(
-        (Path(__file__).parent.parent / "docs" / "verification-report.schema.json").read_text()
-    )
-    jsonschema.validate(d, schema)
-
-
 def test_verify_invariance_cli(capsys):
     code, out, _ = run(capsys, "verify", "--json", "invariance", "--nmax", "40", "--kmax", "3")
     assert code == EXIT_OK
@@ -187,18 +168,29 @@ def test_removed_invariance_options_exit_64(capsys, option):
     assert "unrecognized arguments" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["verify", "periodicity"], ["verify", "oracle", "--nmax", "40", "--kmax", "8"]]
+)
+def test_removed_options_exit_64(capsys, argv):
+    # verify oracle checks every k, which makes the oracle omega-periodic too
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == EXIT_USAGE
+    assert err.startswith("usage: vpal") and "Traceback" not in err
+
+
 def test_verify_disjointness_cli(capsys):
     code, out, _ = run(capsys, "verify", "disjointness", "--nmax", "60")
     assert code == EXIT_OK and "0 failed" in out
 
 
 def test_verify_oracle_cli_json(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--json", "oracle", "--nmax", "30", "--kmax", "3",
-    )
+    code, out, _ = run(capsys, "verify", "--json", "oracle", "--nmax", "30")
     assert code == EXIT_OK
     d = json.loads(out)
-    assert d["failed"] == 0 and d["checked"] > 0
+    assert d["corpus"] == "procedure vs oracle: n<=30, every k"
+    assert d["failed"] == 0 and d["skipped"] == 0 and d["checked"] > 0
 
 
 def test_verify_enumerate_cli(capsys):
@@ -208,10 +200,8 @@ def test_verify_enumerate_cli(capsys):
 
 
 def test_verify_parallel_matches_serial(capsys):
-    code1, out1, _ = run(capsys, "verify", "--json", "oracle", "--nmax", "40", "--kmax", "2")
-    code2, out2, _ = run(
-        capsys, "verify", "--json", "--jobs", "2", "oracle", "--nmax", "40", "--kmax", "2"
-    )
+    code1, out1, _ = run(capsys, "verify", "--json", "oracle", "--nmax", "40")
+    code2, out2, _ = run(capsys, "verify", "--json", "--jobs", "2", "oracle", "--nmax", "40")
     assert code1 == code2 == EXIT_OK
     d1, d2 = json.loads(out1), json.loads(out2)
     for key in ("checked", "passed", "failed", "skipped"):
@@ -230,10 +220,10 @@ def test_unbounded_decimal_input(capsys):
     [
         ["verify", "--jobs", "0", "oracle", "--nmax", "30"],
         ["verify", "--jobs", "-4", "oracle", "--nmax", "30"],
-        ["verify", "oracle", "--kmax", "0"],
+        ["verify", "disjointness", "--nmax", "0"],
         ["verify", "oracle", "--nmax", "-5"],
         ["verify", "invariance", "--kmax", "0"],
-        ["verify", "periodicity", "--periods", "1"],
+        ["verify", "lemmas", "--pmax", "0"],
     ],
 )
 def test_verify_counts_that_check_nothing_exit_64(capsys, argv):
@@ -241,7 +231,7 @@ def test_verify_counts_that_check_nothing_exit_64(capsys, argv):
         main(argv)
     err = capsys.readouterr().err
     assert exc.value.code == EXIT_USAGE
-    assert "expected a positive integer" in err or "expected at least 2 periods" in err
+    assert "expected a positive integer" in err
     assert "Traceback" not in err
 
 
@@ -249,7 +239,7 @@ def test_verify_counts_that_check_nothing_exit_64(capsys, argv):
     "argv",
     [
         ["verify", "oracle", "--nmax", "11"],  # no eligible n <= 11
-        ["verify", "periodicity", "--nmax", "11"],  # no eligible n <= 11
+        ["verify", "invariance", "--nmax", "11"],  # no eligible n <= 11
         ["verify", "lemmas", "--pmax", "2"],  # 2 is skipped
     ],
 )

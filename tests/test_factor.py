@@ -2,7 +2,8 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import factorint
+from sympy import factorint, isprime, nextprime
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from vpal import factor
 from vpal.digits import repunit
@@ -67,6 +68,51 @@ def test_strong_pseudoprimes_to_the_first_prime_bases_are_composite():
     assert not is_probable_prime(PSI_12)
     assert not is_probable_prime(PSI_13)
     assert factorize(PSI_12).entries == ((399165290221, 1), (798330580441, 1))
+
+
+# Arnault's strong pseudoprimes to many prime bases, as listed in sympy's
+# sympy/ntheory/tests/test_primetest.py: a 337-digit number (1993) and a
+# 397-digit one (1995), which passes every prime base below 307.
+ARNAULT_1993 = int(
+    "803837457453639491257079614341942108138837688287558145837488917522297"
+    "427376533365218650233616396004545791504202360320876656996676098728404"
+    "396540823292873879185086916685732826776177102938969773947016708230428"
+    "687109997439976544144845341155872450633409279022275296229414984230688"
+    "1685404326457534018329786111298960644845216191652872597534901"
+)
+ARNAULT_1995 = int(
+    "288714823805077121267142959713039399197760945927972270092651602419743"
+    "230379915273311632898314463922594197780311092934965557841894944174093"
+    "380561511397999942154241693397290542371100275104208013496673175515285"
+    "922696291677532547504444585610194940420003990443211677661994962953925"
+    "045269871932907037356403227370127845389912612030924484149472897688540"
+    "6024976768122077071687938121709811322297802059565867"
+)
+
+
+@pytest.mark.parametrize("x, digits", [(ARNAULT_1993, 337), (ARNAULT_1995, 397)],
+                         ids=["arnault_1993", "arnault_1995"])
+def test_strong_pseudoprimes_to_many_bases_are_composite(x, digits):
+    # Both pass Miller-Rabin at every base up to 97; the strong Lucas test
+    # rejects them.
+    assert len(str(x)) == digits
+    assert not is_probable_prime(x)
+    with pytest.raises(BudgetExhausted) as exc:
+        factorize(x, Budget(iterations=10**4))
+    assert exc.value.cofactor == x
+
+
+def test_strong_lucas_test_matches_sympy():
+    # Every odd n below 2 * 10**4, composites that pass it (5459, 5777, ...) included.
+    for n in range(3, 20_000, 2):
+        assert factor._strong_lucas_prp(n) == is_strong_lucas_prp(n), n
+
+
+@given(st.one_of(st.integers(10**24, 10**60 - 1).map(lambda x: x | 1),
+                 st.integers(10**24, 10**59).map(nextprime)))
+@settings(max_examples=300, deadline=None)
+def test_is_probable_prime_matches_sympy_on_25_to_60_digits(n):
+    assert is_probable_prime(n) == isprime(n)
 
 
 def test_budget_exhaustion_names_composite_cofactor():

@@ -6,7 +6,7 @@ from sympy import factorint
 
 from vpal import oracle, procedure
 from vpal.digits import repeat_concat
-from vpal.factor import Budget
+from vpal.factor import Budget, BudgetExhausted
 from vpal.oracle import (
     VerificationReport,
     compare_procedure_oracle,
@@ -21,7 +21,7 @@ from vpal.oracle import (
     verify_lemmas,
     verify_periodicity,
 )
-from vpal.procedure import ConstraintPair, run_procedure
+from vpal.procedure import ConstraintPair, lcm_closure, run_procedure
 
 
 def _is_vpal_reference(n):
@@ -63,12 +63,36 @@ def test_concat_oracle_equals_literal_oracle(n, k):
 
 
 def test_compare_procedure_oracle_examples():
-    rep = compare_procedure_oracle(18, 6)
-    assert (rep.checked, rep.failed, rep.skipped) == (6, 0, 0)
-    rep = compare_procedure_oracle(12, 6)
-    assert (rep.checked, rep.failed) == (6, 0)
-    rep = compare_procedure_oracle(13, 15)
-    assert rep.failed == 0 and rep.checked == 15
+    # one check per element of M', the lcm-closure of 1 and both element sets
+    for n, size in ((18, 3), (12, 7), (13, 13)):
+        rep = compare_procedure_oracle(n)
+        elements = run_procedure(n).elements | oracle._oracle_elements(n)
+        assert len(lcm_closure(elements)) == size
+        assert (rep.checked, rep.failed, rep.skipped) == (size, 0, 0), n
+    # 18 = 2 * 3**2 and 81 = 3**4: d_3 = 1 at L = 2, and no constraint element
+    assert oracle._oracle_elements(18) == {1, 3, 9}
+
+
+def test_compare_procedure_oracle_skips_when_p_minus_1_does_not_factor(monkeypatch):
+    def exhausted(n, budget=None):
+        raise BudgetExhausted(1001)
+
+    monkeypatch.setattr(oracle, "_oracle_elements", exhausted)
+    rep = compare_procedure_oracle(13)
+    assert (rep.checked, rep.failed, rep.skipped) == (1, 0, 1)
+    assert rep.skips == [{"n": 13, "reason": "budget", "cofactor": "1001"}]
+
+
+def test_oracle_elements_match_a_scan_of_powers_of_ten():
+    # d_p = ord_p(10**L), here by scanning j until 10**(j*L) = 1 (mod p)
+    for n in (13, 1461, 98765):
+        L = len(str(n))
+        primes = (set(factorint(n)) | set(factorint(int(str(n)[::-1])))) - {2, 5}
+        expected = set()
+        for p in primes:
+            d = next(j for j in range(1, p) if pow(10, j * L, p) == 1)
+            expected |= {d, d * p, d * p * p}
+        assert oracle._oracle_elements(n) == expected, n
 
 
 def test_procedure_oracle_agreement_beyond_corpus():
@@ -79,8 +103,8 @@ def test_procedure_oracle_agreement_beyond_corpus():
     for n in (rng.randrange(2001, 100_000) for _ in range(120)):
         if not eligible(n):
             continue
-        rep = compare_procedure_oracle(n, 4)
-        assert rep.failed == 0, (n, rep.failures[:2])
+        rep = compare_procedure_oracle(n)
+        assert rep.failed == 0 and rep.skipped == 0, (n, rep.failures[:2])
 
 
 def _kinds(rep):
@@ -117,6 +141,27 @@ def test_verify_invariance_catches_each_mutant(monkeypatch):
                         lambda p, alpha, L, budget=None: order_at(p, alpha, 1, budget))
     rep = sweep(verify_invariance, 200, kmax=4)
     assert (rep.failed, _kinds(rep)) == (234, ["pullback"])
+
+
+def test_compare_procedure_oracle_catches_the_lift_mutant(monkeypatch):
+    # h(2) = h(1) * p is wrong at a base-10 Wieferich prime: 487**2 divides
+    # 10**486 - 1, so h(2) = h(1) for p = 487. Among n <= 2000 the patch
+    # changes the tables of these six n only. The every-k check finds six
+    # failures, at 1461 = 3 * 487 and its reversal 1641 = 3 * 547; a window
+    # k <= 8 finds none.
+    changed = (479, 974, 1336, 1461, 1641, 1948)
+    order_at = procedure.repunit_order
+    monkeypatch.setattr(
+        procedure, "repunit_order",
+        lambda p, alpha, L, budget=None:
+            order_at(p, 1, L, budget) * p if alpha == 2 else order_at(p, alpha, L, budget),
+    )
+    failed = {n: sorted(f["k"] for f in compare_procedure_oracle(n).failures) for n in changed}
+    lattice_ks = [22113, 12095811, 6616408617]
+    assert failed == {479: [], 974: [], 1336: [], 1461: lattice_ks, 1641: lattice_ks, 1948: []}
+    window = [(n, k) for n in changed for k in range(1, 9)
+              if run_procedure(n).accepts(k) != oracle_is_vpal_concat(n, k)]
+    assert window == []
 
 
 def test_verify_periodicity_examples():
@@ -179,9 +224,9 @@ def test_report_invariant_and_merge():
 
 
 def test_report_serialization():
-    rep = compare_procedure_oracle(18, 4)
+    rep = compare_procedure_oracle(18)
     d = rep.to_dict()
-    assert d["checked"] == 4 and d["failed"] == 0
+    assert d["checked"] == 3 and d["failed"] == 0
     assert "procedure vs oracle" in rep.to_text()
     jsonschema = pytest.importorskip("jsonschema")
     import json
@@ -203,8 +248,8 @@ def test_report_serialization():
 @pytest.mark.parametrize(
     "check, nmax, params, label, label_13",
     [
-        (compare_procedure_oracle, 60, {"kmax": 3},
-         "procedure vs oracle: n<=60, k<=3", "procedure vs oracle: n=13, k<=3"),
+        (compare_procedure_oracle, 60, {},
+         "procedure vs oracle: n<=60, every k", "procedure vs oracle: n=13, every k"),
         (verify_invariance, 40, {"kmax": 3},
          "type invariance: n<=40, k<=3", "type invariance: n=13, k<=3"),
         (verify_periodicity, 60, {"omega_cap": 12},
