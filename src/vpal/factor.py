@@ -5,16 +5,19 @@ of exponent 1; v(1) = 0. In every factorization this module returns, the
 product reconstructs the input exactly and each recorded prime passes
 is_probable_prime: a proof below psi_13 ~ 3.3e24, BPSW-probable above.
 
-Factorization pipeline: staged trial division, the primality test
-(Miller-Rabin with fixed bases, joined by a strong Lucas test above psi_13),
-then Pollard-Brent rho with deterministic parameter restarts under a
-wall-clock plus iteration budget.
+Factorization pipeline: trial division by the primes below 10**4 (one at a
+time through the first block of 32 primes, then one gcd per block that skips
+the blocks sharing no factor with the cofactor), the primality test
+(Miller-Rabin with the first t prime bases below psi_t, joined by a strong
+Lucas test above psi_13), then Pollard-Brent rho with deterministic parameter
+restarts under a wall-clock plus iteration budget.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .digits import repunit
@@ -32,7 +35,17 @@ def _sieve(limit: int) -> list[int]:
 
 
 _SMALL_PRIMES = _sieve(_TRIAL_LIMIT)
-_SMALL_PRIME_SET = frozenset(_SMALL_PRIMES)
+
+# Trial division walks the first _BLOCK primes one at a time, then takes the
+# rest as (first prime, primes, their product) for runs of _BLOCK primes. A
+# cofactor below the square of a block's first prime is 1 or prime, so inputs
+# below 137**2 = 18769 stop inside the first block and never reach a gcd.
+_BLOCK = 32
+_FIRST_BLOCK = _SMALL_PRIMES[:_BLOCK]
+_TRIAL_BLOCKS = tuple(
+    (block[0], block, math.prod(block))
+    for block in (_SMALL_PRIMES[i : i + _BLOCK] for i in range(_BLOCK, len(_SMALL_PRIMES), _BLOCK))
+)
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -42,15 +55,28 @@ def primes_up_to(limit: int) -> list[int]:
     return [p for p in _SMALL_PRIMES if p <= limit]
 
 
-# psi_12 and psi_13, the least strong pseudoprimes to every prime base up to
-# 37 and up to 41 (Sorenson & Webster 2015): below psi_12 the 12 bases are a
-# primality proof, and with 41 joining they stay one below psi_13. Above it
-# no fixed set of bases suffices (Arnault 1995 built a 397-digit composite
-# that passes every prime base below 307), so a strong Lucas test joins and
-# makes the test Baillie-PSW.
-_MR_DETERMINISTIC_BOUND = 318_665_857_834_031_151_167_461
-_PSI_13 = 3_317_044_064_679_887_385_961_981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_t (OEIS A014233) is the least strong pseudoprime to each of the first
+# t prime bases (Jaeschke 1993, Sorenson & Webster 2015), so below psi_t those
+# t bases are a primality proof. Above psi_13 no fixed set of bases suffices
+# (Arnault 1995 built a 397-digit composite that passes every prime base below
+# 307), so a strong Lucas test joins the 13 bases and makes the test
+# Baillie-PSW.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
 
 
 class BudgetExhausted(Exception):
@@ -92,8 +118,9 @@ class _Clock:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin with the bases 2..37 below psi_12 ~ 3.2e23 and 2..41 up to
-    psi_13 ~ 3.3e24, then Baillie-PSW: bases 2..41 and a strong Lucas test.
+    """Miller-Rabin with the first t prime bases for the least t with n < psi_t
+    (for example 2..17 below psi_7 ~ 3.4e14, 2..41 up to psi_13 ~ 3.3e24), then
+    Baillie-PSW: bases 2..41 and a strong Lucas test.
 
     A proof of primality below psi_13; BPSW-probable above it, where no
     composite that passes is known.
@@ -108,8 +135,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    bases = _MR_BASES if n < _MR_DETERMINISTIC_BOUND else _MR_BASES + (41,)
-    for a in bases:
+    for a in _MR_BASES[: bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -119,7 +145,7 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return n < _PSI_13 or _strong_lucas_prp(n)
+    return n < _PSI[-1] or _strong_lucas_prp(n)
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -185,11 +211,14 @@ def _iroot(n: int, k: int) -> int:
 
 
 def _perfect_power(n: int) -> tuple[int, int] | None:
-    """(root, exponent>=2) if n is a perfect power, else None."""
-    for k in range(2, n.bit_length() + 1):
+    """(root, exponent>=2) if n is a perfect power, else None.
+
+    n must have no prime factor below 10**4, as every cofactor left after
+    trial division has: then a root r of n = r**k exceeds 10**4 > 2**13, so
+    n.bit_length() > 13*k and no exponent above n.bit_length() // 13 is tried.
+    """
+    for k in range(2, n.bit_length() // 13 + 1):
         r = _iroot(n, k)
-        if r < 2:
-            break
         if r**k == n:
             return r, k
     return None
@@ -283,12 +312,24 @@ def factorize(n: int, budget: Budget | None = None) -> Factorization:
     clock = _Clock(budget or DEFAULT_BUDGET)
     counts: dict[int, int] = {}
     m = n
-    for p in _SMALL_PRIMES:
+    for p in _FIRST_BLOCK:
         if p * p > m:
             break
         while m % p == 0:
             counts[p] = counts.get(p, 0) + 1
             m //= p
+    else:
+        for first, primes, product in _TRIAL_BLOCKS:
+            if first * first > m:
+                break
+            if math.gcd(m, product) == 1:
+                continue
+            for p in primes:
+                if p * p > m:
+                    break
+                while m % p == 0:
+                    counts[p] = counts.get(p, 0) + 1
+                    m //= p
     if m > 1:
         if m < _TRIAL_LIMIT * _TRIAL_LIMIT:
             # Survived trial division past sqrt(m), hence prime.

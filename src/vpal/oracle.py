@@ -134,14 +134,16 @@ def oracle_is_vpal_concat(n: int, k: int, budget: Budget | None = None) -> bool:
     every prime of R dividing neither n nor r(n) adds c(p, x_p) to both sides
     and cancels. Merging the x_p of the primes of n*r(n) into both
     factorizations therefore decides the literal test exactly. x_p is
-    repunit_valuation(p, k, L), two loops of modular powers that never build R,
+    repunit_valuation(p, k, L), from modular powers that never build R,
     independently of the entry orders; so k may run into the millions and past.
     """
     if not eligible(n):
         return False
-    fn = factorize(n, budget)
-    fr = factorize(reverse_digits(n), budget)
-    L = digit_count(n)
+    return _concat_verdict(factorize(n, budget), factorize(reverse_digits(n), budget), digit_count(n), k)
+
+
+def _concat_verdict(fn: Factorization, fr: Factorization, L: int, k: int) -> bool:
+    """oracle_is_vpal_concat from the factorizations fn of n and fr of r(n), L digits each."""
     primes = sorted(set(fn.primes()) | set(fr.primes()))
     shared = Factorization(tuple((p, x) for p in primes if (x := repunit_valuation(p, k, L))))
     return v_of_factorization(fn.merge(shared)) == v_of_factorization(fr.merge(shared))
@@ -156,14 +158,16 @@ def _labelled(template: str):
     return attach
 
 
-def _oracle_elements(n: int, budget: Budget | None = None) -> set[int]:
-    """d_p, d_p*p and d_p*p**2 for each prime p outside {2, 5} of n*r(n).
+def _oracle_elements(
+    fn: Factorization, fr: Factorization, L: int, budget: Budget | None = None
+) -> set[int]:
+    """d_p, d_p*p and d_p*p**2 for each prime p outside {2, 5} of n*r(n),
+    given the factorizations fn of n and fr of r(n), L digits each.
 
     d_p = ord_p(10**L) is the least divisor d of p - 1 with 10**(d*L) = 1
     (mod p), found from factorize(p - 1) alone, never from the entry orders.
     """
-    L = digit_count(n)
-    primes = set(factorize(n, budget).primes()) | set(factorize(reverse_digits(n), budget).primes())
+    primes = set(fn.primes()) | set(fr.primes())
     out = set()
     for p in primes - {2, 5}:
         divisors = [1]
@@ -203,23 +207,23 @@ def compare_procedure_oracle(n: int, budget: Budget | None = None) -> Verificati
       and d_p*p**2 divide k, the same at k and at D'(k).
 
     The oracle side takes d_p and x_p from modular powers and factorize
-    alone, so the check does not lean on the entry orders it tests.
+    alone, so the check does not lean on the entry orders it tests. It
+    factors n and r(n) once, for the elements and every m.
     """
     t0 = time.monotonic()
     report = VerificationReport(corpus=compare_procedure_oracle.label.format(n=f"={n}"))
     result = run_procedure(n, budget=budget)
+    L = digit_count(n)
     try:
-        ks = sorted(lcm_closure(result.elements | _oracle_elements(n, budget)))
+        fn = factorize(n, budget)
+        fr = factorize(reverse_digits(n), budget)
+        ks = sorted(lcm_closure(result.elements | _oracle_elements(fn, fr, L, budget)))
     except BudgetExhausted as exc:
         report.record_skip(n=n, reason="budget", cofactor=str(exc.cofactor))
         ks = []
     for m in ks:
         predicted = result.accepts(m)
-        try:
-            actual = oracle_is_vpal_concat(n, m, budget)
-        except BudgetExhausted as exc:
-            report.record_skip(n=n, k=m, reason="budget", cofactor=str(exc.cofactor))
-            continue
+        actual = _concat_verdict(fn, fr, L, m)
         report.record(predicted == actual, n=n, k=m, predicted=predicted, actual=actual)
     report.elapsed = time.monotonic() - t0
     return report

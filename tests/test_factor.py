@@ -2,7 +2,7 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import factorint, isprime, nextprime
+from sympy import factorint, isprime, nextprime, prevprime, primerange
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from vpal import factor
@@ -32,9 +32,30 @@ def test_factorize_rejects_nonpositive():
         factorize(0)
 
 
-@given(st.integers(1, 10**12))
-@settings(max_examples=300)
+# The primes on both sides of each trial-division block boundary.
+_BOUNDARY_PRIMES = sorted({factor._FIRST_BLOCK[-1]}
+                          | {p for _, primes, _ in factor._TRIAL_BLOCKS for p in (primes[0], primes[-1])})
+
+
+def _prime_above(low, high):
+    # nextprime(q) < 2q, so the prime stays below 2 * high
+    return st.integers(low, high).map(nextprime)
+
+
+@given(st.one_of(
+    st.integers(1, 10**20 - 1),
+    st.builds(lambda ps, m: math.prod(ps) * m,
+              st.lists(st.sampled_from(_BOUNDARY_PRIMES), min_size=1, max_size=4),
+              st.integers(1, 10**4)),
+    st.just(9973**2 * 10007),
+    st.integers(1, 5).flatmap(  # k = 5 draws only 10007**5, of 21 digits
+        lambda k: _prime_above(10**4, max(10**4, 10 ** (20 // k) // 2)).map(lambda q: q**k)),
+    st.builds(lambda p, q: p * q, _prime_above(10**4, 10**9), _prime_above(10**4, 10**9)),
+))
+@settings(max_examples=300, deadline=None)
 def test_factorize_matches_sympy(n):
+    # 1 to 20 digits; the special draws cross every block boundary, reach
+    # the perfect-power test with roots above 10**4, and split by rho.
     ours = dict(factorize(n).entries)
     assert ours == factorint(n)
 
@@ -60,6 +81,38 @@ def test_factorize_large_smooth_and_semiprime():
 # 37 and up to 41 (Sorenson & Webster 2015).
 PSI_12 = 318665857834031151167461
 PSI_13 = 3317044064679887385961981
+
+
+# psi_t for t = 1..13 (OEIS A014233): the least strong pseudoprime to each of
+# the first t prime bases.
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+       3825123056546413051, PSI_12, PSI_13)
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("t", range(1, 14))
+def test_psi_table_is_tight(t):
+    # psi_t passes the first t prime bases, so is_probable_prime must use more
+    # of them there; just below psi_t, t bases are a proof.
+    psi = PSI[t - 1]
+    assert not isprime(psi)
+    assert all(_strong_probable_prime(psi, a) for a in list(primerange(2, 42))[:t])
+    assert not is_probable_prime(psi)
+    assert is_probable_prime(prevprime(psi))
 
 
 def test_strong_pseudoprimes_to_the_first_prime_bases_are_composite():

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from sympy import factorint
 
 from vpal import oracle, procedure
-from vpal.digits import repeat_concat
-from vpal.factor import Budget, BudgetExhausted
+from vpal.digits import digit_count, repeat_concat, reverse_digits
+from vpal.factor import Budget, BudgetExhausted, factorize
 from vpal.oracle import (
     VerificationReport,
     compare_procedure_oracle,
@@ -62,19 +62,23 @@ def test_concat_oracle_equals_literal_oracle(n, k):
     assert oracle_is_vpal_concat(n, k) == oracle_is_vpal(repeat_concat(n, k))
 
 
+def _oracle_elements(n):
+    return oracle._oracle_elements(factorize(n), factorize(reverse_digits(n)), digit_count(n))
+
+
 def test_compare_procedure_oracle_examples():
     # one check per element of M', the lcm-closure of 1 and both element sets
     for n, size in ((18, 3), (12, 7), (13, 13)):
         rep = compare_procedure_oracle(n)
-        elements = run_procedure(n).elements | oracle._oracle_elements(n)
+        elements = run_procedure(n).elements | _oracle_elements(n)
         assert len(lcm_closure(elements)) == size
         assert (rep.checked, rep.failed, rep.skipped) == (size, 0, 0), n
     # 18 = 2 * 3**2 and 81 = 3**4: d_3 = 1 at L = 2, and no constraint element
-    assert oracle._oracle_elements(18) == {1, 3, 9}
+    assert _oracle_elements(18) == {1, 3, 9}
 
 
 def test_compare_procedure_oracle_skips_when_p_minus_1_does_not_factor(monkeypatch):
-    def exhausted(n, budget=None):
+    def exhausted(*args):
         raise BudgetExhausted(1001)
 
     monkeypatch.setattr(oracle, "_oracle_elements", exhausted)
@@ -92,7 +96,7 @@ def test_oracle_elements_match_a_scan_of_powers_of_ten():
         for p in primes:
             d = next(j for j in range(1, p) if pow(10, j * L, p) == 1)
             expected |= {d, d * p, d * p * p}
-        assert oracle._oracle_elements(n) == expected, n
+        assert _oracle_elements(n) == expected, n
 
 
 def test_procedure_oracle_agreement_beyond_corpus():
