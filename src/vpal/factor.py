@@ -244,7 +244,7 @@ def _pollard_brent(n: int, c: int, clock: _Clock) -> int | None:
             chunk = min(128, r - k)
             for _ in range(chunk):
                 y = (y * y + c) % n
-                q = q * abs(x - y) % n
+                q = q * (x - y) % n
             g = math.gcd(q, n)
             k += chunk
             clock.spend(chunk, n)
@@ -254,7 +254,7 @@ def _pollard_brent(n: int, c: int, clock: _Clock) -> int | None:
         g = 1
         while g == 1:
             ys = (ys * ys + c) % n
-            g = math.gcd(abs(x - ys), n)
+            g = math.gcd(x - ys, n)
             clock.spend(1, n)
     return g if g != n else None
 

@@ -334,7 +334,9 @@ def verify_disjointness(n: int, budget: Budget | None = None) -> VerificationRep
     itself a divisibility constraint set, empty exactly when some b in B
     divides lcm(A). Independently, every k is accepted by the same columns as
     some m in the lattice M (see ProcedureResult.lattice), so counting the
-    columns that accept each m in M checks every k.
+    columns that accept each m in M checks every k. At each m that count must
+    also equal the popcount of accept_mask(m), the cell-by-cell verdict that
+    accepts and type_of read.
     """
     t0 = time.monotonic()
     report = VerificationReport(corpus=verify_disjointness.label.format(n=f"={n}"))
@@ -346,7 +348,11 @@ def verify_disjointness(n: int, budget: Budget | None = None) -> VerificationRep
             report.record(inter.is_empty(), n=n, columns=[i, j], kind="pairwise intersection")
     for m in sorted(result.lattice):
         hits = sum(col.accepts(m) for col in cols)
-        report.record(hits <= 1, n=n, k=m, hits=hits, kind="lattice scan")
+        mask_hits = result.accept_mask(m).bit_count()
+        inputs = {"n": n, "k": m, "hits": hits, "kind": "lattice scan"}
+        if mask_hits != hits:
+            inputs["mask_hits"] = mask_hits
+        report.record(hits <= 1 and mask_hits == hits, **inputs)
     report.elapsed = time.monotonic() - t0
     return report
 

@@ -16,9 +16,13 @@ n(k) is a v-palindrome, by pure divisibility arithmetic:
 3. classify each (prime, distinct solution entry) pair, at most three per
    prime, into one of seven cases and translate cases into divisibility
    constraints on k; the cells of a row are looked up by their entry;
-4. a solution's column accepts exactly the k in S(A, B) = {x : every a in A
-   divides x, no b in B divides x}; the accepted sets are pairwise disjoint,
-   and the accepting solution is the type of the v-palindrome n(k).
+4. a solution's column, the union of its cells, accepts exactly the k in
+   S(A, B) = {x : every a in A divides x, no b in B divides x}; as
+   S(A ∪ A', B ∪ B') = S(A, B) ∩ S(A', B'), that is the k every cell of the
+   column accepts, so acceptance is decided cell by cell, each distinct cell
+   of a row tested once. The accepted sets are pairwise disjoint, and the
+   accepting solution is the type of the v-palindrome n(k). The columns and
+   omega are derived from the constraint table only when asked for.
 
 run_procedure(n, copies=k) produces the same tables for the base number n(k)
 without ever factoring n(k): crucial primes and deltas carry over, mu shifts
@@ -126,7 +130,15 @@ class ConstraintPair:
             raise ValueError("constraint elements must be positive")
 
     def accepts(self, x: int) -> bool:
-        return all(x % a == 0 for a in self.A) and all(x % b != 0 for b in self.B)
+        # Plain loops: the sets hold at most a few elements, and a generator
+        # per call would cost more than the tests.
+        for a in self.A:
+            if x % a:
+                return False
+        for b in self.B:
+            if not x % b:
+                return False
+        return True
 
     def union(self, other: "ConstraintPair") -> "ConstraintPair":
         return ConstraintPair(self.A | other.A, self.B | other.B)
@@ -283,10 +295,13 @@ class ProcedureResult:
     """Everything the classification produces for one analyzed number.
 
     The analyzed number is the copies-fold concatenation of n (copies == 1
-    means n itself). Tables are indexed [prime][solution]. ``columns[l]`` is
-    the merged constraint pair of solution l; solution l accepts exactly the
-    k in its column's S(A, B). ``omega`` is the lcm of every constraint
-    element and is a period of the acceptance pattern.
+    means n itself). Tables are indexed [prime][solution]. Solution l accepts
+    exactly the k that every cell of its column, constraint_table[i][l] over
+    the primes i, accepts; ``accepts`` and ``type_of`` decide k that way, by
+    per-row bitmasks of the solutions holding each distinct cell.
+    ``columns[l]``, the union of those cells, and ``omega``, the lcm of every
+    constraint element and a period of the acceptance pattern, are derived
+    from the table when first read.
     """
 
     n: int
@@ -296,25 +311,66 @@ class ProcedureResult:
     solutions: tuple[Solution, ...]
     case_table: tuple[tuple[CaseLabel, ...], ...]
     constraint_table: tuple[tuple[ConstraintPair, ...], ...]
-    columns: tuple[ConstraintPair, ...]
-    omega: int
+
+    @cached_property
+    def columns(self) -> tuple[ConstraintPair, ...]:
+        """Per solution, the union of its cells down the constraint table."""
+        return tuple(
+            ConstraintPair(frozenset().union(*(pair.A for pair in column)),
+                           frozenset().union(*(pair.B for pair in column)))
+            for column in zip(*self.constraint_table)
+        )
+
+    @cached_property
+    def _cell_masks(self) -> tuple[tuple[tuple[ConstraintPair, int], ...], ...]:
+        # Per row, each distinct cell with the mask whose bit l says that
+        # solution l's column holds it. Cells are told apart by identity:
+        # run_procedure shares one object per distinct entry, at most three
+        # per row, and an id hashes faster than a pair. Equal cells that are
+        # separate objects only get separate masks.
+        rows = []
+        for row in self.constraint_table:
+            groups: dict[int, list] = {}
+            for l, cell in enumerate(row):
+                if (group := groups.get(id(cell))) is None:
+                    groups[id(cell)] = [cell, 1 << l]
+                else:
+                    group[1] |= 1 << l
+            rows.append(tuple(map(tuple, groups.values())))
+        return tuple(rows)
+
+    def accept_mask(self, k: int) -> int:
+        """Bitmask of the solutions whose column accepts k (bit l for solution l).
+
+        A column accepts k iff each of its cells does, so this ANDs over the
+        rows the OR of the masks of the cells accepting k.
+        """
+        if k < 1:
+            raise ValueError(f"expected k >= 1, got {k}")
+        mask = (1 << len(self.solutions)) - 1
+        for row in self._cell_masks:
+            hit = 0
+            for cell, bits in row:
+                if cell.accepts(k):
+                    hit |= bits
+            mask &= hit
+            if not mask:
+                break
+        return mask
 
     def accepts(self, k: int) -> bool:
         """Whether the k-fold concatenation of the analyzed number is a v-palindrome."""
-        if k < 1:
-            raise ValueError(f"expected k >= 1, got {k}")
-        return any(col.accepts(k) for col in self.columns)
+        return self.accept_mask(k) != 0
 
     def type_of(self, k: int) -> Solution:
         """The unique solution whose column accepts k."""
-        if k < 1:
-            raise ValueError(f"expected k >= 1, got {k}")
-        matches = [sol for sol, col in zip(self.solutions, self.columns) if col.accepts(k)]
-        if not matches:
+        mask = self.accept_mask(k)
+        if not mask:
             raise NotAVPalindrome(f"concatenation count {k} gives no v-palindrome")
-        if len(matches) > 1:
+        if mask & (mask - 1):
+            matches = [sol for l, sol in enumerate(self.solutions) if mask >> l & 1]
             raise AmbiguousType(f"k={k} accepted by {len(matches)} columns: {matches}")
-        return matches[0]
+        return self.solutions[mask.bit_length() - 1]
 
     def first_member(self) -> int | None:
         """Least accepted k (the onset c), or None when no k is ever accepted."""
@@ -323,8 +379,14 @@ class ProcedureResult:
 
     @cached_property
     def elements(self) -> frozenset[int]:
-        """E: every constraint element of every column; omega is their lcm."""
-        return frozenset(x for col in self.columns for x in col.A | col.B)
+        """E: every constraint element of every cell, so of every column."""
+        cells = {id(cell): cell for row in self.constraint_table for cell in row}.values()
+        return frozenset(x for cell in cells for x in cell.A | cell.B)
+
+    @cached_property
+    def omega(self) -> int:
+        """The lcm of E, a period of the acceptance pattern."""
+        return math.lcm(*self.elements)
 
     @cached_property
     def lattice(self) -> frozenset[int]:
@@ -378,15 +440,7 @@ class ProcedureResult:
             "solutions": [list(sol) for sol in self.solutions],
             "case_table": [[label.value for label in row] for row in self.case_table],
             "constraint_table": [[pair.to_dict() for pair in row] for row in self.constraint_table],
-            "columns": [
-                {
-                    "solution": list(sol),
-                    "A": sorted(col.A),
-                    "B": sorted(col.B),
-                    "first_member": col.first_member(),
-                }
-                for sol, col in zip(self.solutions, self.columns)
-            ],
+            "columns": self._column_dicts(),
             "omega": self.omega,
             "omega0": self.minimal_period(),
             "c": self.first_member(),
@@ -394,12 +448,22 @@ class ProcedureResult:
             "case_vii_count": self.case_vii_count,
         }
 
+    def _column_dicts(self) -> list[dict]:
+        return [
+            {"solution": list(sol), "A": sorted(col.A), "B": sorted(col.B),
+             "first_member": col.first_member()}
+            for sol, col in zip(self.solutions, self.columns)
+        ]
+
     def to_json(self, **kwargs) -> str:
         return json.dumps(self.to_dict(), **kwargs)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProcedureResult":
-        return cls(
+        """The result a to_dict document describes; ValueError when its tables are
+        not one row per crucial prime and one cell per solution, or when its
+        columns or omega disagree with those its constraint table gives."""
+        result = cls(
             n=int(d["n"]),
             copies=d["copies"],
             digit_len=d["digit_length"],
@@ -409,9 +473,16 @@ class ProcedureResult:
             constraint_table=tuple(
                 tuple(ConstraintPair(e["A"], e["B"]) for e in row) for row in d["constraint_table"]
             ),
-            columns=tuple(ConstraintPair(c["A"], c["B"]) for c in d["columns"]),
-            omega=d["omega"],
         )
+        width = len(result.solutions)
+        if not result.crucial or any(
+            len(table) != len(result.crucial) or any(len(row) != width for row in table)
+            for table in (result.case_table, result.constraint_table)
+        ):
+            raise ValueError("tables need one row per crucial prime and one cell per solution")
+        if d["columns"] != result._column_dicts() or d["omega"] != result.omega:
+            raise ValueError("columns or omega disagree with the constraint table")
+        return result
 
 
 def lcm_closure(elements) -> frozenset[int]:
@@ -462,21 +533,12 @@ def run_procedure(n: int, copies: int = 1, budget: Budget | None = None) -> Proc
         pairs = {u: constraint_entry(cp.p, label, digit_len, budget) for u, label in labels.items()}
         case_rows.append(tuple(labels[u] for u in entries))
         constraint_rows.append(tuple(pairs[u] for u in entries))
-    case_table, constraint_table = tuple(case_rows), tuple(constraint_rows)
-    columns = tuple(
-        ConstraintPair(frozenset().union(*(pair.A for pair in column)),
-                       frozenset().union(*(pair.B for pair in column)))
-        for column in zip(*constraint_table)
-    )
-    omega = math.lcm(*(x for col in columns for x in col.A | col.B))
     return ProcedureResult(
         n=n,
         copies=copies,
         digit_len=digit_len,
         crucial=crucial,
         solutions=solutions,
-        case_table=case_table,
-        constraint_table=constraint_table,
-        columns=columns,
-        omega=omega,
+        case_table=tuple(case_rows),
+        constraint_table=tuple(constraint_rows),
     )

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import factorint
@@ -183,17 +181,23 @@ def test_verify_disjointness():
         assert rep.failed == 0
 
 
-def test_verify_disjointness_checks_past_any_window(monkeypatch):
+def test_verify_disjointness_checks_past_any_window(monkeypatch, table_result):
     # columns 24 | k and 25 | k overlap first at k = 600
-    rigged = replace(
-        run_procedure(13),
-        columns=(ConstraintPair((24,), ()), ConstraintPair((25,), ())),
-        omega=600,
-    )
+    rigged = table_result((ConstraintPair((24,), ()), ConstraintPair((25,), ())))
     monkeypatch.setattr(oracle, "run_procedure", lambda n, budget=None: rigged)
     rep = verify_disjointness(13)
     assert {"n": 13, "k": 600, "hits": 2, "kind": "lattice scan"} in rep.failures
     assert [f["k"] for f in rep.failures if f["kind"] == "lattice scan"] == [600]
+
+
+def test_verify_disjointness_checks_cell_masks_against_columns(monkeypatch):
+    # a cell-mask verdict that drops solution 0 disagrees with the columns
+    # wherever column 0 accepts; the columns alone see nothing wrong
+    real = procedure.ProcedureResult.accept_mask
+    monkeypatch.setattr(procedure.ProcedureResult, "accept_mask", lambda self, k: real(self, k) & ~1)
+    rep = verify_disjointness(13)
+    assert [f["k"] for f in rep.failures] == [6045]
+    assert rep.failures[0] == {"n": 13, "k": 6045, "hits": 1, "kind": "lattice scan", "mask_hits": 0}
 
 
 def test_verify_lemmas_small_grid():

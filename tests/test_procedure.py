@@ -2,7 +2,6 @@ import itertools
 import json
 import math
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -381,25 +380,66 @@ def _columns(draw):
     return tuple(ConstraintPair(draw(side), draw(side)) for _ in range(draw(st.integers(0, 4))))
 
 
-@given(_columns())
+@given(columns=_columns())
 @settings(max_examples=150, deadline=None)
-def test_closed_forms_match_scan_on_random_columns(columns):
+def test_closed_forms_match_scan_on_random_columns(table_result, columns):
     omega = math.lcm(*(x for col in columns for x in col.A | col.B))
-    r = replace(run_procedure(13), columns=columns, omega=omega)
+    r = table_result(columns)
     assert r.minimal_period() == _scan_minimal_period(r)
     assert r.first_member() == _scan_onset(r.accepts, omega)
     for col in columns:
         assert col.first_member() == _scan_onset(col.accepts, omega)
 
 
-@given(_columns())
+@given(columns=_columns())
 @settings(max_examples=150, deadline=None)
-def test_lattice_carries_every_acceptance_pattern(columns):
+def test_lattice_carries_every_acceptance_pattern(table_result, columns):
     # k and D(k) = lcm{e : e | k} in the lattice are accepted by the same columns
     omega = math.lcm(*(x for col in columns for x in col.A | col.B))
-    r = replace(run_procedure(13), columns=columns, omega=omega)
+    r = table_result(columns)
     pattern = lambda k: tuple(col.accepts(k) for col in columns)
     assert {pattern(k) for k in range(1, omega + 1)} == {pattern(m) for m in r.lattice}
+
+
+@st.composite
+def _tables(draw):
+    # 2 to 4 rows of at most 3 distinct cells each; a cell recurs either as the
+    # same object, as run_procedure shares it, or as an equal copy.
+    pool = draw(st.sampled_from(_ELEMENT_POOLS))
+    side = st.sets(st.sampled_from(pool), max_size=3)
+    width = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(2, 4))):
+        cells = [ConstraintPair(draw(side), draw(side)) for _ in range(draw(st.integers(1, 3)))]
+        row = [draw(st.sampled_from(cells)) for _ in range(width)]
+        rows.append(tuple(ConstraintPair(c.A, c.B) if draw(st.booleans()) else c for c in row))
+    return rows
+
+
+def _assert_cells_decide_as_columns(r: ProcedureResult, k: int):
+    accepting = [sol for sol, col in zip(r.solutions, r.columns) if col.accepts(k)]
+    assert r.accepts(k) == bool(accepting), k
+    if len(accepting) == 1:
+        assert r.type_of(k) == accepting[0], k
+    else:
+        with pytest.raises(AmbiguousType if accepting else NotAVPalindrome):
+            r.type_of(k)
+
+
+@given(rows=_tables())
+@settings(max_examples=60, deadline=None)
+def test_cell_masks_decide_as_columns_on_random_tables(table_result, rows):
+    r = table_result(*rows)
+    assert r.omega == math.lcm(*(x for col in r.columns for x in col.A | col.B))
+    for k in range(1, r.omega + 1):
+        _assert_cells_decide_as_columns(r, k)
+
+
+def test_cell_masks_decide_as_columns_on_corpus():
+    for n in corpus(2000):
+        r = run_procedure(n)
+        for k in range(1, 61):
+            _assert_cells_decide_as_columns(r, k)
 
 
 def test_closed_forms_match_scan_on_corpus():
@@ -509,15 +549,8 @@ def test_tables_classify_each_distinct_entry_once(monkeypatch):
     assert distinct <= 3 * len(r.crucial) < len(r.crucial) * len(r.solutions)
 
 
-def test_ambiguous_type_assertion_fires_on_bad_columns():
-    r = run_procedure(13)
-    rigged = ProcedureResult(
-        n=r.n, copies=1, digit_len=r.digit_len, crucial=r.crucial,
-        solutions=r.solutions,
-        case_table=r.case_table, constraint_table=r.constraint_table,
-        columns=(ConstraintPair((3,), ()), ConstraintPair((5,), ())),
-        omega=15,
-    )
+def test_ambiguous_type_assertion_fires_on_bad_columns(table_result):
+    rigged = table_result((ConstraintPair((3,), ()), ConstraintPair((5,), ())))
     with pytest.raises(AmbiguousType):
         rigged.type_of(15)
 
@@ -535,6 +568,33 @@ def test_to_dict_round_trips():
         r = run_procedure(n)
         back = ProcedureResult.from_dict(json.loads(r.to_json()))
         assert back == r
+        assert back.to_dict() == r.to_dict()
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda d: d["columns"][1].update(B=[39]),
+    lambda d: d["columns"][0].update(first_member=2),
+    lambda d: d["columns"][1].update(solution=[1, 1]),
+    lambda d: d.update(omega=12090),
+], ids=["B", "first_member", "solution", "omega"])
+def test_from_dict_rejects_columns_or_omega_off_the_table(tamper):
+    doc = json.loads(run_procedure(13).to_json())
+    tamper(doc)
+    with pytest.raises(ValueError, match="disagree"):
+        ProcedureResult.from_dict(doc)
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda d: d["constraint_table"][0].pop(),
+    lambda d: d["case_table"].pop(),
+    lambda d: d.update(crucial_primes=[], case_table=[], constraint_table=[], columns=[], omega=1),
+], ids=["short row", "missing row", "no crucial prime"])
+def test_from_dict_rejects_misshapen_tables(tamper):
+    # on such tables the cell masks and the columns would read different verdicts
+    doc = json.loads(run_procedure(13).to_json())
+    tamper(doc)
+    with pytest.raises(ValueError, match="one row per crucial prime"):
+        ProcedureResult.from_dict(doc)
 
 
 def test_json_matches_shipped_schema():
