@@ -3,12 +3,13 @@
 Exit codes: 0 success, 1 verification failure, 2 factorization budget
 exhausted, 64 usage error (including options that leave a verification
 harness nothing to check). Numbers are accepted as decimal strings of ASCII
-digits, of unbounded length. The per-factorization budget in seconds is
---budget, else VPAL_BUDGET, else 10; a value that is not a positive finite
-number written in ASCII decimal digits, with an optional fraction and
-exponent, is a usage error. `verify oracle` and `verify disjointness` decide
-every k on a finite set of k (see oracle.compare_procedure_oracle and
-ProcedureResult.lattice), so they take no k bound.
+digits, of unbounded length. The factorization budget in seconds, per command
+and per n in a sweep, is --budget, else VPAL_BUDGET, else 10; a value that is
+not a positive finite number written in ASCII decimal digits, with an
+optional fraction and exponent, is a usage error. `verify oracle` and
+`verify disjointness` decide every k on a finite set of k (see
+oracle.compare_procedure_oracle and ProcedureResult.lattice), so they take
+no k bound.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import sys
 from importlib import resources
 
 from .digits import decimal_string, parse_decimal, reverse_digits
-from .factor import Budget, BudgetExhausted, factorize, v_of_factorization
+from .factor import Budget, BudgetExhausted, factorize, metered, v_of_factorization
 from .oracle import (
     DEFAULT_NMAX,
     VerificationReport,
@@ -68,7 +69,8 @@ def _build_parser() -> _Parser:
     parser.add_argument(
         "--budget",
         metavar="SECONDS",
-        help="wall-clock budget per factorization (env: VPAL_BUDGET, default 10)",
+        help="wall-clock factorization budget per command, and per n in a sweep"
+             " (env: VPAL_BUDGET, default 10)",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -173,6 +175,7 @@ def _cmd_v(args, budget: Budget) -> int:
     return EXIT_OK
 
 
+@metered
 def _cmd_check(args, budget: Budget) -> int:
     n = args.n
     verdict: dict = {"n": decimal_string(n)}
@@ -183,8 +186,8 @@ def _cmd_check(args, budget: Budget) -> int:
         if n == r:
             verdict.update(vpalindrome=False, reason="equals its own reversal")
         else:
-            vn = v_of_factorization(factorize(n, budget))
-            vr = v_of_factorization(factorize(r, budget))
+            vn = v_of_factorization(factorize(n))
+            vr = v_of_factorization(factorize(r))
             verdict.update(
                 vpalindrome=vn == vr,
                 v=vn,

@@ -11,13 +11,21 @@ the blocks sharing no factor with the cofactor), the primality test
 (Miller-Rabin with the first t prime bases below psi_t, joined by a strong
 Lucas test above psi_13), then Pollard-Brent rho with deterministic parameter
 restarts under a wall-clock plus iteration budget.
+
+One budget bounds all the factoring of a call: a public entry point decorated
+with ``metered`` starts one meter for its ``budget`` argument, and every
+factorize() below it spends from that meter. This module alone decides what a
+budget covers; the layers in between take no budget.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import time
 from bisect import bisect_right
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from .digits import repunit
@@ -93,7 +101,8 @@ class BudgetExhausted(Exception):
 
 @dataclass(frozen=True)
 class Budget:
-    """Wall-clock and iteration cap applied to one factorize() call."""
+    """Wall-clock and iteration cap on all the factoring of one call of a
+    public entry point: per command, and per n in a sweep."""
 
     seconds: float = 10.0
     iterations: int = 20_000_000
@@ -115,6 +124,33 @@ class _Clock:
         self.remaining -= cost
         if self.remaining <= 0 or time.monotonic() > self.deadline:
             raise BudgetExhausted(cofactor)
+
+
+# The meter of the running entry point; None outside every metered call.
+_METER: ContextVar[_Clock | None] = ContextVar("vpal_meter", default=None)
+
+
+def metered(fn):
+    """Make fn an entry point whose ``budget`` argument bounds all its factoring.
+
+    A call with an explicit budget starts a new meter that every factorize()
+    below it spends from. With budget None it joins the meter already
+    running, or starts a default one if none is.
+    """
+    position = list(inspect.signature(fn).parameters).index("budget")
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        budget = args[position] if len(args) > position else kwargs.get("budget")
+        if budget is None and _METER.get() is not None:
+            return fn(*args, **kwargs)
+        token = _METER.set(_Clock(budget or DEFAULT_BUDGET))
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _METER.reset(token)
+
+    return call
 
 
 def is_probable_prime(n: int) -> bool:
@@ -306,10 +342,17 @@ class Factorization:
 
 def factorize(n: int, budget: Budget | None = None) -> Factorization:
     """Complete factorization of n >= 1, or BudgetExhausted; its primes are
-    proven below psi_13 and BPSW-probable above."""
+    proven below psi_13 and BPSW-probable above.
+
+    An explicit budget bounds this call alone; with None it spends from the
+    running meter (see metered), or from a default budget if none is running.
+    """
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
-    clock = _Clock(budget or DEFAULT_BUDGET)
+    # Inlined rather than metered: nothing below factorize() factors.
+    clock = _METER.get() if budget is None else None
+    if clock is None:
+        clock = _Clock(budget or DEFAULT_BUDGET)
     counts: dict[int, int] = {}
     m = n
     for p in _FIRST_BLOCK:
@@ -427,21 +470,21 @@ def _cyclotomic_at_ten(d: int) -> int:
     return num // den
 
 
-def _phi10_factorization(d: int, budget: Budget) -> Factorization:
+def _phi10_factorization(d: int) -> Factorization:
     f = _phi10_done.get(d)
     if f is None:
-        f = _phi10_done[d] = factorize(_cyclotomic_at_ten(d), budget)
+        f = _phi10_done[d] = factorize(_cyclotomic_at_ten(d))
     return f
 
 
+@metered
 def factor_repunit(k: int, block_len: int = 1, budget: Budget | None = None) -> Factorization:
     """Factorization of repunit(k, block_len) through its cyclotomic pieces."""
     if k < 1 or block_len < 1:
         raise ValueError(f"expected k, block_len >= 1, got k={k}, block_len={block_len}")
-    budget = budget or DEFAULT_BUDGET
     out = Factorization(())
     for d in _divisors(block_len * k):
         if block_len % d != 0:
-            out = out.merge(_phi10_factorization(d, budget))
+            out = out.merge(_phi10_factorization(d))
     assert out.value == repunit(k, block_len)
     return out

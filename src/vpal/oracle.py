@@ -2,8 +2,10 @@
 
 Everything here checks the classification tables against direct computation.
 The literal test factors a number and its reversal and compares v values; the
-harnesses sweep corpora and produce mergeable reports. Factorization misses
-under the budget are recorded as skips, never guessed.
+harnesses sweep corpora and produce mergeable reports. A harness's budget
+bounds all the factoring it does for its one n, so each n of a sweep gets
+its own; factorization misses under the budget are recorded as skips, never
+guessed.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .factor import (
     BudgetExhausted,
     Factorization,
     factorize,
+    metered,
     primes_up_to,
     v_of_factorization,
     valuation,
@@ -109,6 +112,7 @@ def corpus(nmax: int) -> list[int]:
     return [n for n in range(1, nmax + 1) if eligible(n)]
 
 
+@metered
 def oracle_is_vpal(n: int, budget: Budget | None = None) -> bool:
     """The literal test: 10 does not divide n, n differs from its reversal,
     and v(n) equals v of the reversal, both via complete factorization."""
@@ -117,9 +121,10 @@ def oracle_is_vpal(n: int, budget: Budget | None = None) -> bool:
     if not eligible(n):
         return False
     r = reverse_digits(n)
-    return v_of_factorization(factorize(n, budget)) == v_of_factorization(factorize(r, budget))
+    return v_of_factorization(factorize(n)) == v_of_factorization(factorize(r))
 
 
+@metered
 def oracle_is_vpal_concat(n: int, k: int, budget: Budget | None = None) -> bool:
     """oracle_is_vpal(repeat_concat(n, k)), factoring only n and its reversal.
 
@@ -139,7 +144,7 @@ def oracle_is_vpal_concat(n: int, k: int, budget: Budget | None = None) -> bool:
     """
     if not eligible(n):
         return False
-    return _concat_verdict(factorize(n, budget), factorize(reverse_digits(n), budget), digit_count(n), k)
+    return _concat_verdict(factorize(n), factorize(reverse_digits(n)), digit_count(n), k)
 
 
 def _concat_verdict(fn: Factorization, fr: Factorization, L: int, k: int) -> bool:
@@ -158,9 +163,7 @@ def _labelled(template: str):
     return attach
 
 
-def _oracle_elements(
-    fn: Factorization, fr: Factorization, L: int, budget: Budget | None = None
-) -> set[int]:
+def _oracle_elements(fn: Factorization, fr: Factorization, L: int) -> set[int]:
     """d_p, d_p*p and d_p*p**2 for each prime p outside {2, 5} of n*r(n),
     given the factorizations fn of n and fr of r(n), L digits each.
 
@@ -171,7 +174,7 @@ def _oracle_elements(
     out = set()
     for p in primes - {2, 5}:
         divisors = [1]
-        for q, e in factorize(p - 1, budget):
+        for q, e in factorize(p - 1):
             divisors = [d * q**i for d in divisors for i in range(e + 1)]
         d = min(d for d in divisors if pow(10, d * L, p) == 1)
         out |= {d, d * p, d * p * p}
@@ -179,6 +182,7 @@ def _oracle_elements(
 
 
 @_labelled("procedure vs oracle: n{n}, every k")
+@metered
 def compare_procedure_oracle(n: int, budget: Budget | None = None) -> VerificationReport:
     """Procedure verdicts against the concatenation oracle, for every k at once.
 
@@ -212,12 +216,12 @@ def compare_procedure_oracle(n: int, budget: Budget | None = None) -> Verificati
     """
     t0 = time.monotonic()
     report = VerificationReport(corpus=compare_procedure_oracle.label.format(n=f"={n}"))
-    result = run_procedure(n, budget=budget)
     L = digit_count(n)
     try:
-        fn = factorize(n, budget)
-        fr = factorize(reverse_digits(n), budget)
-        ks = sorted(lcm_closure(result.elements | _oracle_elements(fn, fr, L, budget)))
+        result = run_procedure(n)
+        fn = factorize(n)
+        fr = factorize(reverse_digits(n))
+        ks = sorted(lcm_closure(result.elements | _oracle_elements(fn, fr, L)))
     except BudgetExhausted as exc:
         report.record_skip(n=n, reason="budget", cofactor=str(exc.cofactor))
         ks = []
@@ -230,6 +234,7 @@ def compare_procedure_oracle(n: int, budget: Budget | None = None) -> Verificati
 
 
 @_labelled("type invariance: n{n}, k<={kmax}")
+@metered
 def verify_invariance(
     n: int,
     kmax: int = 6,
@@ -251,12 +256,17 @@ def verify_invariance(
     """
     t0 = time.monotonic()
     report = VerificationReport(corpus=verify_invariance.label.format(n=f"={n}", kmax=kmax))
-    base = run_procedure(n, budget=budget)
+    try:
+        base = run_procedure(n)
+    except BudgetExhausted as exc:
+        report.record_skip(n=n, reason="budget", cofactor=str(exc.cofactor))
+        report.elapsed = time.monotonic() - t0
+        return report
     block = digit_count(n)
     for k in range(1, kmax + 1):
-        shifted = run_procedure(n, copies=k, budget=budget)
         try:
-            scratch = run_procedure(repeat_concat(n, k), budget=budget)
+            shifted = run_procedure(n, copies=k)
+            scratch = run_procedure(repeat_concat(n, k))
         except BudgetExhausted as exc:
             report.record_skip(n=n, k=k, reason="budget", cofactor=str(exc.cofactor))
             continue
@@ -282,6 +292,7 @@ def verify_invariance(
 
 
 @_labelled("periodicity: n{n}, periods={periods}, omega cap {omega_cap}")
+@metered
 def verify_periodicity(
     n: int,
     periods: int = 2,
@@ -304,7 +315,7 @@ def verify_periodicity(
     report = VerificationReport(
         corpus=verify_periodicity.label.format(n=f"={n}", periods=periods, omega_cap=omega_cap)
     )
-    result = run_procedure(n, budget=budget)
+    result = run_procedure(n)
     omega = result.omega
     if omega > omega_cap:
         report.record_skip(n=n, reason="omega_cap", omega=omega)
@@ -313,7 +324,7 @@ def verify_periodicity(
     pattern: dict[int, bool | None] = {}
     for k in range(1, periods * omega + 1):
         try:
-            pattern[k] = oracle_is_vpal_concat(n, k, budget)
+            pattern[k] = oracle_is_vpal_concat(n, k)
         except BudgetExhausted as exc:
             pattern[k] = None
             report.record_skip(n=n, k=k, reason="budget", cofactor=str(exc.cofactor))
@@ -327,6 +338,7 @@ def verify_periodicity(
 
 
 @_labelled("column disjointness: n{n}")
+@metered
 def verify_disjointness(n: int, budget: Budget | None = None) -> VerificationReport:
     """No k may be accepted by two solution columns.
 
@@ -340,7 +352,12 @@ def verify_disjointness(n: int, budget: Budget | None = None) -> VerificationRep
     """
     t0 = time.monotonic()
     report = VerificationReport(corpus=verify_disjointness.label.format(n=f"={n}"))
-    result = run_procedure(n, budget=budget)
+    try:
+        result = run_procedure(n)
+    except BudgetExhausted as exc:
+        report.record_skip(n=n, reason="budget", cofactor=str(exc.cofactor))
+        report.elapsed = time.monotonic() - t0
+        return report
     cols = result.columns
     for i in range(len(cols)):
         for j in range(i + 1, len(cols)):

@@ -13,8 +13,10 @@ sends g to an element of order d, so d divides ord(g) and ord(g) =
 d * ord(g**d); g**d lies in the kernel of (Z/p**e)^x -> (Z/p)^x, a group of
 order p**(e-1), so ord(g**d) = p**j with j <= e - 1.
 
-Each factorize() call takes the caller's budget. ord_p(10) is kept per prime
-once found, whatever budget found it.
+Each factorize() here spends from the meter of the running call (see
+factor.metered), so the caller's budget covers these factorizations too:
+per command, and per n in a sweep. ord_p(10) is kept per prime once found,
+under whichever meter found it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .factor import Budget, Factorization, factorize, is_probable_prime
+from .factor import Factorization, factorize, is_probable_prime, metered
 
 # p -> ord_p(10) for primes p outside {2, 5}.
 _ORDER_OF_TEN: dict[int, int] = {}
@@ -40,17 +42,22 @@ def _carmichael(f: Factorization) -> int:
     return lam
 
 
-def _order_dividing(g: int, modulus: int, exponent: int, budget: Budget | None) -> int:
+def _order_dividing(g: int, modulus: int, exponent: int) -> int:
     """Least e >= 1 with g**e == 1 (mod modulus), given g**exponent == 1 (mod modulus)."""
     order = exponent
-    for q, _ in factorize(exponent, budget):
+    for q, _ in factorize(exponent):
         while order % q == 0 and pow(g, order // q, modulus) == 1:
             order //= q
     return order
 
 
-def multiplicative_order(g: int, modulus: int, budget: Budget | None = None) -> int:
-    """Least e >= 1 with g**e == 1 (mod modulus); g must be a unit."""
+@metered
+def multiplicative_order(g: int, modulus: int, budget=None) -> int:
+    """Least e >= 1 with g**e == 1 (mod modulus); g must be a unit.
+
+    ``budget`` (a factor.Budget, or None) bounds both factorizations, of
+    modulus and of its Carmichael exponent, together.
+    """
     if modulus < 2:
         raise ValueError(f"expected modulus >= 2, got {modulus}")
     g %= modulus
@@ -58,7 +65,7 @@ def multiplicative_order(g: int, modulus: int, budget: Budget | None = None) -> 
         raise ValueError(f"{g} is not a unit modulo {modulus}")
     if g == 1:
         return 1
-    return _order_dividing(g, modulus, _carmichael(factorize(modulus, budget)), budget)
+    return _order_dividing(g, modulus, _carmichael(factorize(modulus)))
 
 
 def _require_coprime_to_ten(p: int) -> None:
@@ -68,13 +75,13 @@ def _require_coprime_to_ten(p: int) -> None:
         raise ValueError(f"expected a prime, got {p}")
 
 
-def _order_of_ten(p: int, budget: Budget | None) -> int:
+def _order_of_ten(p: int) -> int:
     """ord_p(10) for a prime p outside {2, 5}, from factorize(p - 1)."""
     order = _ORDER_OF_TEN.get(p)
     if order is None:
         if not is_probable_prime(p):
             raise ValueError(f"expected a prime, got {p}")
-        order = _ORDER_OF_TEN[p] = _order_dividing(10, p, p - 1, budget)
+        order = _ORDER_OF_TEN[p] = _order_dividing(10, p, p - 1)
     return order
 
 
@@ -95,7 +102,7 @@ def _ten_power_valuation(p: int, L: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def repunit_order(p: int, alpha: int, L: int, budget: Budget | None = None) -> int:
+def repunit_order(p: int, alpha: int, L: int) -> int:
     """Least k with p**alpha dividing repunit(k, L); order of 10**L as described above.
 
     Starts from the order of 10**L modulo p and multiplies by p until 10**L
@@ -108,7 +115,7 @@ def repunit_order(p: int, alpha: int, L: int, budget: Budget | None = None) -> i
         raise ValueError(f"expected alpha, L >= 1, got alpha={alpha}, L={L}")
     modulus = p ** (alpha + ten_power_valuation(p, L))
     g = pow(10, L, modulus)
-    t = _order_of_ten(p, budget)
+    t = _order_of_ten(p)
     order = t // math.gcd(L, t)
     while pow(g, order, modulus) != 1:
         order *= p

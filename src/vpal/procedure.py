@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .digits import decimal_string, digit_count, reverse_digits
-from .factor import Budget, factorize
+from .factor import Budget, factorize, metered
 from .order import repunit_order, repunit_valuation
 
 
@@ -181,9 +181,7 @@ class ConstraintPair:
         return f"({fmt(self.A)},{fmt(self.B)})"
 
 
-def constraint_entry(
-    p: int, label: CaseLabel, digit_len: int, budget: Budget | None = None
-) -> ConstraintPair:
+def constraint_entry(p: int, label: CaseLabel, digit_len: int) -> ConstraintPair:
     """Divisibility constraints contributed by prime p under the given case.
 
     Entry orders are taken at the digit length of the analyzed number; they
@@ -197,7 +195,7 @@ def constraint_entry(
         return ConstraintPair()
     if label is CaseLabel.VII:
         return ConstraintPair((), (1,))
-    h = lambda alpha: repunit_order(p, alpha, digit_len, budget)
+    h = lambda alpha: repunit_order(p, alpha, digit_len)
     if label is CaseLabel.I:
         return ConstraintPair((), (h(1),))
     if label is CaseLabel.II:
@@ -237,7 +235,7 @@ class CrucialPrime:
         return {"p": self.p, "a": self.a, "b": self.b, "delta": self.delta, "mu": self.mu}
 
 
-def crucial_primes(n: int, budget: Budget | None = None) -> tuple[CrucialPrime, ...]:
+def crucial_primes(n: int) -> tuple[CrucialPrime, ...]:
     """Primes dividing n and its reversal to different powers, ascending."""
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
@@ -246,8 +244,8 @@ def crucial_primes(n: int, budget: Budget | None = None) -> tuple[CrucialPrime, 
     r = reverse_digits(n)
     if n == r:
         raise InvalidInput(f"{n} equals its own digit reversal")
-    fn = factorize(n, budget)
-    fr = factorize(r, budget)
+    fn = factorize(n)
+    fr = factorize(r)
     out = []
     for p in sorted(set(fn.primes()) | set(fr.primes())):
         a, b = fn.exponent(p), fr.exponent(p)
@@ -503,18 +501,20 @@ def _coprime_base(xs) -> set[int]:
     return base
 
 
+@metered
 def run_procedure(n: int, copies: int = 1, budget: Budget | None = None) -> ProcedureResult:
     """Classify the copies-fold concatenation of n without factoring it.
 
     With copies == 1 this is the plain classification of n. With copies == k
     the result describes n(k): crucial primes and deltas are reused, mu is
     shifted by the repunit valuation at each prime, and entry orders are taken
-    at the concatenation's digit length. ``budget`` caps each factorization:
-    of n, of its reversal, and of p - 1 for each entry-order prime p.
+    at the concatenation's digit length. ``budget`` bounds the whole call:
+    the factorizations of n, of its reversal, and of p - 1 for each
+    entry-order prime p all spend from one meter (see factor.metered).
     """
     if copies < 1:
         raise ValueError(f"expected copies >= 1, got {copies}")
-    base = crucial_primes(n, budget)
+    base = crucial_primes(n)
     block = digit_count(n)
     digit_len = block * copies
     if copies == 1:
@@ -530,7 +530,7 @@ def run_procedure(n: int, copies: int = 1, budget: Budget | None = None) -> Proc
     for i, cp in enumerate(crucial):
         entries = [sol[i] for sol in solutions]
         labels = {u: classify_case(cp.p, abs(cp.delta), u, cp.mu) for u in dict.fromkeys(entries)}
-        pairs = {u: constraint_entry(cp.p, label, digit_len, budget) for u, label in labels.items()}
+        pairs = {u: constraint_entry(cp.p, label, digit_len) for u, label in labels.items()}
         case_rows.append(tuple(labels[u] for u in entries))
         constraint_rows.append(tuple(pairs[u] for u in entries))
     return ProcedureResult(

@@ -5,6 +5,8 @@ import pytest
 from vpal.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILED, main
 from vpal.oracle import VerificationReport
 
+from test_factor import ARNAULT_1995
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -133,10 +135,18 @@ def test_decimal_budget_flag_runs(capsys, value):
     assert code == EXIT_OK and out.strip() == "7"
 
 
-def test_budget_exhaustion_exit_2(capsys):
-    # product of two 30-digit primes; tiny budget cannot split it
-    n = str(100000000000000000000000000319 * 100000000000000000000000000379)
-    code, _, err = run(capsys, "--budget", "0.1", "v", n)
+@pytest.mark.parametrize(
+    "n, seconds",
+    [
+        # product of two 30-digit primes; tiny budget cannot split it
+        (100000000000000000000000000319 * 100000000000000000000000000379, "0.1"),
+        # passes Miller-Rabin at every prime base below 307; rho cannot split it
+        (ARNAULT_1995, "0.5"),
+    ],
+    ids=["semiprime", "arnault_1995"],
+)
+def test_budget_exhaustion_exit_2(capsys, n, seconds):
+    code, _, err = run(capsys, "--budget", seconds, "v", str(n))
     assert code == EXIT_BUDGET
     assert "budget" in err
 

@@ -85,6 +85,15 @@ def test_compare_procedure_oracle_skips_when_p_minus_1_does_not_factor(monkeypat
     assert rep.skips == [{"n": 13, "reason": "budget", "cofactor": "1001"}]
 
 
+@pytest.mark.parametrize("harness", [compare_procedure_oracle, verify_disjointness, verify_invariance])
+def test_harness_skips_when_n_does_not_factor(harness):
+    # factorize(n) alone needs 13,054 rho iterations
+    n = 860334011495401
+    rep = harness(n, budget=Budget(seconds=1e9, iterations=13_000))
+    assert (rep.checked, rep.failed, rep.skipped) == (1, 0, 1)
+    assert rep.skips == [{"n": n, "reason": "budget", "cofactor": str(n)}]
+
+
 def test_oracle_elements_match_a_scan_of_powers_of_ten():
     # d_p = ord_p(10**L), here by scanning j until 10**(j*L) = 1 (mod p)
     for n in (13, 1461, 98765):
@@ -140,7 +149,7 @@ def test_verify_invariance_catches_each_mutant(monkeypatch):
 
     order_at = procedure.repunit_order
     monkeypatch.setattr(procedure, "repunit_order",
-                        lambda p, alpha, L, budget=None: order_at(p, alpha, 1, budget))
+                        lambda p, alpha, L: order_at(p, alpha, 1))
     rep = sweep(verify_invariance, 200, kmax=4)
     assert (rep.failed, _kinds(rep)) == (234, ["pullback"])
 
@@ -155,8 +164,7 @@ def test_compare_procedure_oracle_catches_the_lift_mutant(monkeypatch):
     order_at = procedure.repunit_order
     monkeypatch.setattr(
         procedure, "repunit_order",
-        lambda p, alpha, L, budget=None:
-            order_at(p, 1, L, budget) * p if alpha == 2 else order_at(p, alpha, L, budget),
+        lambda p, alpha, L: order_at(p, 1, L) * p if alpha == 2 else order_at(p, alpha, L),
     )
     failed = {n: sorted(f["k"] for f in compare_procedure_oracle(n).failures) for n in changed}
     lattice_ks = [22113, 12095811, 6616408617]

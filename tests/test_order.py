@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from vpal.digits import repunit
-from vpal.factor import primes_up_to, valuation
+from vpal.factor import Budget, metered, primes_up_to, valuation
 from vpal.order import (
     multiplicative_order,
     repunit_order,
@@ -64,6 +64,16 @@ def test_repunit_order_examples():
     assert repunit_order(13, 2, 2) == 39
     assert repunit_order(31, 1, 2) == 15
     assert repunit_order(31, 2, 2) == 465
+
+
+def test_repunit_order_cache_is_shared_across_budgets():
+    @metered
+    def entry_order(budget):
+        return repunit_order(1000003, 1, 12)
+
+    repunit_order.cache_clear()
+    assert entry_order(Budget(seconds=1e9, iterations=10**6)) == entry_order(Budget(seconds=5.0))
+    assert repunit_order.cache_info().hits == 1
 
 
 def test_repunit_order_rejects_2_and_5():

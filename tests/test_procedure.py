@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vpal import procedure
-from vpal.factor import Budget, BudgetExhausted
-from vpal.oracle import corpus
+from vpal.digits import reverse_digits
+from vpal.factor import Budget, BudgetExhausted, factorize
+from vpal.oracle import corpus, oracle_is_vpal_concat
 from vpal.procedure import (
     AmbiguousType,
     CaseLabel,
@@ -485,14 +486,27 @@ def test_entry_orders_spend_the_callers_budget():
     assert result.constraint_table[-1][1] == ConstraintPair((n - 1,), (n * (n - 1),))
 
 
-def _per_cell_tables(r: ProcedureResult, budget: Budget | None = None):
+def test_a_budget_bounds_the_sum_of_a_calls_factorizations():
+    # factorize(n) spends 13,054 rho iterations and factorize(r(n)) 894: each
+    # fits 13,500, their sum does not.
+    n = 860334011495401
+    budget = Budget(seconds=1e9, iterations=13_500)
+    factorize(n, budget)
+    factorize(reverse_digits(n), budget)
+    with pytest.raises(BudgetExhausted):
+        run_procedure(n, budget=budget)
+    with pytest.raises(BudgetExhausted):
+        oracle_is_vpal_concat(n, 1, budget)
+
+
+def _per_cell_tables(r: ProcedureResult):
     # The tables built one cell at a time, each column the union down its cells.
     case_table = tuple(
         tuple(classify_case(cp.p, abs(cp.delta), sol[i], cp.mu) for sol in r.solutions)
         for i, cp in enumerate(r.crucial)
     )
     constraint_table = tuple(
-        tuple(constraint_entry(cp.p, label, r.digit_len, budget) for label in row)
+        tuple(constraint_entry(cp.p, label, r.digit_len) for label in row)
         for cp, row in zip(r.crucial, case_table)
     )
     columns = tuple(
@@ -508,7 +522,7 @@ def _per_cell_tables(r: ProcedureResult, budget: Budget | None = None):
 
 def _assert_tables_match_per_cell(n: int, copies: int, budget: Budget | None = None):
     r = run_procedure(n, copies=copies, budget=budget)
-    expected = _per_cell_tables(r, budget)
+    expected = _per_cell_tables(r)
     assert (r.case_table, r.constraint_table, r.columns, r.omega) == expected, (n, copies)
 
 
