@@ -109,7 +109,6 @@ def _build_parser() -> _Parser:
     q.add_argument("--alphamax", type=_decimal, default=3)
     q.add_argument("--kmax", type=_decimal, default=60)
     q.add_argument("--lmax", type=_decimal, default=6)
-    q.add_argument("--check", choices=["divisibility", "rescale", "both"], default="both")
 
     q = what.add_parser("disjointness", help="no k accepted by two solution columns")
     q.add_argument("--nmax", type=_decimal, default=DEFAULT_NMAX)
@@ -232,8 +231,7 @@ def _cmd_verify(args, budget: Budget) -> int:
     elif args.what == "invariance":
         report = sweep(verify_invariance, args.nmax, args.jobs, kmax=args.kmax, budget=budget)
     elif args.what == "lemmas":
-        checks = ("divisibility", "rescale") if args.check == "both" else (args.check,)
-        report = verify_lemmas(args.pmax, args.alphamax, args.kmax, args.lmax, checks)
+        report = verify_lemmas(args.pmax, args.alphamax, args.kmax, args.lmax)
     elif args.what == "disjointness":
         report = sweep(verify_disjointness, args.nmax, args.jobs, budget=budget)
     else:  # enumerate

@@ -14,8 +14,10 @@ restarts under a wall-clock plus iteration budget.
 
 One budget bounds all the factoring of a call: a public entry point decorated
 with ``metered`` starts one meter for its ``budget`` argument, and every
-factorize() below it spends from that meter. This module alone decides what a
-budget covers; the layers in between take no budget.
+factorize() below it spends from that meter. The meter keeps each
+factorization it completes, so a metered call factors each integer once.
+This module alone decides what a budget covers; the layers in between take
+no budget.
 """
 
 from __future__ import annotations
@@ -119,6 +121,7 @@ class _Clock:
     def __init__(self, budget: Budget):
         self.deadline = time.monotonic() + budget.seconds
         self.remaining = budget.iterations
+        self.factored: dict[int, Factorization] = {}  # dies with the meter
 
     def spend(self, cost: int, cofactor: int) -> None:
         self.remaining -= cost
@@ -353,6 +356,8 @@ def factorize(n: int, budget: Budget | None = None) -> Factorization:
     clock = _METER.get() if budget is None else None
     if clock is None:
         clock = _Clock(budget or DEFAULT_BUDGET)
+    if n in clock.factored:
+        return clock.factored[n]
     counts: dict[int, int] = {}
     m = n
     for p in _FIRST_BLOCK:
@@ -396,7 +401,7 @@ def factorize(n: int, budget: Budget | None = None) -> Factorization:
                     c += 1
                 stack.append(d)
                 stack.append(m // d)
-    return Factorization(tuple(sorted(counts.items())))
+    return clock.factored.setdefault(n, Factorization(tuple(sorted(counts.items()))))
 
 
 def valuation(p: int, n: int) -> int:

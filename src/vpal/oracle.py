@@ -13,6 +13,7 @@ from __future__ import annotations
 import inspect
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 from multiprocessing import Pool
@@ -163,6 +164,26 @@ def _labelled(template: str):
     return attach
 
 
+@contextmanager
+def _budget_skip(report: VerificationReport, **inputs):
+    """Record a BudgetExhausted that escapes the block as the skip of inputs."""
+    try:
+        yield
+    except BudgetExhausted as exc:
+        report.record_skip(**inputs, reason="budget", cofactor=str(exc.cofactor))
+
+
+@contextmanager
+def _per_n_report(check, n: int, **params):
+    """The report of one per-n harness check at n, labelled from check.label
+    with params, timed, and recording a budget run-out in the block as n's skip."""
+    t0 = time.monotonic()
+    report = VerificationReport(corpus=check.label.format(n=f"={n}", **params))
+    with _budget_skip(report, n=n):
+        yield report
+    report.elapsed = time.monotonic() - t0
+
+
 def _oracle_elements(fn: Factorization, fr: Factorization, L: int) -> set[int]:
     """d_p, d_p*p and d_p*p**2 for each prime p outside {2, 5} of n*r(n),
     given the factorizations fn of n and fr of r(n), L digits each.
@@ -212,24 +233,17 @@ def compare_procedure_oracle(n: int, budget: Budget | None = None) -> Verificati
 
     The oracle side takes d_p and x_p from modular powers and factorize
     alone, so the check does not lean on the entry orders it tests. It
-    factors n and r(n) once, for the elements and every m.
+    factors n and r(n) once, for the procedure, the elements and every m.
     """
-    t0 = time.monotonic()
-    report = VerificationReport(corpus=compare_procedure_oracle.label.format(n=f"={n}"))
-    L = digit_count(n)
-    try:
+    with _per_n_report(compare_procedure_oracle, n) as report:
+        L = digit_count(n)
         result = run_procedure(n)
         fn = factorize(n)
         fr = factorize(reverse_digits(n))
-        ks = sorted(lcm_closure(result.elements | _oracle_elements(fn, fr, L)))
-    except BudgetExhausted as exc:
-        report.record_skip(n=n, reason="budget", cofactor=str(exc.cofactor))
-        ks = []
-    for m in ks:
-        predicted = result.accepts(m)
-        actual = _concat_verdict(fn, fr, L, m)
-        report.record(predicted == actual, n=n, k=m, predicted=predicted, actual=actual)
-    report.elapsed = time.monotonic() - t0
+        for m in sorted(lcm_closure(result.elements | _oracle_elements(fn, fr, L))):
+            predicted = result.accepts(m)
+            actual = _concat_verdict(fn, fr, L, m)
+            report.record(predicted == actual, n=n, k=m, predicted=predicted, actual=actual)
     return report
 
 
@@ -252,42 +266,33 @@ def verify_invariance(
     share their solutions and column l of n(k) accepts j exactly when column
     l of n accepts k*j, that is, equals col_l(n).pullback(k) as a set. Both
     sides are compared in canonical form, which decides the type of n(k*j)
-    for every j at once.
+    for every j at once. A budget run-out at k is the skip of (n, k).
     """
-    t0 = time.monotonic()
-    report = VerificationReport(corpus=verify_invariance.label.format(n=f"={n}", kmax=kmax))
-    try:
+    with _per_n_report(verify_invariance, n, kmax=kmax) as report:
         base = run_procedure(n)
-    except BudgetExhausted as exc:
-        report.record_skip(n=n, reason="budget", cofactor=str(exc.cofactor))
-        report.elapsed = time.monotonic() - t0
-        return report
-    block = digit_count(n)
-    for k in range(1, kmax + 1):
-        try:
-            shifted = run_procedure(n, copies=k)
-            scratch = run_procedure(repeat_concat(n, k))
-        except BudgetExhausted as exc:
-            report.record_skip(n=n, k=k, reason="budget", cofactor=str(exc.cofactor))
-            continue
-        same_primes = [cp.p for cp in scratch.crucial] == [cp.p for cp in base.crucial]
-        same_delta = [cp.delta for cp in scratch.crucial] == [cp.delta for cp in base.crucial]
-        rho = repunit(k, block)
-        mu_shift_ok = same_primes and all(
-            sc.mu == bc.mu + valuation(bc.p, rho) for sc, bc in zip(scratch.crucial, base.crucial)
-        )
-        tables_equal = replace(shifted, n=scratch.n, copies=1) == scratch  # every table field
-        report.record(
-            same_primes and same_delta and mu_shift_ok and tables_equal,
-            n=n, k=k, kind="shift tables",
-            same_primes=same_primes, same_delta=same_delta,
-            mu_shift_ok=mu_shift_ok, tables_equal=tables_equal,
-        )
-        same_solutions = scratch.solutions == base.solutions
-        for l, col in enumerate(base.columns):
-            agree = same_solutions and col.pullback(k).canonical() == scratch.columns[l].canonical()
-            report.record(agree, n=n, k=k, column=l, kind="pullback")
-    report.elapsed = time.monotonic() - t0
+        block = digit_count(n)
+        for k in range(1, kmax + 1):
+            with _budget_skip(report, n=n, k=k):
+                shifted = run_procedure(n, copies=k)
+                scratch = run_procedure(repeat_concat(n, k))
+                same_primes = [cp.p for cp in scratch.crucial] == [cp.p for cp in base.crucial]
+                same_delta = [cp.delta for cp in scratch.crucial] == [cp.delta for cp in base.crucial]
+                rho = repunit(k, block)
+                mu_shift_ok = same_primes and all(
+                    sc.mu == bc.mu + valuation(bc.p, rho) for sc, bc in zip(scratch.crucial, base.crucial)
+                )
+                tables_equal = replace(shifted, n=scratch.n, copies=1) == scratch  # every table field
+                report.record(
+                    same_primes and same_delta and mu_shift_ok and tables_equal,
+                    n=n, k=k, kind="shift tables",
+                    same_primes=same_primes, same_delta=same_delta,
+                    mu_shift_ok=mu_shift_ok, tables_equal=tables_equal,
+                )
+                same_solutions = scratch.solutions == base.solutions
+                for l, col in enumerate(base.columns):
+                    pulled = col.pullback(k).canonical()
+                    agree = same_solutions and pulled == scratch.columns[l].canonical()
+                    report.record(agree, n=n, k=k, column=l, kind="pullback")
     return report
 
 
@@ -350,27 +355,20 @@ def verify_disjointness(n: int, budget: Budget | None = None) -> VerificationRep
     also equal the popcount of accept_mask(m), the cell-by-cell verdict that
     accepts and type_of read.
     """
-    t0 = time.monotonic()
-    report = VerificationReport(corpus=verify_disjointness.label.format(n=f"={n}"))
-    try:
+    with _per_n_report(verify_disjointness, n) as report:
         result = run_procedure(n)
-    except BudgetExhausted as exc:
-        report.record_skip(n=n, reason="budget", cofactor=str(exc.cofactor))
-        report.elapsed = time.monotonic() - t0
-        return report
-    cols = result.columns
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            inter = cols[i].union(cols[j])
-            report.record(inter.is_empty(), n=n, columns=[i, j], kind="pairwise intersection")
-    for m in sorted(result.lattice):
-        hits = sum(col.accepts(m) for col in cols)
-        mask_hits = result.accept_mask(m).bit_count()
-        inputs = {"n": n, "k": m, "hits": hits, "kind": "lattice scan"}
-        if mask_hits != hits:
-            inputs["mask_hits"] = mask_hits
-        report.record(hits <= 1 and mask_hits == hits, **inputs)
-    report.elapsed = time.monotonic() - t0
+        cols = result.columns
+        for i in range(len(cols)):
+            for j in range(i + 1, len(cols)):
+                inter = cols[i].union(cols[j])
+                report.record(inter.is_empty(), n=n, columns=[i, j], kind="pairwise intersection")
+        for m in sorted(result.lattice):
+            hits = sum(col.accepts(m) for col in cols)
+            mask_hits = result.accept_mask(m).bit_count()
+            inputs = {"n": n, "k": m, "hits": hits, "kind": "lattice scan"}
+            if mask_hits != hits:
+                inputs["mask_hits"] = mask_hits
+            report.record(hits <= 1 and mask_hits == hits, **inputs)
     return report
 
 
@@ -379,7 +377,6 @@ def verify_lemmas(
     alpha_max: int = 3,
     k_max: int = 60,
     L_max: int = 6,
-    checks: tuple[str, ...] = ("divisibility", "rescale"),
 ) -> VerificationReport:
     """Exhaustive grid checks of the two entry-order facts.
 
@@ -390,7 +387,7 @@ def verify_lemmas(
     """
     t0 = time.monotonic()
     report = VerificationReport(
-        corpus=f"entry orders: p<={p_max}, alpha<={alpha_max}, k<={k_max}, L<={L_max}, checks={','.join(checks)}"
+        corpus=f"entry orders: p<={p_max}, alpha<={alpha_max}, k<={k_max}, L<={L_max}"
     )
     for p in primes_up_to(p_max):
         if p in (2, 5):
@@ -399,24 +396,21 @@ def verify_lemmas(
             for L in range(1, L_max + 1):
                 h = repunit_order(p, alpha, L)
                 report.record(h >= 2, p=p, alpha=alpha, L=L, h=h, kind="h lower bound")
-                if "divisibility" in checks:
-                    m = p**alpha
-                    t = pow(10, L, m)
-                    acc = 0
-                    for k in range(1, k_max + 1):
-                        acc = (acc * t + 1) % m
-                        divides = acc == 0
-                        report.record(
-                            divides == (k % h == 0),
-                            p=p, alpha=alpha, L=L, k=k, h=h, kind="divisibility",
-                        )
-                if "rescale" in checks:
-                    for k in range(1, k_max + 1):
-                        lhs = repunit_order_rescaled(p, alpha, k, L)
-                        rhs = repunit_order(p, alpha, L * k)
-                        report.record(
-                            lhs == rhs, p=p, alpha=alpha, L=L, k=k, lhs=lhs, rhs=rhs, kind="rescale",
-                        )
+                m = p**alpha
+                t = pow(10, L, m)
+                acc = 0
+                for k in range(1, k_max + 1):
+                    acc = (acc * t + 1) % m
+                    divides = acc == 0
+                    report.record(
+                        divides == (k % h == 0),
+                        p=p, alpha=alpha, L=L, k=k, h=h, kind="divisibility",
+                    )
+                    lhs = repunit_order_rescaled(p, alpha, k, L)
+                    rhs = repunit_order(p, alpha, L * k)
+                    report.record(
+                        lhs == rhs, p=p, alpha=alpha, L=L, k=k, lhs=lhs, rhs=rhs, kind="rescale",
+                    )
     report.elapsed = time.monotonic() - t0
     return report
 

@@ -107,14 +107,14 @@ def test_criterion_2_type_invariance():
 
 
 def test_criterion_3_entry_order_divisibility():
-    rep = verify_lemmas(p_max=100, alpha_max=3, k_max=60, L_max=6, checks=("divisibility",))
+    rep = verify_lemmas(p_max=100, alpha_max=3, k_max=60, L_max=6)
     ok = _report_line(3, "entry-order divisibility + lower bound, p<=100 a<=3 L<=6 k<=60", rep)
     assert ok, rep.failures[:5]
     assert rep.skipped == 0
 
 
 def test_criterion_4_rescaling_identity():
-    rep = verify_lemmas(p_max=50, alpha_max=2, k_max=12, L_max=4, checks=("rescale",))
+    rep = verify_lemmas(p_max=50, alpha_max=2, k_max=12, L_max=4)
     ok = _report_line(4, "block-length rescaling identity, p<=50 a<=2 k<=12 L<=4", rep)
     assert ok, rep.failures[:5]
     assert rep.skipped == 0

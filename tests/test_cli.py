@@ -154,7 +154,7 @@ def test_budget_exhaustion_exit_2(capsys, n, seconds):
 def test_verify_lemmas_cli(capsys):
     code, out, _ = run(
         capsys, "verify", "lemmas", "--pmax", "20", "--alphamax", "1",
-        "--kmax", "6", "--lmax", "2", "--check", "divisibility",
+        "--kmax", "6", "--lmax", "2",
     )
     assert code == EXIT_OK
     assert "0 failed" in out
@@ -179,10 +179,16 @@ def test_removed_invariance_options_exit_64(capsys, option):
 
 
 @pytest.mark.parametrize(
-    "argv", [["verify", "periodicity"], ["verify", "oracle", "--nmax", "40", "--kmax", "8"]]
+    "argv",
+    [
+        ["verify", "periodicity"],
+        ["verify", "oracle", "--nmax", "40", "--kmax", "8"],
+        ["verify", "lemmas", "--pmax", "20", "--check", "divisibility"],
+    ],
 )
 def test_removed_options_exit_64(capsys, argv):
-    # verify oracle checks every k, which makes the oracle omega-periodic too
+    # verify oracle checks every k, which makes the oracle omega-periodic too;
+    # verify lemmas always checks both identities
     with pytest.raises(SystemExit) as exc:
         main(argv)
     err = capsys.readouterr().err

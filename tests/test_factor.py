@@ -180,6 +180,20 @@ def test_budget_exhaustion_names_composite_cofactor():
     assert not is_probable_prime(cofactor)
 
 
+def test_a_metered_call_factors_each_integer_once():
+    # factorize(n) needs 13,054 rho iterations: twice would overrun 13,500.
+    n = 860334011495401
+
+    @factor.metered
+    def twice(budget=None):
+        return factorize(n), factorize(n)
+
+    first, second = twice(budget=Budget(seconds=1e9, iterations=13_500))
+    assert first is second and first.value == n
+    # The kept factorization goes with the meter: a new call factors afresh.
+    assert twice(budget=Budget(seconds=1e9, iterations=13_500))[0] is not first
+
+
 def test_valuation():
     assert valuation(3, 18) == 2
     assert valuation(7, 18) == 0

@@ -94,6 +94,24 @@ def test_harness_skips_when_n_does_not_factor(harness):
     assert rep.skips == [{"n": n, "reason": "budget", "cofactor": str(n)}]
 
 
+# run_procedure(n) spends 13,948 rho iterations on n and r(n); a harness
+# that factored them again would overrun 14,500.
+FACTORED_ONCE = (860334011495401, Budget(seconds=1e9, iterations=14_500))
+
+
+def test_compare_procedure_oracle_factors_n_and_its_reversal_once():
+    n, budget = FACTORED_ONCE
+    rep = compare_procedure_oracle(n, budget=budget)
+    assert (rep.checked, rep.failed, rep.skipped) == (784, 0, 0)
+
+
+def test_verify_invariance_factors_n_and_its_reversal_once():
+    # n(1) = n: the shifted and the from-scratch tables need no new factoring
+    n, budget = FACTORED_ONCE
+    rep = verify_invariance(n, 1, budget=budget)
+    assert (rep.checked, rep.failed, rep.skipped) == (1, 0, 0)
+
+
 def test_oracle_elements_match_a_scan_of_powers_of_ten():
     # d_p = ord_p(10**L), here by scanning j until 10**(j*L) = 1 (mod p)
     for n in (13, 1461, 98765):
