@@ -21,6 +21,7 @@ import math
 import os
 import re
 import sys
+import time
 from importlib import resources
 
 from .digits import decimal_string, parse_decimal, reverse_digits
@@ -235,6 +236,7 @@ def _cmd_verify(args, budget: Budget) -> int:
     elif args.what == "disjointness":
         report = sweep(verify_disjointness, args.nmax, args.jobs, budget=budget)
     else:  # enumerate
+        t0 = time.monotonic()
         report = VerificationReport(corpus=f"enumeration vs golden file: limit {args.limit}")
         values = enumerate_vpals(args.limit, budget, report)
         golden = _load_golden()
@@ -242,6 +244,7 @@ def _cmd_verify(args, budget: Budget) -> int:
         expected = [g for g in golden if g <= comparable]
         got = [x for x in values if x <= comparable]
         report.record(got == expected, limit=args.limit, expected_count=len(expected), got_count=len(got))
+        report.elapsed = time.monotonic() - t0
         if args.print_values:
             for x in values:
                 print(x)

@@ -281,7 +281,7 @@ def verify_invariance(
                 mu_shift_ok = same_primes and all(
                     sc.mu == bc.mu + valuation(bc.p, rho) for sc, bc in zip(scratch.crucial, base.crucial)
                 )
-                tables_equal = replace(shifted, n=scratch.n, copies=1) == scratch  # every table field
+                tables_equal = replace(shifted, n=scratch.n, copies=1) == scratch  # every row, so every table cell
                 report.record(
                     same_primes and same_delta and mu_shift_ok and tables_equal,
                     n=n, k=k, kind="shift tables",

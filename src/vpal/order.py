@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .factor import Factorization, factorize, is_probable_prime, metered
+from .factor import Factorization, factorize, is_known_prime, metered
 
 # p -> ord_p(10) for primes p outside {2, 5}.
 _ORDER_OF_TEN: dict[int, int] = {}
@@ -76,10 +76,11 @@ def _require_coprime_to_ten(p: int) -> None:
 
 
 def _order_of_ten(p: int) -> int:
-    """ord_p(10) for a prime p outside {2, 5}, from factorize(p - 1)."""
+    """ord_p(10) for a prime p outside {2, 5}, from factorize(p - 1); p is
+    tested for primality only when the running meter has not proved it."""
     order = _ORDER_OF_TEN.get(p)
     if order is None:
-        if not is_probable_prime(p):
+        if not is_known_prime(p):
             raise ValueError(f"expected a prime, got {p}")
         order = _ORDER_OF_TEN[p] = _order_dividing(10, p, p - 1)
     return order

@@ -15,14 +15,17 @@ n(k) is a v-palindrome, by pure divisibility arithmetic:
    crucial primes, not the 3^m vectors of the full product;
 3. classify each (prime, distinct solution entry) pair, at most three per
    prime, into one of seven cases and translate cases into divisibility
-   constraints on k; the cells of a row are looked up by their entry;
+   constraints on k. Each such pair is one cell of the prime's row, kept with
+   the mask of the solutions taking that entry; the walk of step 2 builds the
+   masks, since the solutions completing a prefix are a contiguous run;
 4. a solution's column, the union of its cells, accepts exactly the k in
    S(A, B) = {x : every a in A divides x, no b in B divides x}; as
    S(A ∪ A', B ∪ B') = S(A, B) ∩ S(A', B'), that is the k every cell of the
-   column accepts, so acceptance is decided cell by cell, each distinct cell
-   of a row tested once. The accepted sets are pairwise disjoint, and the
-   accepting solution is the type of the v-palindrome n(k). The columns and
-   omega are derived from the constraint table only when asked for.
+   column accepts, so acceptance is decided from the rows, each distinct
+   cell tested once. The accepted sets are pairwise disjoint, and the
+   accepting solution is the type of the v-palindrome n(k). The case and
+   constraint tables (one cell per prime and solution), the columns and
+   omega are views derived from the rows only when asked for.
 
 run_procedure(n, copies=k) produces the same tables for the base number n(k)
 without ever factoring n(k): crucial primes and deltas carry over, mu shifts
@@ -37,6 +40,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple
 
 from .digits import decimal_string, digit_count, reverse_digits
 from .factor import Budget, factorize, metered
@@ -254,20 +258,33 @@ def crucial_primes(n: int) -> tuple[CrucialPrime, ...]:
     return tuple(out)
 
 
-def solve_characteristic(crucial: tuple[CrucialPrime, ...]) -> tuple[Solution, ...]:
-    """All sign-balanced increment vectors, in lexicographic order.
+class Solved(NamedTuple):
+    """The solutions, and per crucial prime i the mask of the solutions whose
+    entry i is u (bit l for solution l), keyed by u in order of first appearance."""
+
+    solutions: tuple[Solution, ...]
+    entry_masks: tuple[dict[int, int], ...]
+
+
+def solve_characteristic(crucial: tuple[CrucialPrime, ...]) -> Solved:
+    """All sign-balanced increment vectors, in lexicographic order, with the
+    solution mask of each (prime, entry) pair.
 
     Entry i ranges over v_increment_range(p_i, |delta_i|); a vector solves the
     equation when the delta-signed sum of its entries is zero.
 
     With t_i = s_i * u_i the signed entries and [lo_i, hi_i] the range of the
-    prefix sums t_0 + ... + t_{i-1}, R_i holds the suffix sums t_i + ... +
-    t_{m-1} that lie in [-hi_i, -lo_i], the only ones a prefix can cancel;
-    R_m = {0}.
-    A prefix with sum P extends by u_i only when -(P + t_i) lies in R_{i+1}, so
-    every prefix the walk keeps completes to a solution. The cost is building
-    the R_i plus O(m * #solutions), in place of the 3^m vectors of the product;
-    extending each prefix in ascending u_i keeps the lexicographic order.
+    prefix sums t_0 + ... + t_{i-1}, C_i counts, per suffix sum t_i + ... +
+    t_{m-1} in [-hi_i, -lo_i] (the only ones a prefix can cancel), the
+    suffixes that reach it; C_m = {0: 1}.
+    A prefix with sum P extends by u_i only when -(P + t_i) is a key of
+    C_{i+1}, so every prefix the walk keeps completes to a solution. The cost
+    is building the C_i plus O(m * #solutions), in place of the 3^m vectors of
+    the product; extending each prefix in ascending u_i keeps the lexicographic
+    order. So the completions of a prefix are a contiguous run of solutions, as
+    long as the count C_{i+1}(-(P + t_i)) and starting where its elder
+    siblings' runs end: the mask of (prime i, entry u) is the OR of the runs of
+    the level-(i+1) prefixes ending in u.
     """
     if not crucial:
         raise ValueError("need at least one crucial prime")
@@ -277,15 +294,38 @@ def solve_characteristic(crucial: tuple[CrucialPrime, ...]) -> tuple[Solution, .
     for s, us in levels:
         lo.append(lo[-1] + min(s * u for u in us))
         hi.append(hi[-1] + max(s * u for u in us))
-    reach = [{0}]  # R_m, ..., R_1
+    counts = [{0: 1}]  # C_m, ..., C_1
     for i in range(len(levels) - 1, 0, -1):
         s, us = levels[i]
-        reach.append({x for u in us for r in reach[-1] if -hi[i] <= (x := s * u + r) <= -lo[i]})
-    prefixes = [((), 0)]  # (entries so far, their signed sum)
-    for (s, us), rest in zip(levels, reversed(reach)):
-        prefixes = [(pre + (u,), total + s * u) for pre, total in prefixes for u in us
-                    if -(total + s * u) in rest]
-    return tuple(pre for pre, _ in prefixes)
+        count: dict[int, int] = {}
+        for u in us:
+            for r, ways in counts[-1].items():
+                if -hi[i] <= (x := s * u + r) <= -lo[i]:
+                    count[x] = count.get(x, 0) + ways
+        counts.append(count)
+    prefixes = [((), 0, 0)]  # (entries so far, their signed sum, their first solution)
+    entry_masks = []
+    for (s, us), rest in zip(levels, reversed(counts)):
+        extended, masks = [], {}
+        for pre, total, start in prefixes:
+            for u in us:
+                if width := rest.get(-(total + s * u)):
+                    extended.append((pre + (u,), total + s * u, start))
+                    masks[u] = masks.get(u, 0) | ((1 << width) - 1) << start
+                    start += width
+        prefixes = extended
+        entry_masks.append(masks)
+    return Solved(tuple(pre for pre, _, _ in prefixes), tuple(entry_masks))
+
+
+class Cell(NamedTuple):
+    """One distinct cell of a table row: the entry u that solutions take at the
+    row's prime, its case and constraints, and the mask of those solutions."""
+
+    entry: int
+    label: CaseLabel
+    pair: ConstraintPair
+    mask: int
 
 
 @dataclass(frozen=True)
@@ -293,13 +333,15 @@ class ProcedureResult:
     """Everything the classification produces for one analyzed number.
 
     The analyzed number is the copies-fold concatenation of n (copies == 1
-    means n itself). Tables are indexed [prime][solution]. Solution l accepts
-    exactly the k that every cell of its column, constraint_table[i][l] over
-    the primes i, accepts; ``accepts`` and ``type_of`` decide k that way, by
-    per-row bitmasks of the solutions holding each distinct cell.
-    ``columns[l]``, the union of those cells, and ``omega``, the lcm of every
-    constraint element and a period of the acceptance pattern, are derived
-    from the table when first read.
+    means n itself). ``rows[i]`` holds the distinct cells of crucial prime i,
+    at most three, in order of first appearance: the cell of solution l is the
+    one whose entry is its i-th entry, and bit l is set in that cell's mask.
+    Solution l accepts exactly the k that every cell of its column accepts;
+    ``accepts`` and ``type_of`` decide k that way, from the rows alone.
+    ``case_table`` and ``constraint_table``, indexed [prime][solution], the
+    ``columns`` (``columns[l]`` the union of column l's cells) and ``omega``,
+    the lcm of every constraint element and a period of the acceptance
+    pattern, are views derived from the rows when first read.
     """
 
     n: int
@@ -307,8 +349,23 @@ class ProcedureResult:
     digit_len: int
     crucial: tuple[CrucialPrime, ...]
     solutions: tuple[Solution, ...]
-    case_table: tuple[tuple[CaseLabel, ...], ...]
-    constraint_table: tuple[tuple[ConstraintPair, ...], ...]
+    rows: tuple[tuple[Cell, ...], ...]
+
+    def _spread(self, field: str) -> tuple[tuple, ...]:
+        # Per row, the field of each solution's cell, looked up by its entry.
+        entries = zip(*self.solutions) if self.solutions else [()] * len(self.rows)
+        return tuple(
+            tuple(map({cell.entry: getattr(cell, field) for cell in row}.__getitem__, us))
+            for row, us in zip(self.rows, entries)
+        )
+
+    @cached_property
+    def case_table(self) -> tuple[tuple[CaseLabel, ...], ...]:
+        return self._spread("label")
+
+    @cached_property
+    def constraint_table(self) -> tuple[tuple[ConstraintPair, ...], ...]:
+        return self._spread("pair")
 
     @cached_property
     def columns(self) -> tuple[ConstraintPair, ...]:
@@ -319,24 +376,6 @@ class ProcedureResult:
             for column in zip(*self.constraint_table)
         )
 
-    @cached_property
-    def _cell_masks(self) -> tuple[tuple[tuple[ConstraintPair, int], ...], ...]:
-        # Per row, each distinct cell with the mask whose bit l says that
-        # solution l's column holds it. Cells are told apart by identity:
-        # run_procedure shares one object per distinct entry, at most three
-        # per row, and an id hashes faster than a pair. Equal cells that are
-        # separate objects only get separate masks.
-        rows = []
-        for row in self.constraint_table:
-            groups: dict[int, list] = {}
-            for l, cell in enumerate(row):
-                if (group := groups.get(id(cell))) is None:
-                    groups[id(cell)] = [cell, 1 << l]
-                else:
-                    group[1] |= 1 << l
-            rows.append(tuple(map(tuple, groups.values())))
-        return tuple(rows)
-
     def accept_mask(self, k: int) -> int:
         """Bitmask of the solutions whose column accepts k (bit l for solution l).
 
@@ -346,10 +385,10 @@ class ProcedureResult:
         if k < 1:
             raise ValueError(f"expected k >= 1, got {k}")
         mask = (1 << len(self.solutions)) - 1
-        for row in self._cell_masks:
+        for row in self.rows:
             hit = 0
-            for cell, bits in row:
-                if cell.accepts(k):
+            for _, _, pair, bits in row:
+                if pair.accepts(k):
                     hit |= bits
             mask &= hit
             if not mask:
@@ -378,8 +417,7 @@ class ProcedureResult:
     @cached_property
     def elements(self) -> frozenset[int]:
         """E: every constraint element of every cell, so of every column."""
-        cells = {id(cell): cell for row in self.constraint_table for cell in row}.values()
-        return frozenset(x for cell in cells for x in cell.A | cell.B)
+        return frozenset(x for row in self.rows for cell in row for x in cell.pair.A | cell.pair.B)
 
     @cached_property
     def omega(self) -> int:
@@ -427,7 +465,8 @@ class ProcedureResult:
     @cached_property
     def case_vii_count(self) -> int:
         """Occurrences of the catch-all case in the table (expected never to accept)."""
-        return sum(row.count(CaseLabel.VII) for row in self.case_table)
+        return sum(cell.mask.bit_count() for row in self.rows for cell in row
+                   if cell.label is CaseLabel.VII)
 
     def to_dict(self) -> dict:
         return {
@@ -457,11 +496,35 @@ class ProcedureResult:
         return json.dumps(self.to_dict(), **kwargs)
 
     @classmethod
+    def from_tables(cls, n: int, copies: int, digit_len: int, crucial: tuple[CrucialPrime, ...],
+                    solutions: tuple[Solution, ...], case_table, constraint_table) -> "ProcedureResult":
+        """The result with these tables, indexed [prime][solution]; ValueError
+        when they are not one row per crucial prime and one cell per solution,
+        when a solution lacks an entry per crucial prime, or when a row gives
+        two different cells to one entry."""
+        width = len(solutions)
+        if not crucial or any(len(sol) != len(crucial) for sol in solutions) or any(
+            len(table) != len(crucial) or any(len(row) != width for row in table)
+            for table in (case_table, constraint_table)
+        ):
+            raise ValueError("tables need one row per crucial prime and one cell per solution")
+        rows = []
+        for i, cells in enumerate(zip(case_table, constraint_table)):
+            by_entry: dict[int, list] = {}
+            for l, (sol, label, pair) in enumerate(zip(solutions, *cells)):
+                cell = by_entry.setdefault(sol[i], [label, pair, 0])
+                if cell[:2] != [label, pair]:
+                    raise ValueError(f"row {i} gives entry {sol[i]} two different cells")
+                cell[2] |= 1 << l
+            rows.append(tuple(Cell(u, *cell) for u, cell in by_entry.items()))
+        return cls(n, copies, digit_len, crucial, solutions, tuple(rows))
+
+    @classmethod
     def from_dict(cls, d: dict) -> "ProcedureResult":
-        """The result a to_dict document describes; ValueError when its tables are
-        not one row per crucial prime and one cell per solution, or when its
-        columns or omega disagree with those its constraint table gives."""
-        result = cls(
+        """The result a to_dict document describes; ValueError when from_tables
+        rejects its tables, or when its columns or omega disagree with those its
+        constraint table gives."""
+        result = cls.from_tables(
             n=int(d["n"]),
             copies=d["copies"],
             digit_len=d["digit_length"],
@@ -472,12 +535,6 @@ class ProcedureResult:
                 tuple(ConstraintPair(e["A"], e["B"]) for e in row) for row in d["constraint_table"]
             ),
         )
-        width = len(result.solutions)
-        if not result.crucial or any(
-            len(table) != len(result.crucial) or any(len(row) != width for row in table)
-            for table in (result.case_table, result.constraint_table)
-        ):
-            raise ValueError("tables need one row per crucial prime and one cell per solution")
         if d["columns"] != result._column_dicts() or d["omega"] != result.omega:
             raise ValueError("columns or omega disagree with the constraint table")
         return result
@@ -521,24 +578,23 @@ def run_procedure(n: int, copies: int = 1, budget: Budget | None = None) -> Proc
         crucial = base
     else:
         crucial = tuple(cp.shifted(repunit_valuation(cp.p, copies, block)) for cp in base)
-    solutions = solve_characteristic(crucial)
+    solutions, entry_masks = solve_characteristic(crucial)
     # A cell depends on its solution only through the entry u = sol[i], which
-    # takes at most three values per prime: classify each distinct u once and
-    # fill the row by lookup. Taking the u in order of first appearance keeps
-    # the entry orders, and so the budget they spend, in per-cell order.
-    case_rows, constraint_rows = [], []
-    for i, cp in enumerate(crucial):
-        entries = [sol[i] for sol in solutions]
-        labels = {u: classify_case(cp.p, abs(cp.delta), u, cp.mu) for u in dict.fromkeys(entries)}
-        pairs = {u: constraint_entry(cp.p, label, digit_len) for u, label in labels.items()}
-        case_rows.append(tuple(labels[u] for u in entries))
-        constraint_rows.append(tuple(pairs[u] for u in entries))
+    # takes at most three values per prime: classify each distinct u once.
+    # Taking the u in order of first appearance computes the entry orders, and
+    # spends the budget on them, in the order a walk over the table meets them.
+    rows = []
+    for cp, masks in zip(crucial, entry_masks):
+        row = []
+        for u, mask in masks.items():
+            label = classify_case(cp.p, abs(cp.delta), u, cp.mu)
+            row.append(Cell(u, label, constraint_entry(cp.p, label, digit_len), mask))
+        rows.append(tuple(row))
     return ProcedureResult(
         n=n,
         copies=copies,
         digit_len=digit_len,
         crucial=crucial,
         solutions=solutions,
-        case_table=tuple(case_rows),
-        constraint_table=tuple(constraint_rows),
+        rows=tuple(rows),
     )

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -213,6 +214,20 @@ def test_verify_enumerate_cli(capsys):
     code, out, _ = run(capsys, "verify", "enumerate", "--limit", "100", "--print")
     assert code == EXIT_OK
     assert "18" in out and "81" in out
+
+
+def test_verify_enumerate_reports_its_elapsed_time(capsys):
+    code, out, _ = run(capsys, "verify", "--json", "enumerate", "--limit", "2000")
+    assert code == EXIT_OK
+    assert json.loads(out)["elapsed_seconds"] > 0
+
+
+def test_procedure_json_of_a_wide_table_matches_golden_bytes(capsys):
+    # 20 solutions over 6 crucial primes at copies 3, cases i, ii, iv and v
+    golden = Path(__file__).parent / "data" / "golden_procedure_396871711257_copies3.json"
+    code, out, _ = run(capsys, "procedure", "396871711257", "--copies", "3", "--json")
+    assert code == EXIT_OK
+    assert out.encode() == golden.read_bytes()
 
 
 def test_verify_parallel_matches_serial(capsys):

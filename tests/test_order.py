@@ -1,10 +1,12 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from vpal import factor, order
 from vpal.digits import repunit
-from vpal.factor import Budget, metered, primes_up_to, valuation
+from vpal.factor import Budget, factorize, metered, primes_up_to, valuation
 from vpal.order import (
     multiplicative_order,
     repunit_order,
@@ -12,6 +14,7 @@ from vpal.order import (
     repunit_valuation,
     ten_power_valuation,
 )
+from vpal.procedure import run_procedure
 
 ODD_PRIMES = [p for p in primes_up_to(100) if p not in (2, 5)]
 
@@ -86,6 +89,39 @@ def test_repunit_order_rejects_composites():
     for m in (9, 21, 91):
         with pytest.raises(ValueError):
             repunit_order(m, 2, 1)
+
+
+def test_repunit_order_rejects_a_composite_its_meter_has_factored():
+    @metered
+    def order_after_factoring(m, budget=None):
+        factorize(m)
+        return repunit_order(m, 3, 1)
+
+    for m in (9, 21, 91):
+        with pytest.raises(ValueError):
+            order_after_factoring(m, Budget())
+
+
+@pytest.mark.parametrize("n, copies, proved", [
+    # no solution, so no entry order: the primes of n and r(n) are tested once
+    (860334011495401, 2, {86599, 5697161, 9097349, 94569749}),
+    # 994665943 is proved while factoring n, then needs entry orders
+    (396871711257, 3, {994665943}),
+])
+def test_a_metered_call_tests_each_integer_for_primality_once(monkeypatch, n, copies, proved):
+    calls = Counter()
+
+    def counted(m, _real=factor.is_probable_prime):
+        calls[m] += 1
+        return _real(m)
+
+    monkeypatch.setattr(factor, "is_probable_prime", counted)
+    monkeypatch.setattr(order, "_ORDER_OF_TEN", {})  # every entry order starts from the prime
+    repunit_order.cache_clear()
+    result = run_procedure(n, copies=copies, budget=Budget())
+    assert proved <= {cp.p for cp in result.crucial}
+    assert all(calls[p] == 1 for p in proved)
+    assert max(calls.values()) == 1, calls
 
 
 @given(

@@ -239,16 +239,17 @@ def test_crucial_primes_rejects_out_of_domain():
 
 
 def test_solve_characteristic_examples():
-    assert solve_characteristic(crucial_primes(18)) == ((2, 2),)
-    assert solve_characteristic(crucial_primes(13)) == ((1, 1), (2, 2))
+    assert solve_characteristic(crucial_primes(18)) == (((2, 2),), ({2: 0b1}, {2: 0b1}))
+    assert solve_characteristic(crucial_primes(13)).solutions == ((1, 1), (2, 2))
+    assert solve_characteristic(crucial_primes(13)).entry_masks == ({1: 0b01, 2: 0b10},) * 2
     # a single crucial prime can never balance
-    assert solve_characteristic((CrucialPrime(3, 2, 0),)) == ()
+    assert solve_characteristic((CrucialPrime(3, 2, 0),)) == ((), ({},))
 
 
 def test_solutions_satisfy_signed_sum_and_are_sorted():
     for n in (18, 13, 112, 132, 1234):
         crucial = crucial_primes(n)
-        sols = solve_characteristic(crucial)
+        sols = solve_characteristic(crucial).solutions
         assert list(sols) == sorted(sols)
         for u in sols:
             assert sum((1 if c.delta > 0 else -1) * x for c, x in zip(crucial, u)) == 0
@@ -276,7 +277,15 @@ def _brute_force_solutions(crucial):
 @settings(max_examples=200, deadline=None)
 def test_solve_characteristic_matches_brute_force(primes_and_deltas):
     crucial = tuple(CrucialPrime(p, max(d, 0), max(-d, 0)) for p, d in primes_and_deltas)
-    assert solve_characteristic(crucial) == _brute_force_solutions(crucial)
+    solutions, entry_masks = solve_characteristic(crucial)
+    assert solutions == _brute_force_solutions(crucial)
+    # per prime, each entry in order of first appearance with the mask of the
+    # solutions taking it
+    for i, masks in enumerate(entry_masks):
+        expected = {}
+        for l, sol in enumerate(solutions):
+            expected[sol[i]] = expected.get(sol[i], 0) | 1 << l
+        assert list(masks.items()) == list(expected.items())
 
 
 # 2 and the 23 primes from 29 on, each with delta 1: entries in {1, 2} below 29
@@ -288,7 +297,7 @@ def test_solve_characteristic_one_signed_is_empty():
     crucial = tuple(CrucialPrime(p, 1, 0) for p in _SMALL) + tuple(
         CrucialPrime(p, 4, 1) for p in (1_000_003, 1_000_033, 1_000_037, 1_000_039)
     )
-    assert solve_characteristic(crucial) == ()
+    assert solve_characteristic(crucial).solutions == ()
 
 
 def test_solve_characteristic_closed_form_at_25_primes():
@@ -300,7 +309,7 @@ def test_solve_characteristic_closed_form_at_25_primes():
         [(1,) * 24 + (24,)] + [(1,) * j + (2,) + (1,) * (23 - j) + (25,) for j in range(24)]
     )
     start = time.perf_counter()
-    assert solve_characteristic(crucial) == tuple(expected)
+    assert solve_characteristic(crucial).solutions == tuple(expected)
     assert time.perf_counter() - start < 1.0  # the product has 2 * 3^24 vectors
 
 
@@ -578,11 +587,40 @@ def test_case_vii_never_accepts():
 
 
 def test_to_dict_round_trips():
-    for n in (18, 12, 13, 132):
-        r = run_procedure(n)
-        back = ProcedureResult.from_dict(json.loads(r.to_json()))
-        assert back == r
-        assert back.to_dict() == r.to_dict()
+    for n in corpus(2000):
+        for copies in (1, 2, 3):
+            r = run_procedure(n, copies=copies)
+            back = ProcedureResult.from_dict(json.loads(r.to_json()))
+            assert back == r, (n, copies)
+            assert back.to_dict() == r.to_dict(), (n, copies)
+
+
+def test_accepts_reads_the_rows_without_building_the_tables():
+    r = run_procedure(396871711257, copies=3)
+    assert len(r.solutions) == 20 and all(len(row) <= 3 for row in r.rows)
+    for k in range(1, 9):
+        r.accepts(k)
+    assert "case_table" not in r.__dict__ and "constraint_table" not in r.__dict__
+
+
+def test_rows_hold_each_entry_once_with_its_solution_mask():
+    r = run_procedure(49)
+    assert r.solutions == ((1, 2, 1), (1, 3, 2), (2, 3, 1))
+    assert [(cell.entry, cell.label, cell.mask) for cell in r.rows[0]] == [
+        (1, CaseLabel.V, 0b011), (2, CaseLabel.III, 0b100)
+    ]
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda d: d["case_table"][0].__setitem__(1, "iii"),
+    lambda d: d["constraint_table"][0].__setitem__(1, {"A": [], "B": []}),
+], ids=["case", "constraint"])
+def test_from_dict_rejects_two_cells_for_one_entry(tamper):
+    # solutions 0 and 1 of 49 share entry 1 at the first prime, so one cell
+    doc = json.loads(run_procedure(49).to_json())
+    tamper(doc)
+    with pytest.raises(ValueError, match="two different cells"):
+        ProcedureResult.from_dict(doc)
 
 
 @pytest.mark.parametrize("tamper", [
