@@ -211,7 +211,7 @@ def _cmd_check(args, budget: Budget) -> int:
 def _cmd_procedure(args, budget: Budget) -> int:
     result = run_procedure(args.n, copies=args.copies, budget=budget)
     if args.json:
-        print(result.to_json(indent=2))
+        print(result.to_json())
     else:
         print(_render_procedure_text(result))
     return EXIT_OK

@@ -36,10 +36,10 @@ from __future__ import annotations
 
 import enum
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .digits import decimal_string, digit_count, reverse_digits
@@ -409,10 +409,14 @@ class ProcedureResult:
             raise AmbiguousType(f"k={k} accepted by {len(matches)} columns: {matches}")
         return self.solutions[mask.bit_length() - 1]
 
+    @cached_property
+    def _column_firsts(self) -> tuple[int | None, ...]:
+        """Per solution, the least k its column accepts, or None when it accepts none."""
+        return tuple(col.first_member() for col in self.columns)
+
     def first_member(self) -> int | None:
         """Least accepted k (the onset c), or None when no k is ever accepted."""
-        firsts = [f for col in self.columns if (f := col.first_member()) is not None]
-        return min(firsts) if firsts else None
+        return min((f for f in self._column_firsts if f is not None), default=None)
 
     @cached_property
     def elements(self) -> frozenset[int]:
@@ -443,14 +447,26 @@ class ProcedureResult:
         closed under gcd, so the least, d0, divides every period and equals D(d0),
         a product of powers of a coprime base of E. Dividing omega by base
         elements while the quotient stays a period stops at d0.
+
+        The sets below are bitmasks over the sorted elements, so a column
+        (A, B) accepts the set s iff A lies in s and B misses it.
         """
-        elements = self.elements
-        below = lambda k: frozenset(e for e in elements if k % e == 0)  # equal for k and D(k)
+        bits = {e: 1 << i for i, e in enumerate(sorted(self.elements))}
+
+        def below(k: int) -> int:  # equal for k and D(k)
+            s = 0
+            for e, bit in bits.items():
+                if not k % e:
+                    s |= bit
+            return s
+
+        mask = lambda xs: sum(map(bits.__getitem__, xs))
+        columns = [(mask(c.A), mask(c.B)) for c in self.columns]
         accept = {
-            s: any(c.A <= s and not c.B & s for c in self.columns) for s in map(below, self.lattice)
+            s: any(not a & ~s and not b & s for a, b in columns) for s in map(below, self.lattice)
         }
         d = self.omega
-        for b in _coprime_base(elements):
+        for b in _coprime_base(self.elements):
             while d % b == 0:
                 q = below(d // b)  # s & q is below(D(gcd(m, d // b))) for s = below(m)
                 if any(accept[s & q] != v for s, v in accept.items()):
@@ -460,7 +476,7 @@ class ProcedureResult:
 
     def nondegenerate_solutions(self) -> tuple[Solution, ...]:
         """Solutions whose column accepts some k."""
-        return tuple(sol for sol, col in zip(self.solutions, self.columns) if not col.is_empty())
+        return tuple(sol for sol, f in zip(self.solutions, self._column_firsts) if f is not None)
 
     @cached_property
     def case_vii_count(self) -> int:
@@ -487,13 +503,13 @@ class ProcedureResult:
 
     def _column_dicts(self) -> list[dict]:
         return [
-            {"solution": list(sol), "A": sorted(col.A), "B": sorted(col.B),
-             "first_member": col.first_member()}
-            for sol, col in zip(self.solutions, self.columns)
+            {"solution": list(sol), "A": sorted(col.A), "B": sorted(col.B), "first_member": f}
+            for sol, col, f in zip(self.solutions, self.columns, self._column_firsts)
         ]
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
+    def to_json(self) -> str:
+        """to_dict as ``vpal procedure --json`` prints it: json.dumps(..., indent=2) text."""
+        return _indented(self.to_dict())
 
     @classmethod
     def from_tables(cls, n: int, copies: int, digit_len: int, crucial: tuple[CrucialPrime, ...],
@@ -551,11 +567,45 @@ def lcm_closure(elements) -> frozenset[int]:
 def _coprime_base(xs) -> set[int]:
     """Pairwise coprime integers > 1 over which every x in xs factors, by gcd refinement."""
     base = {x for x in xs if x > 1}
-    while pairs := [(a, b) for a, b in itertools.combinations(base, 2) if math.gcd(a, b) > 1]:
-        a, b = pairs[0]
+    pairs = lambda: ((a, b) for a, b in itertools.combinations(base, 2) if math.gcd(a, b) > 1)
+    while pair := next(pairs(), None):
+        a, b = pair
         g = math.gcd(a, b)
         base = base - {a, b} | {g, a // g, b // g} - {1}
     return base
+
+
+# The text of each scalar a to_dict holds, keyed by its exact type: what
+# json.dumps writes for it, str through the same C escaper (ensure_ascii).
+_SCALAR = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _indented(obj, pad: str = "\n") -> str:
+    """obj as json.dumps(obj, indent=2) writes it, for exactly the types a
+    to_dict holds: dicts with str keys, lists, str, int, bool and None. Any
+    other type, a float or a tuple too, raises TypeError. json.dumps would take
+    its pure-Python encoder, as it does whenever indent is set."""
+    write = _SCALAR.get(type(obj))
+    if write is not None:
+        return write(obj)
+    inner = pad + "  "
+    if type(obj) is list:
+        brackets = "[]"
+        items = [_indented(x, inner) for x in obj]
+    elif type(obj) is dict:
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        brackets = "{}"
+        items = [encode_basestring_ascii(k) + ": " + _indented(v, inner) for k, v in obj.items()]
+    else:
+        raise TypeError(f"procedure JSON holds no {type(obj).__name__}")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
 
 
 @metered

@@ -590,9 +590,32 @@ def test_to_dict_round_trips():
     for n in corpus(2000):
         for copies in (1, 2, 3):
             r = run_procedure(n, copies=copies)
+            assert r.to_json() == json.dumps(r.to_dict(), indent=2), (n, copies)
             back = ProcedureResult.from_dict(json.loads(r.to_json()))
             assert back == r, (n, copies)
             assert back.to_dict() == r.to_dict(), (n, copies)
+
+
+_JSON_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f aZé€\u2028😀') | st.characters())
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
+                 | st.integers(max_value=-2**64) | _JSON_TEXT)
+
+
+@given(doc=st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=25,
+))
+@settings(max_examples=300, deadline=None)
+def test_json_writer_matches_json_dumps_indent_2(doc):
+    assert procedure._indented(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [1.5, (1, 2), {"A": [0.0]}, [{"B": (3,)}]],
+                         ids=["float", "tuple", "nested float", "nested tuple"])
+def test_json_writer_rejects_types_a_procedure_document_never_holds(doc):
+    with pytest.raises(TypeError):
+        procedure._indented(doc)
 
 
 def test_accepts_reads_the_rows_without_building_the_tables():
