@@ -25,7 +25,7 @@ import time
 from importlib import resources
 
 from .digits import decimal_string, parse_decimal, reverse_digits
-from .factor import Budget, BudgetExhausted, factorize, metered, v_of_factorization
+from .factor import Budget, BudgetExhausted, factorize, metered, v_of_factorization, v_value
 from .oracle import (
     DEFAULT_NMAX,
     VerificationReport,
@@ -171,7 +171,7 @@ def _render_procedure_text(result: ProcedureResult) -> str:
 
 
 def _cmd_v(args, budget: Budget) -> int:
-    print(v_of_factorization(factorize(args.n, budget)))
+    print(v_value(args.n, budget))
     return EXIT_OK
 
 

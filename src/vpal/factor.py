@@ -453,68 +453,11 @@ def v_value(n: int, budget: Budget | None = None) -> int:
     return v_of_factorization(factorize(n, budget))
 
 
-# --- generalized-repunit factorization via cyclotomic splitting ---------------
-#
-# 10**(L*k) - 1 factors as the product of Phi_d(10) over divisors d of L*k, so
-# repunit(k, L) = (10**(L*k) - 1)/(10**L - 1) is the product of Phi_d(10) over
-# d | L*k with d not dividing L. Each piece is far smaller than the repunit
-# itself and is factored once, process-wide.
-
-_phi10_done: dict[int, Factorization] = {}
-
-
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    for i in range(1, math.isqrt(n) + 1):
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-    return small + large[::-1]
-
-
-def _mobius(n: int) -> int:
-    mu = 1
-    for p in _SMALL_PRIMES:
-        if p * p > n:
-            break
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            mu = -mu
-    if n > 1:
-        mu = -mu
-    return mu
-
-
-def _cyclotomic_at_ten(d: int) -> int:
-    """Phi_d evaluated at 10, via the Moebius product over divisors."""
-    num = den = 1
-    for e in _divisors(d):
-        mu = _mobius(d // e)
-        if mu == 1:
-            num *= 10**e - 1
-        elif mu == -1:
-            den *= 10**e - 1
-    return num // den
-
-
-def _phi10_factorization(d: int) -> Factorization:
-    f = _phi10_done.get(d)
-    if f is None:
-        f = _phi10_done[d] = factorize(_cyclotomic_at_ten(d))
-    return f
-
-
 @metered
 def factor_repunit(k: int, block_len: int = 1, budget: Budget | None = None) -> Factorization:
-    """Factorization of repunit(k, block_len) through its cyclotomic pieces."""
+    """Factorization of repunit(k, block_len), factored directly: a test
+    reference, since the procedure and the oracle read only its p-adic
+    valuations (order.repunit_valuation)."""
     if k < 1 or block_len < 1:
         raise ValueError(f"expected k, block_len >= 1, got k={k}, block_len={block_len}")
-    out = Factorization(())
-    for d in _divisors(block_len * k):
-        if block_len % d != 0:
-            out = out.merge(_phi10_factorization(d))
-    assert out.value == repunit(k, block_len)
-    return out
+    return factorize(repunit(k, block_len))

@@ -24,22 +24,10 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .factor import Factorization, factorize, is_known_prime, metered
+from .factor import factorize, is_known_prime, metered
 
 # p -> ord_p(10) for primes p outside {2, 5}.
 _ORDER_OF_TEN: dict[int, int] = {}
-
-
-def _carmichael(f: Factorization) -> int:
-    """Carmichael function (group exponent of the units) from a factorization."""
-    lam = 1
-    for p, e in f:
-        if p == 2:
-            part = 1 if e == 1 else 2 if e == 2 else 2 ** (e - 2)
-        else:
-            part = p ** (e - 1) * (p - 1)
-        lam = math.lcm(lam, part)
-    return lam
 
 
 def _order_dividing(g: int, modulus: int, exponent: int) -> int:
@@ -56,7 +44,7 @@ def multiplicative_order(g: int, modulus: int, budget=None) -> int:
     """Least e >= 1 with g**e == 1 (mod modulus); g must be a unit.
 
     ``budget`` (a factor.Budget, or None) bounds both factorizations, of
-    modulus and of its Carmichael exponent, together.
+    modulus and of Euler's phi(modulus), together.
     """
     if modulus < 2:
         raise ValueError(f"expected modulus >= 2, got {modulus}")
@@ -65,7 +53,8 @@ def multiplicative_order(g: int, modulus: int, budget=None) -> int:
         raise ValueError(f"{g} is not a unit modulo {modulus}")
     if g == 1:
         return 1
-    return _order_dividing(g, modulus, _carmichael(factorize(modulus)))
+    phi = math.prod(p ** (e - 1) * (p - 1) for p, e in factorize(modulus))
+    return _order_dividing(g, modulus, phi)
 
 
 def _require_coprime_to_ten(p: int) -> None:

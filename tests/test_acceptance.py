@@ -194,11 +194,13 @@ def test_criterion_9_cancellation_equals_full_product():
     # the materialized repunit, at every prime of n * r(n).
     t0 = time.monotonic()
     checked = mismatched = valuations = 0
-    for n in corpus(2000):
+    ns = corpus(2000)
+    repunits = {(k, L): factor_repunit(k, L) for L in {digit_count(n) for n in ns} for k in range(1, 9)}
+    for n in ns:
         fn, fr = factorize(n), factorize(reverse_digits(n))
         L = digit_count(n)
         for k in range(1, 9):
-            rho = factor_repunit(k, L)
+            rho = repunits[k, L]
             full = v_of_factorization(fn.merge(rho)) == v_of_factorization(fr.merge(rho))
             checked += 1
             mismatched += oracle_is_vpal_concat(n, k) != full

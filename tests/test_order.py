@@ -32,6 +32,11 @@ def test_multiplicative_order_examples():
     assert multiplicative_order(10, 7) == 6
     assert multiplicative_order(10, 27) == 3
     assert multiplicative_order(1, 9) == 1
+    # Prime powers, including 2**k, whose unit group is not cyclic for k >= 3.
+    for m in [q**k for q in (2, 3) for k in range(1, 13)]:
+        for g in (2, 3, 5, 7, 10, m - 1):
+            if math.gcd(g, m) == 1:
+                assert multiplicative_order(g, m) == _order_brute(g, m), (g, m)
 
 
 def test_multiplicative_order_rejects_non_units():
