@@ -18,7 +18,7 @@ factorize() below it spends from that meter. The meter keeps each
 factorization it completes, so a metered call factors each integer once. It
 also keeps each prime that the primality test proved under it, as that
 prime's own factorization, so a metered call tests each integer at most once
-(see is_known_prime).
+and a later factorize() of that prime is a lookup.
 This module alone decides what a budget covers; the layers in between take
 no budget.
 """
@@ -391,7 +391,11 @@ def factorize(n: int, budget: Budget | None = None) -> Factorization:
             stack = [m]
             while stack:
                 m = stack.pop()
-                if _proved_prime(clock, m):
+                known = clock.factored.get(m)
+                if known is None and is_probable_prime(m):
+                    # A proved prime is kept as its own factorization.
+                    known = clock.factored[m] = Factorization(((m, 1),))
+                if known is not None and known.entries == ((m, 1),):
                     counts[m] = counts.get(m, 0) + 1
                     continue
                 power = _perfect_power(m)
@@ -407,26 +411,6 @@ def factorize(n: int, budget: Budget | None = None) -> Factorization:
                 stack.append(d)
                 stack.append(m // d)
     return clock.factored.setdefault(n, Factorization(tuple(sorted(counts.items()))))
-
-
-def _proved_prime(clock: _Clock | None, p: int) -> bool:
-    # is_probable_prime(p), read from the clock's store when it holds p; a
-    # prime the test proves is stored as its own factorization.
-    if clock is None:
-        return is_probable_prime(p)
-    known = clock.factored.get(p)
-    if known is None:
-        if not is_probable_prime(p):
-            return False
-        known = clock.factored[p] = Factorization(((p, 1),))
-    return known.entries == ((p, 1),)
-
-
-def is_known_prime(p: int) -> bool:
-    """is_probable_prime(p), run at most once per argument in a metered call:
-    read from the running meter when a factorize() under it has factored p or
-    proved it prime on the way."""
-    return _proved_prime(_METER.get(), p)
 
 
 def valuation(p: int, n: int) -> int:

@@ -164,13 +164,18 @@ def _labelled(template: str):
     return attach
 
 
+def _record_budget_skip(report: VerificationReport, exc: BudgetExhausted, **inputs) -> None:
+    """The one writer of a budget skip record: inputs, the reason and the cofactor."""
+    report.record_skip(**inputs, reason="budget", cofactor=str(exc.cofactor))
+
+
 @contextmanager
 def _budget_skip(report: VerificationReport, **inputs):
     """Record a BudgetExhausted that escapes the block as the skip of inputs."""
     try:
         yield
     except BudgetExhausted as exc:
-        report.record_skip(**inputs, reason="budget", cofactor=str(exc.cofactor))
+        _record_budget_skip(report, exc, **inputs)
 
 
 @contextmanager
@@ -308,7 +313,8 @@ def verify_periodicity(
 
     omega comes from the classification; the membership pattern comes from the
     factorization oracle alone. Numbers whose omega exceeds the cap are
-    reported as skipped (their window is too wide to scan).
+    reported as skipped (their window is too wide to scan), and so is n when
+    run_procedure(n) runs out of budget.
 
     Superseded by compare_procedure_oracle: the columns are omega-periodic by
     construction, so agreement for every k makes the oracle omega-periodic,
@@ -320,8 +326,11 @@ def verify_periodicity(
     report = VerificationReport(
         corpus=verify_periodicity.label.format(n=f"={n}", periods=periods, omega_cap=omega_cap)
     )
-    result = run_procedure(n)
-    omega = result.omega
+    try:
+        omega = run_procedure(n).omega
+    except BudgetExhausted as exc:
+        _record_budget_skip(report, exc, n=n)
+        omega = 0  # an empty window
     if omega > omega_cap:
         report.record_skip(n=n, reason="omega_cap", omega=omega)
         report.elapsed = time.monotonic() - t0
@@ -332,7 +341,7 @@ def verify_periodicity(
             pattern[k] = oracle_is_vpal_concat(n, k)
         except BudgetExhausted as exc:
             pattern[k] = None
-            report.record_skip(n=n, k=k, reason="budget", cofactor=str(exc.cofactor))
+            _record_budget_skip(report, exc, n=n, k=k)
     for k in range(1, (periods - 1) * omega + 1):
         a, b = pattern[k], pattern[k + omega]
         if a is None or b is None:
@@ -431,7 +440,7 @@ def enumerate_vpals(
         except BudgetExhausted as exc:
             if report is None:
                 raise
-            report.record_skip(n=n, reason="budget", cofactor=str(exc.cofactor))
+            _record_budget_skip(report, exc, n=n)
     return out
 
 

@@ -15,8 +15,8 @@ order p**(e-1), so ord(g**d) = p**j with j <= e - 1.
 
 Each factorize() here spends from the meter of the running call (see
 factor.metered), so the caller's budget covers these factorizations too:
-per command, and per n in a sweep. ord_p(10) is kept per prime once found,
-under whichever meter found it.
+per command, and per n in a sweep; the meter keeps them for the rest of the
+call. Only repunit_order's cache outlives a call.
 """
 
 from __future__ import annotations
@@ -24,10 +24,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .factor import factorize, is_known_prime, metered
-
-# p -> ord_p(10) for primes p outside {2, 5}.
-_ORDER_OF_TEN: dict[int, int] = {}
+from .factor import factorize, metered
 
 
 def _order_dividing(g: int, modulus: int, exponent: int) -> int:
@@ -64,17 +61,6 @@ def _require_coprime_to_ten(p: int) -> None:
         raise ValueError(f"expected a prime, got {p}")
 
 
-def _order_of_ten(p: int) -> int:
-    """ord_p(10) for a prime p outside {2, 5}, from factorize(p - 1); p is
-    tested for primality only when the running meter has not proved it."""
-    order = _ORDER_OF_TEN.get(p)
-    if order is None:
-        if not is_known_prime(p):
-            raise ValueError(f"expected a prime, got {p}")
-        order = _ORDER_OF_TEN[p] = _order_dividing(10, p, p - 1)
-    return order
-
-
 def ten_power_valuation(p: int, L: int) -> int:
     """ord_p(10**L - 1) for a prime p not in {2, 5}, without building 10**L - 1."""
     _require_coprime_to_ten(p)
@@ -98,15 +84,23 @@ def repunit_order(p: int, alpha: int, L: int) -> int:
     Starts from the order of 10**L modulo p and multiplies by p until 10**L
     raised to it is 1 modulo p**e, e = alpha + ten_power_valuation(p, L): at
     most e - 1 steps, since the units that are 1 modulo p form a p-group of
-    order p**(e-1) (proof in the module docstring).
+    order p**(e-1) (proof in the module docstring). For alpha >= 2 it starts
+    from repunit_order(p, 1, L), the order modulo p**(e - alpha + 1), which by
+    the same argument is the answer over a power of p. At alpha = 1,
+    factorize(p) checks that p is prime and factorize(p - 1) gives ord_p(10).
     """
     _require_coprime_to_ten(p)
     if alpha < 1 or L < 1:
         raise ValueError(f"expected alpha, L >= 1, got alpha={alpha}, L={L}")
     modulus = p ** (alpha + ten_power_valuation(p, L))
     g = pow(10, L, modulus)
-    t = _order_of_ten(p)
-    order = t // math.gcd(L, t)
+    if alpha > 1:
+        order = repunit_order(p, 1, L)
+    elif factorize(p).entries != ((p, 1),):
+        raise ValueError(f"expected a prime, got {p}")
+    else:
+        t = _order_dividing(10, p, p - 1)
+        order = t // math.gcd(L, t)
     while pow(g, order, modulus) != 1:
         order *= p
     return order

@@ -180,10 +180,6 @@ class ConstraintPair:
     def to_dict(self) -> dict:
         return {"A": sorted(self.A), "B": sorted(self.B)}
 
-    def __str__(self) -> str:
-        fmt = lambda s: "{" + ",".join(map(str, sorted(s))) + "}"
-        return f"({fmt(self.A)},{fmt(self.B)})"
-
 
 def constraint_entry(p: int, label: CaseLabel, digit_len: int) -> ConstraintPair:
     """Divisibility constraints contributed by prime p under the given case.

@@ -79,10 +79,8 @@ def test_criterion_1_oracle_equivalence():
     assert rep.checked == 83_657  # one check per element of M' for each n
 
 
-@functools.cache
-def _invariance_sweep():
-    """One sweep of verify_invariance at n <= 500, k <= 6, shared by criteria 2
-    and 7: the whole report, and its checks split into one report per kind."""
+def _split_by_kind(run):
+    """The report of run(), and its checks split into one report per kind."""
     by_kind = defaultdict(lambda: VerificationReport(corpus="by kind"))
     record = VerificationReport.record
 
@@ -91,10 +89,17 @@ def _invariance_sweep():
         record(by_kind[inputs["kind"]], passed, **inputs)
 
     with mock.patch.object(VerificationReport, "record", tally):
-        rep = sweep(verify_invariance, 500, kmax=6)
+        rep = run()
     for part in by_kind.values():
         part.elapsed = rep.elapsed
     return rep, dict(by_kind)
+
+
+@functools.cache
+def _invariance_sweep():
+    """One sweep of verify_invariance at n <= 500, k <= 6, shared by criteria 2
+    and 7, split by kind."""
+    return _split_by_kind(lambda: sweep(verify_invariance, 500, kmax=6))
 
 
 def test_criterion_2_type_invariance():
@@ -106,18 +111,32 @@ def test_criterion_2_type_invariance():
     assert pullback.checked == 3726
 
 
+@functools.cache
+def _lemmas_grid():
+    """One verify_lemmas grid at p <= 100, alpha <= 3, k <= 60, L <= 6, shared
+    by criteria 3 and 4, split by kind."""
+    return _split_by_kind(lambda: verify_lemmas(p_max=100, alpha_max=3, k_max=60, L_max=6))
+
+
 def test_criterion_3_entry_order_divisibility():
-    rep = verify_lemmas(p_max=100, alpha_max=3, k_max=60, L_max=6)
-    ok = _report_line(3, "entry-order divisibility + lower bound, p<=100 a<=3 L<=6 k<=60", rep)
-    assert ok, rep.failures[:5]
+    rep, by_kind = _lemmas_grid()
+    part = VerificationReport(corpus="divisibility + h lower bound")
+    part.merge(by_kind["divisibility"]).merge(by_kind["h lower bound"])
+    part.elapsed = rep.elapsed
+    ok = _report_line(3, "entry-order divisibility + lower bound, p<=100 a<=3 L<=6 k<=60", part)
+    assert ok, part.failures[:5]
     assert rep.skipped == 0
+    # 414 = 23 primes * 3 alphas * 6 block lengths, each with 60 k and one bound
+    assert part.checked == 414 * 61
 
 
 def test_criterion_4_rescaling_identity():
-    rep = verify_lemmas(p_max=50, alpha_max=2, k_max=12, L_max=4)
-    ok = _report_line(4, "block-length rescaling identity, p<=50 a<=2 k<=12 L<=4", rep)
-    assert ok, rep.failures[:5]
+    rep, by_kind = _lemmas_grid()
+    rescale = by_kind["rescale"]
+    ok = _report_line(4, "block-length rescaling identity, p<=100 a<=3 k<=60 L<=6", rescale)
+    assert ok, rescale.failures[:5]
     assert rep.skipped == 0
+    assert rescale.checked == 414 * 60
 
 
 def test_criterion_5_periodicity():

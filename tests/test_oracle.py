@@ -201,6 +201,15 @@ def test_verify_periodicity_examples():
     assert rep.failed == 0 and rep.skipped == 1  # omega 6045 exceeds the cap
 
 
+def test_verify_periodicity_skips_n_when_its_procedure_runs_out_of_budget():
+    # n = (10**29 + 319)(10**29 + 379), a product of two 30-digit primes: out of
+    # reach of 50 rho iterations
+    n = 10000000000000000000000000069800000000000000000000000120901
+    rep = verify_periodicity(n, budget=Budget(seconds=1e9, iterations=50))
+    assert (rep.checked, rep.failed, rep.skipped) == (1, 0, 1)
+    assert rep.skips == [{"n": n, "reason": "budget", "cofactor": str(n)}]
+
+
 def test_verify_disjointness():
     for n in (18, 12, 13, 112, 1234):
         rep = verify_disjointness(n)

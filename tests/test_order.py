@@ -4,9 +4,9 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from vpal import factor, order
+from vpal import factor
 from vpal.digits import repunit
-from vpal.factor import Budget, factorize, metered, primes_up_to, valuation
+from vpal.factor import Budget, BudgetExhausted, factorize, metered, primes_up_to, valuation
 from vpal.order import (
     multiplicative_order,
     repunit_order,
@@ -121,12 +121,21 @@ def test_a_metered_call_tests_each_integer_for_primality_once(monkeypatch, n, co
         return _real(m)
 
     monkeypatch.setattr(factor, "is_probable_prime", counted)
-    monkeypatch.setattr(order, "_ORDER_OF_TEN", {})  # every entry order starts from the prime
     repunit_order.cache_clear()
     result = run_procedure(n, copies=copies, budget=Budget())
     assert proved <= {cp.p for cp in result.crucial}
     assert all(calls[p] == 1 for p in proved)
     assert max(calls.values()) == 1, calls
+
+
+def test_a_warm_process_lends_no_budget_to_the_next_call():
+    # 790917492420783298197729579853 is an emirp whose p - 1 needs rho: a call
+    # that must factor it again does not fit 50 iterations, whatever ran before.
+    n = 790917492420783298197729579853
+    run_procedure(n, budget=Budget(seconds=1e9, iterations=10**7))
+    repunit_order.cache_clear()
+    with pytest.raises(BudgetExhausted):
+        run_procedure(n, budget=Budget(seconds=1e9, iterations=50))
 
 
 @given(
