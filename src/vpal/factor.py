@@ -15,10 +15,11 @@ restarts under a wall-clock plus iteration budget.
 One budget bounds all the factoring of a call: a public entry point decorated
 with ``metered`` starts one meter for its ``budget`` argument, and every
 factorize() below it spends from that meter. The meter keeps each
-factorization it completes, so a metered call factors each integer once. It
-also keeps each prime that the primality test proved under it, as that
-prime's own factorization, so a metered call tests each integer at most once
-and a later factorize() of that prime is a lookup.
+factorization it completes, so a metered call factors each integer once, also
+where it comes back as the cofactor of a later input. It also keeps each
+prime that the primality test proved under it, as that prime's own
+factorization, so a metered call tests each integer at most once and a later
+factorize() of that prime is a lookup.
 This module alone decides what a budget covers; the layers in between take
 no budget.
 """
@@ -395,8 +396,10 @@ def factorize(n: int, budget: Budget | None = None) -> Factorization:
                 if known is None and is_probable_prime(m):
                     # A proved prime is kept as its own factorization.
                     known = clock.factored[m] = Factorization(((m, 1),))
-                if known is not None and known.entries == ((m, 1),):
-                    counts[m] = counts.get(m, 0) + 1
+                if known is not None:
+                    # A kept factorization, a composite's too, is read, not redone.
+                    for p, e in known:
+                        counts[p] = counts.get(p, 0) + e
                     continue
                 power = _perfect_power(m)
                 if power is not None:

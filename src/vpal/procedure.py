@@ -14,10 +14,12 @@ n(k) is a v-palindrome, by pure divisibility arithmetic:
    to a solution: the cost is the suffix sets plus O(m * #solutions) for m
    crucial primes, not the 3^m vectors of the full product;
 3. classify each (prime, distinct solution entry) pair, at most three per
-   prime, into one of seven cases and translate cases into divisibility
-   constraints on k. Each such pair is one cell of the prime's row, kept with
-   the mask of the solutions taking that entry; the walk of step 2 builds the
-   masks, since the solutions completing a prefix are a contiguous run;
+   prime, by the interval of x = v_p(R(k, L)) it allows, R(k, L) the repunit
+   of k blocks of length L: the seven cases are the six intervals and the
+   empty one. The interval gives the divisibility constraints on k. Each such
+   pair is one cell of the prime's row, kept with the mask of the solutions
+   taking that entry; the walk of step 2 builds the masks, since the
+   solutions completing a prefix are a contiguous run;
 4. a solution's column, the union of its cells, accepts exactly the k in
    S(A, B) = {x : every a in A divides x, no b in B divides x}; as
    S(A ∪ A', B ∪ B') = S(A, B) ∩ S(A', B'), that is the k every cell of the
@@ -68,8 +70,6 @@ def v_increment(p: int, delta: int, alpha: int) -> int:
         raise ValueError(f"expected delta >= 1, got {delta}")
     if alpha < 0:
         raise ValueError(f"expected alpha >= 0, got {alpha}")
-    if p == 2 and delta == 1:
-        return 2 if alpha <= 1 else 1
     if delta == 1:
         return p if alpha == 0 else 2 if alpha == 1 else 1
     return p + delta if alpha == 0 else 1 + delta if alpha == 1 else delta
@@ -78,16 +78,6 @@ def v_increment(p: int, delta: int, alpha: int) -> int:
 def v_increment_range(p: int, delta: int) -> frozenset[int]:
     """All values v_increment(p, delta, .) attains; size 2 for (2, 1), else 3."""
     return frozenset(v_increment(p, delta, alpha) for alpha in (0, 1, 2))
-
-
-@cache
-def _preimage(p: int, delta: int, u: int) -> frozenset[int]:
-    # The alpha with v_increment(p, delta, alpha) == u; 2 stands for every
-    # alpha >= 2, where v_increment no longer depends on alpha.
-    pre = frozenset(alpha for alpha in (0, 1, 2) if v_increment(p, delta, alpha) == u)
-    if not pre:
-        raise ValueError(f"{u} is not a possible v-increment for p={p}, delta={delta}")
-    return pre
 
 
 class CaseLabel(str, enum.Enum):
@@ -100,24 +90,33 @@ class CaseLabel(str, enum.Enum):
     VII = "vii"
 
 
-# Keyed by preimage and min(mu, 2); a missing key is case vii.
-_CASE_BY_PREIMAGE_AND_MU = {
-    (frozenset({0}), 0): CaseLabel.I,
-    (frozenset({1}), 1): CaseLabel.I,
-    (frozenset({0, 1}), 1): CaseLabel.I,
-    (frozenset({1}), 0): CaseLabel.II,
-    (frozenset({0, 1}), 0): CaseLabel.III,
-    (frozenset({2}), 1): CaseLabel.IV,
-    (frozenset({2}), 0): CaseLabel.V,
-    (frozenset({2}), 2): CaseLabel.VI,
-}
+# A cell of crucial prime p is an entry u, and it accepts k exactly when
+# v_increment(p, |delta|, mu + x) == u, with x = v_p(R(k, L)) and mu + x the
+# exponent of p at the smaller side of n(k). v_increment takes each of its
+# values on an interval of exponents and stops changing at 2, so the cell
+# allows an interval [lo, hi] of x in {0, 1, 2}, 2 standing for every x >= 2.
+# Each case is one such interval, and case vii is the empty one.
+_INTERVAL = {CaseLabel.I: (0, 0), CaseLabel.II: (1, 1), CaseLabel.III: (0, 1),
+             CaseLabel.IV: (1, 2), CaseLabel.V: (2, 2), CaseLabel.VI: (0, 2)}
+_CASE = {interval: label for label, interval in _INTERVAL.items()}
+
+
+@cache
+def _case(p: int, delta: int, u: int, mu: int) -> CaseLabel:
+    # mu is already capped at 2, past which the cell no longer depends on it.
+    xs = [x for x in (0, 1, 2) if v_increment(p, delta, mu + x) == u]
+    if xs:
+        return _CASE[xs[0], xs[-1]]
+    if u not in v_increment_range(p, delta):
+        raise ValueError(f"{u} is not a possible v-increment for p={p}, delta={delta}")
+    return CaseLabel.VII
 
 
 def classify_case(p: int, delta_abs: int, u: int, mu: int) -> CaseLabel:
     """Which of the seven cases the quadruple falls into; exactly one always holds."""
     if mu < 0:
         raise ValueError(f"expected mu >= 0, got {mu}")
-    return _CASE_BY_PREIMAGE_AND_MU.get((_preimage(p, delta_abs, u), min(mu, 2)), CaseLabel.VII)
+    return _case(p, delta_abs, u, min(mu, 2))
 
 
 @dataclass(frozen=True)
@@ -184,27 +183,19 @@ class ConstraintPair:
 def constraint_entry(p: int, label: CaseLabel, digit_len: int) -> ConstraintPair:
     """Divisibility constraints contributed by prime p under the given case.
 
-    Entry orders are taken at the digit length of the analyzed number; they
-    are needed only for p outside {2, 5} in cases i through v.
+    The case allows the x = v_p(R(k, L)) in its interval [lo, hi], and x >= alpha
+    exactly when the entry order h(alpha) divides k: lo >= 1 asks h(lo) | k and
+    hi <= 1 asks that h(hi + 1) not divide k. For p in {2, 5}, x is always 0,
+    so the cell accepts every k when lo == 0 and none otherwise. Entry orders
+    are taken at the digit length L of the analyzed number.
     """
-    if p in (2, 5):
-        if label in (CaseLabel.I, CaseLabel.III, CaseLabel.VI):
-            return ConstraintPair()
-        return ConstraintPair((), (1,))
-    if label is CaseLabel.VI:
-        return ConstraintPair()
     if label is CaseLabel.VII:
         return ConstraintPair((), (1,))
+    lo, hi = _INTERVAL[label]
+    if p in (2, 5):
+        return ConstraintPair((), () if lo == 0 else (1,))
     h = lambda alpha: repunit_order(p, alpha, digit_len)
-    if label is CaseLabel.I:
-        return ConstraintPair((), (h(1),))
-    if label is CaseLabel.II:
-        return ConstraintPair((h(1),), (h(2),))
-    if label is CaseLabel.III:
-        return ConstraintPair((), (h(2),))
-    if label is CaseLabel.IV:
-        return ConstraintPair((h(1),), ())
-    return ConstraintPair((h(2),), ())  # case v
+    return ConstraintPair((h(lo),) if lo else (), (h(hi + 1),) if hi < 2 else ())
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,17 @@ def test_procedure_text(capsys):
     assert "omega = 1" in out
 
 
+def test_procedure_text_matches_golden_bytes(capsys):
+    # 45 and 238 carry all seven cases between them; 18 at copies 3 is shifted.
+    golden = Path(__file__).parent / "data" / "golden_procedure_text.txt"
+    out = ""
+    for argv in (["45"], ["238"], ["18", "--copies", "3"]):
+        code, text, _ = run(capsys, "procedure", *argv)
+        assert code == EXIT_OK
+        out += text
+    assert out.encode() == golden.read_bytes()
+
+
 def test_procedure_json_schema_and_verdict_parity(capsys):
     jsonschema = pytest.importorskip("jsonschema")
     from pathlib import Path

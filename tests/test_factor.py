@@ -194,6 +194,31 @@ def test_a_metered_call_factors_each_integer_once():
     assert twice(budget=Budget(seconds=1e9, iterations=13_500))[0] is not first
 
 
+def test_a_metered_call_reads_a_kept_composite_cofactor(monkeypatch):
+    # Trial division leaves 2 * n with the cofactor n, whose factorization the
+    # meter kept from the first call: the second call spends no rho iteration.
+    n = 1000003 * 10000019
+    spent = []
+    real_spend = factor._Clock.spend
+
+    def spend(clock, cost, cofactor):
+        spent.append(cost)
+        real_spend(clock, cost, cofactor)
+
+    monkeypatch.setattr(factor._Clock, "spend", spend)
+
+    @factor.metered
+    def both(budget=None):
+        first = factorize(n)
+        iterations = sum(spent)
+        return first, iterations, factorize(2 * n)
+
+    first, iterations, second = both()
+    assert first.entries == ((1000003, 1), (10000019, 1)) and iterations > 0
+    assert second.entries == ((2, 1),) + first.entries
+    assert sum(spent) == iterations
+
+
 def test_valuation():
     assert valuation(3, 18) == 2
     assert valuation(7, 18) == 0

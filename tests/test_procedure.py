@@ -11,6 +11,7 @@ from vpal import procedure
 from vpal.digits import reverse_digits
 from vpal.factor import Budget, BudgetExhausted, factorize
 from vpal.oracle import corpus, oracle_is_vpal_concat
+from vpal.order import repunit_valuation
 from vpal.procedure import (
     AmbiguousType,
     CaseLabel,
@@ -207,6 +208,24 @@ def test_constraint_entries_by_case():
     # any p: vi is unconstrained, vii accepts nothing
     assert constraint_entry(13, CaseLabel.VI, 2) == ConstraintPair()
     assert constraint_entry(13, CaseLabel.VII, 2) == ConstraintPair((), (1,))
+
+
+def test_each_cell_accepts_exactly_the_k_its_entry_holds_at():
+    # From the definition: at k copies of the analyzed number, the exponent of
+    # p at the smaller side is mu + v_p(R(k, L)), and the cell with entry u
+    # must accept k exactly when that exponent gives the v-increment u.
+    checks = 0
+    for n in corpus(500):
+        for copies in (1, 2):
+            r = run_procedure(n, copies=copies)
+            for cp, row in zip(r.crucial, r.rows):
+                for cell in row:
+                    for k in range(1, 61):
+                        x = repunit_valuation(cp.p, k, r.digit_len)
+                        held = v_increment(cp.p, abs(cp.delta), cp.mu + x) == cell.entry
+                        assert cell.pair.accepts(k) == held, (n, copies, cp.p, cell, k)
+                        checks += 1
+    assert checks == 146_160
 
 
 # --- crucial primes and the characteristic equation ---------------------------
