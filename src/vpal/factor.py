@@ -6,8 +6,8 @@ product reconstructs the input exactly and each recorded prime passes
 is_probable_prime: a proof below psi_13 ~ 3.3e24, BPSW-probable above.
 
 Factorization pipeline: trial division by the primes below 10**4 (one at a
-time through the first block of 32 primes, then one gcd per block that skips
-the blocks sharing no factor with the cofactor), the primality test
+time through the first 32 primes, then one gcd with the product of the rest,
+whose primes alone are divided out), the primality test
 (Miller-Rabin with the first t prime bases below psi_t, joined by a strong
 Lucas test above psi_13), then Pollard-Brent rho with deterministic parameter
 restarts under a wall-clock plus iteration budget.
@@ -50,16 +50,19 @@ def _sieve(limit: int) -> list[int]:
 
 _SMALL_PRIMES = _sieve(_TRIAL_LIMIT)
 
-# Trial division walks the first _BLOCK primes one at a time, then takes the
-# rest as (first prime, primes, their product) for runs of _BLOCK primes. A
-# cofactor below the square of a block's first prime is 1 or prime, so inputs
-# below 137**2 = 18769 stop inside the first block and never reach a gcd.
+# Trial division walks the first _BLOCK primes one at a time. A cofactor below
+# the square of the next prime is 1 or prime, so inputs below 137**2 = 18769
+# stop there. A larger cofactor takes one gcd with _TRIAL_PRODUCT, the product
+# of the primes from 137 to 9973, and the rest of the primes, as (first prime,
+# primes, their product) for runs of _BLOCK primes, serve only to split that
+# gcd into its primes.
 _BLOCK = 32
 _FIRST_BLOCK = _SMALL_PRIMES[:_BLOCK]
 _TRIAL_BLOCKS = tuple(
     (block[0], block, math.prod(block))
     for block in (_SMALL_PRIMES[i : i + _BLOCK] for i in range(_BLOCK, len(_SMALL_PRIMES), _BLOCK))
 )
+_TRIAL_PRODUCT = math.prod(product for _, _, product in _TRIAL_BLOCKS)
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -317,6 +320,14 @@ class Factorization:
         if any(e < 1 for _, e in self.entries):
             raise ValueError("exponents must be >= 1")
 
+    @classmethod
+    def _trusted(cls, entries: tuple[tuple[int, int], ...]) -> "Factorization":
+        """The factorization with these entries, which the caller built sorted
+        with exponents >= 1: the checks of the constructor are skipped."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "entries", entries)
+        return f
+
     @property
     def value(self) -> int:
         out = 1
@@ -373,17 +384,25 @@ def factorize(n: int, budget: Budget | None = None) -> Factorization:
             counts[p] = counts.get(p, 0) + 1
             m //= p
     else:
+        # g is the product of the primes from 137 to 9973 dividing m. A block
+        # starts with g free of every prime below it, so g below the square of
+        # its first prime is 1 or a prime, and the blocks left are skipped.
+        g = math.gcd(m, _TRIAL_PRODUCT)
+        found = []
         for first, primes, product in _TRIAL_BLOCKS:
-            if first * first > m:
+            if g < first * first:
                 break
-            if math.gcd(m, product) == 1:
-                continue
-            for p in primes:
-                if p * p > m:
-                    break
-                while m % p == 0:
-                    counts[p] = counts.get(p, 0) + 1
-                    m //= p
+            if math.gcd(g, product) > 1:
+                for p in primes:
+                    if g % p == 0:
+                        found.append(p)
+                        g //= p
+        if g > 1:
+            found.append(g)
+        for p in found:
+            while m % p == 0:
+                counts[p] = counts.get(p, 0) + 1
+                m //= p
     if m > 1:
         if m < _TRIAL_LIMIT * _TRIAL_LIMIT:
             # Survived trial division past sqrt(m), hence prime.
@@ -395,7 +414,7 @@ def factorize(n: int, budget: Budget | None = None) -> Factorization:
                 known = clock.factored.get(m)
                 if known is None and is_probable_prime(m):
                     # A proved prime is kept as its own factorization.
-                    known = clock.factored[m] = Factorization(((m, 1),))
+                    known = clock.factored[m] = Factorization._trusted(((m, 1),))
                 if known is not None:
                     # A kept factorization, a composite's too, is read, not redone.
                     for p, e in known:
@@ -413,7 +432,7 @@ def factorize(n: int, budget: Budget | None = None) -> Factorization:
                     c += 1
                 stack.append(d)
                 stack.append(m // d)
-    return clock.factored.setdefault(n, Factorization(tuple(sorted(counts.items()))))
+    return clock.factored.setdefault(n, Factorization._trusted(tuple(sorted(counts.items()))))
 
 
 def valuation(p: int, n: int) -> int:

@@ -16,7 +16,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
-from multiprocessing import Pool
 
 from .digits import digit_count, repeat_concat, repunit, reverse_digits
 from .factor import (
@@ -458,6 +457,8 @@ def sweep(check, nmax: int, jobs: int = 1, **params) -> VerificationReport:
     item = partial(check, **params)
     workers = min(jobs, os.cpu_count() or 1)
     if workers > 1:
+        from multiprocessing import Pool  # imported here: a serial run never needs it
+
         with Pool(workers) as pool:
             for rep in pool.imap(item, corpus(nmax), chunksize=8):
                 merged.merge(rep)

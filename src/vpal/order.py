@@ -11,7 +11,9 @@ divides p - 1. The order of g modulo p**e is then d * p**j for the least j
 with g**(d * p**j) == 1 (mod p**e), and j <= e - 1. Proof: reduction mod p
 sends g to an element of order d, so d divides ord(g) and ord(g) =
 d * ord(g**d); g**d lies in the kernel of (Z/p**e)^x -> (Z/p)^x, a group of
-order p**(e-1), so ord(g**d) = p**j with j <= e - 1.
+order p**(e-1), so ord(g**d) = p**j with j <= e - 1. The same argument over
+p**s for any s < e bounds j by e - s when d is the order modulo p**s, so the
+last multiplication by p that the bound allows needs no check after it.
 
 Each factorize() here spends from the meter of the running call (see
 factor.metered), so the caller's budget covers these factorizations too:
@@ -81,27 +83,31 @@ def _ten_power_valuation(p: int, L: int) -> int:
 def repunit_order(p: int, alpha: int, L: int) -> int:
     """Least k with p**alpha dividing repunit(k, L); order of 10**L as described above.
 
-    Starts from the order of 10**L modulo p and multiplies by p until 10**L
-    raised to it is 1 modulo p**e, e = alpha + ten_power_valuation(p, L): at
-    most e - 1 steps, since the units that are 1 modulo p form a p-group of
-    order p**(e-1) (proof in the module docstring). For alpha >= 2 it starts
-    from repunit_order(p, 1, L), the order modulo p**(e - alpha + 1), which by
-    the same argument is the answer over a power of p. At alpha = 1,
-    factorize(p) checks that p is prime and factorize(p - 1) gives ord_p(10).
+    Starts from the order of 10**L modulo p**s and multiplies by p while 10**L
+    raised to it is not 1 modulo p**e, e = alpha + ten_power_valuation(p, L),
+    for at most e - s steps: the units that are 1 modulo p**s form a p-group
+    of order p**(e-s) (proof in the module docstring), so the last step is
+    taken unchecked. At alpha = 1, s = 1: factorize(p) checks that p is prime
+    and factorize(p - 1) gives ord_p(10), and when p does not divide
+    10**L - 1 no step is left. For alpha >= 2 it starts from
+    repunit_order(p, 1, L), the order modulo p**(e - alpha + 1), so at most
+    alpha - 1 steps are left.
     """
     _require_coprime_to_ten(p)
     if alpha < 1 or L < 1:
         raise ValueError(f"expected alpha, L >= 1, got alpha={alpha}, L={L}")
-    modulus = p ** (alpha + ten_power_valuation(p, L))
-    g = pow(10, L, modulus)
+    e = alpha + ten_power_valuation(p, L)
     if alpha > 1:
-        order = repunit_order(p, 1, L)
+        order, steps = repunit_order(p, 1, L), alpha - 1
     elif factorize(p).entries != ((p, 1),):
         raise ValueError(f"expected a prime, got {p}")
     else:
         t = _order_dividing(10, p, p - 1)
-        order = t // math.gcd(L, t)
-    while pow(g, order, modulus) != 1:
+        order, steps = t // math.gcd(L, t), e - 1
+    modulus = p**e
+    for _ in range(steps):
+        if pow(10, L * order, modulus) == 1:
+            break
         order *= p
     return order
 

@@ -435,8 +435,9 @@ class ProcedureResult:
         a product of powers of a coprime base of E. Dividing omega by base
         elements while the quotient stays a period stops at d0.
 
-        The sets below are bitmasks over the sorted elements, so a column
-        (A, B) accepts the set s iff A lies in s and B misses it.
+        The sets below are bitmasks over the sorted elements, so a cell (A, B)
+        accepts the set s iff A lies in s and B misses it; as in accept_mask, s
+        is accepted when some solution has a cell accepting s in every row.
         """
         bits = {e: 1 << i for i, e in enumerate(sorted(self.elements))}
 
@@ -448,10 +449,22 @@ class ProcedureResult:
             return s
 
         mask = lambda xs: sum(map(bits.__getitem__, xs))
-        columns = [(mask(c.A), mask(c.B)) for c in self.columns]
-        accept = {
-            s: any(not a & ~s and not b & s for a, b in columns) for s in map(below, self.lattice)
-        }
+        rows = [[(mask(cell.pair.A), mask(cell.pair.B), cell.mask) for cell in row]
+                for row in self.rows]
+
+        def accepted(s: int) -> bool:
+            hit = (1 << len(self.solutions)) - 1
+            for row in rows:
+                row_hit = 0
+                for a, b, solutions in row:
+                    if not (a & ~s or b & s):
+                        row_hit |= solutions
+                hit &= row_hit
+                if not hit:
+                    return False
+            return True
+
+        accept = {s: accepted(s) for s in map(below, self.lattice)}
         d = self.omega
         for b in _coprime_base(self.elements):
             while d % b == 0:

@@ -56,8 +56,11 @@ def _prime_above(low, high):
 def test_factorize_matches_sympy(n):
     # 1 to 20 digits; the special draws cross every block boundary, reach
     # the perfect-power test with roots above 10**4, and split by rho.
-    ours = dict(factorize(n).entries)
-    assert ours == factorint(n)
+    entries = factorize(n).entries
+    assert dict(entries) == factorint(n)
+    # factorize builds its result without the constructor's checks
+    assert all(p < q for (p, _), (q, _) in zip(entries, entries[1:]))
+    assert all(e >= 1 for _, e in entries)
 
 
 @given(st.integers(2, 10**9), st.integers(2, 10**9))

@@ -1,3 +1,9 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import factorint
@@ -317,6 +323,15 @@ def test_sweep_starts_no_more_workers_than_cpus(monkeypatch):
         raise AssertionError("sweep started a worker pool")
 
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 1)
-    monkeypatch.setattr(oracle, "Pool", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     rep = sweep(verify_disjointness, 40, jobs=10**6)
     assert rep.checked > 0 and rep.failed == 0
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # only a sweep with jobs > 1 imports it, so a serial command never pays for it
+    code = "import sys, vpal, vpal.cli; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(oracle.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -151,6 +151,17 @@ def test_repunit_order_matches_generic_order(p, alpha, L):
     assert repunit_order(p, alpha, L) == multiplicative_order(pow(10, L, m), m)
 
 
+@pytest.mark.parametrize("p", [3, 487, 56598313])
+def test_repunit_order_lift_at_wieferich_primes(p):
+    # The base-10 Wieferich primes, where p**2 | 10**(p-1) - 1. At 487 and
+    # 56598313, h(2) = h(1); at 3 the lift from h(1) takes every
+    # multiplication by p that its bound allows.
+    for alpha in (1, 2, 3):
+        for L in (1, 2, 3):
+            m = p ** (alpha + ten_power_valuation(p, L))
+            assert repunit_order(p, alpha, L) == multiplicative_order(pow(10, L, m), m), (alpha, L)
+
+
 def test_repunit_order_is_entry_point():
     # h is the least k with p**alpha | repunit(k, L): check by direct scan.
     for p in (3, 7, 11, 13):

@@ -387,6 +387,12 @@ def test_minimal_period_of_13_is_omega():
     assert run_procedure(13).minimal_period() == 6045
 
 
+def test_minimal_period_skips_an_empty_cell():
+    # 1461 = 3 * 487 and 487**2 | 10**486 - 1, so at L = 4 the cell of 487 with
+    # entry 2 is A = B = {243} and accepts nothing: only 243 * 49777 | k counts.
+    assert run_procedure(1461).minimal_period() == 243 * 49777
+
+
 def _scan_minimal_period(r: ProcedureResult) -> int:
     # least d | omega under which the pattern over [1, 2*omega] repeats
     w = r.omega
@@ -462,6 +468,7 @@ def test_cell_masks_decide_as_columns_on_random_tables(table_result, rows):
     assert r.omega == math.lcm(*(x for col in r.columns for x in col.A | col.B))
     for k in range(1, r.omega + 1):
         _assert_cells_decide_as_columns(r, k)
+    assert r.minimal_period() == _scan_minimal_period(r)
 
 
 def test_cell_masks_decide_as_columns_on_corpus():
