@@ -2,14 +2,15 @@
 
 Exit codes: 0 success, 1 verification failure, 2 factorization budget
 exhausted, 64 usage error (including options that leave a verification
-harness nothing to check). Numbers are accepted as decimal strings of ASCII
-digits, of unbounded length. The factorization budget in seconds, per command
-and per n in a sweep, is --budget, else VPAL_BUDGET, else 10; a value that is
-not a positive finite number written in ASCII decimal digits, with an
-optional fraction and exponent, is a usage error. `verify oracle` and
-`verify disjointness` decide every k on a finite set of k (see
-oracle.compare_procedure_oracle and ProcedureResult.lattice), so they take
-no k bound.
+harness nothing to check), 141 (128 + SIGPIPE) when the reader of standard
+output closes it early, as `vpal procedure N --json | head -1` does. Numbers
+are accepted as decimal strings of ASCII digits, of unbounded length. The
+factorization budget in seconds, per command and per n in a sweep, is
+--budget, else VPAL_BUDGET, else 10; a value that is not a positive finite
+number written in ASCII decimal digits, with an optional fraction and
+exponent, is a usage error. `verify oracle` and `verify disjointness` decide
+every k on a finite set of k (see oracle.compare_procedure_oracle and
+ProcedureResult.lattice), so they take no k bound.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 64
+EXIT_BROKEN_PIPE = 141
 
 _GOLDEN_ENUMERATION = "data/vpalindromes_1e4.txt"
 _GOLDEN_LIMIT = 10_000
@@ -281,6 +283,11 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidInput, ValueError) as exc:
         print(f"vpal: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader is gone: stdout now points at devnull, so the flush at
+        # exit writes what is left to nowhere instead of raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Budgeted integer factorization, p-adic valuation, and the arithmetic function v.
 
-v(n) sums p + a over prime-power divisors p**a with a >= 2 and p over primes
-of exponent 1; v(1) = 0. In every factorization this module returns, the
-product reconstructs the input exactly and each recorded prime passes
-is_probable_prime: a proof below psi_13 ~ 3.3e24, BPSW-probable above.
+v(n) sums c(p, a) (v_term) over the exact prime-power divisors p**a of n:
+p + a when a >= 2, p when a = 1; v(1) = 0. In every factorization this module
+returns, the product reconstructs the input exactly and each recorded prime
+passes is_probable_prime: a proof below psi_13 ~ 3.3e24, BPSW-probable above.
 
 Factorization pipeline: trial division by the primes below 10**4 (one at a
 time through the first 32 primes, then one gcd with the product of the rest,
@@ -33,6 +33,7 @@ import time
 from bisect import bisect_right
 from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import starmap
 
 from .digits import repunit
 
@@ -449,9 +450,14 @@ def valuation(p: int, n: int) -> int:
     return a
 
 
+def v_term(p: int, e: int) -> int:
+    """c(p, e), the term of v for the prime power p**e: 0, p at e = 1, p + e at e >= 2."""
+    return p + e if e >= 2 else p if e else 0
+
+
 def v_of_factorization(f: Factorization) -> int:
-    """v of the factored integer: sum of p + e over entries with e >= 2, p otherwise."""
-    return sum(p + e if e >= 2 else p for p, e in f.entries)
+    """v of the factored integer: the sum of v_term over its entries."""
+    return sum(starmap(v_term, f.entries))
 
 
 def v_value(n: int, budget: Budget | None = None) -> int:

@@ -26,6 +26,7 @@ from .factor import (
     metered,
     primes_up_to,
     v_of_factorization,
+    v_term,
     valuation,
 )
 from .order import repunit_order, repunit_order_rescaled, repunit_valuation
@@ -130,15 +131,15 @@ def oracle_is_vpal_concat(n: int, k: int, budget: Budget | None = None) -> bool:
 
     With L the digit count of n and R = repunit(k, L), n(k) = n*R. As 10 does
     not divide n, r(n) also has L digits, so r(n(k)) = r(n)*R. With a_p, b_p
-    and x_p the valuations of n, r(n) and R at p, and c(p, 0) = 0,
-    c(p, 1) = p, c(p, e) = p + e for e >= 2, v is the sum of c(p, .) over
-    primes, so
+    and x_p the valuations of n, r(n) and R at p, v is the sum over primes of
+    c(p, .) (factor.v_term: c(p, 0) = 0, c(p, 1) = p, c(p, e) = p + e for
+    e >= 2), so
 
         v(n*R) - v(r(n)*R) = sum over p | n*r(n) of c(p, a_p + x_p) - c(p, b_p + x_p):
 
     every prime of R dividing neither n nor r(n) adds c(p, x_p) to both sides
-    and cancels. Merging the x_p of the primes of n*r(n) into both
-    factorizations therefore decides the literal test exactly. x_p is
+    and cancels. The literal test holds exactly when this sum is 0, and
+    _concat_verdict adds it up in one pass over the primes of n*r(n). x_p is
     repunit_valuation(p, k, L), from modular powers that never build R,
     independently of the entry orders; so k may run into the millions and past.
     """
@@ -148,10 +149,20 @@ def oracle_is_vpal_concat(n: int, k: int, budget: Budget | None = None) -> bool:
 
 
 def _concat_verdict(fn: Factorization, fr: Factorization, L: int, k: int) -> bool:
-    """oracle_is_vpal_concat from the factorizations fn of n and fr of r(n), L digits each."""
-    primes = sorted(set(fn.primes()) | set(fr.primes()))
-    shared = Factorization(tuple((p, x) for p in primes if (x := repunit_valuation(p, k, L))))
-    return v_of_factorization(fn.merge(shared)) == v_of_factorization(fr.merge(shared))
+    """oracle_is_vpal_concat from the factorizations fn of n and fr of r(n), L digits each.
+
+    One pass over the primes of n*r(n) sums c(p, a_p + x_p) - c(p, b_p + x_p),
+    with a_p and b_p read from the exponent maps of fn and fr. A prime with
+    a_p = b_p adds 0 at every x_p, so its x_p is never computed.
+    """
+    a, b = dict(fn.entries), dict(fr.entries)
+    total = 0
+    for p in a.keys() | b.keys():
+        a_p, b_p = a.get(p, 0), b.get(p, 0)
+        if a_p != b_p:
+            x = repunit_valuation(p, k, L)
+            total += v_term(p, a_p + x) - v_term(p, b_p + x)
+    return total == 0
 
 
 def _labelled(template: str):

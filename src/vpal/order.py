@@ -71,9 +71,9 @@ def ten_power_valuation(p: int, L: int) -> int:
     return _ten_power_valuation(p, L)
 
 
-def _ten_power_valuation(p: int, L: int) -> int:
-    """ten_power_valuation on arguments already checked."""
-    c = 0
+def _ten_power_valuation(p: int, L: int, c: int = 0) -> int:
+    """ten_power_valuation on arguments already checked, counting up from a c
+    with p**c known to divide 10**L - 1."""
     while pow(10, L, p ** (c + 1)) == 1:
         c += 1
     return c
@@ -116,16 +116,18 @@ def repunit_valuation(p: int, k: int, block_len: int = 1) -> int:
     """ord_p(repunit(k, block_len)) = ord_p(10**(k*block_len) - 1) - ord_p(10**block_len - 1).
 
     Zero for p in {2, 5}: repunits end in 1. Zero after one modular power when
-    p does not divide 10**(k*block_len) - 1, a multiple of the repunit.
+    p does not divide 10**(k*block_len) - 1, a multiple of the repunit; when it
+    does, that power is the first step of the count, which goes on from 1.
     """
     if k < 1 or block_len < 1:
         raise ValueError(f"expected k, block_len >= 1, got k={k}, block_len={block_len}")
     if p in (2, 5):
         return 0
     _require_coprime_to_ten(p)
-    if pow(10, k * block_len, p) != 1:
+    kL = k * block_len
+    if pow(10, kL, p) != 1:
         return 0
-    return _ten_power_valuation(p, k * block_len) - _ten_power_valuation(p, block_len)
+    return _ten_power_valuation(p, kL, 1) - _ten_power_valuation(p, block_len)
 
 
 def repunit_order_rescaled(p: int, alpha: int, k: int, L: int) -> int:

@@ -75,9 +75,21 @@ def v_increment(p: int, delta: int, alpha: int) -> int:
     return p + delta if alpha == 0 else 1 + delta if alpha == 1 else delta
 
 
+def _increments(p: int, delta: int) -> tuple[int, ...]:
+    """The values v_increment(p, delta, .) attains, ascending: its values at
+    alpha >= 2, 1 and 0, in closed form. They are 1, 2, p for delta = 1 (just
+    1, 2 at p = 2, where alpha = 1 and 0 both give 2) and delta, delta + 1,
+    delta + p for delta >= 2."""
+    if delta < 1:
+        raise ValueError(f"expected delta >= 1, got {delta}")
+    if delta > 1:
+        return delta, delta + 1, delta + p
+    return (1, 2) if p == 2 else (1, 2, p)
+
+
 def v_increment_range(p: int, delta: int) -> frozenset[int]:
     """All values v_increment(p, delta, .) attains; size 2 for (2, 1), else 3."""
-    return frozenset(v_increment(p, delta, alpha) for alpha in (0, 1, 2))
+    return frozenset(_increments(p, delta))
 
 
 class CaseLabel(str, enum.Enum):
@@ -257,8 +269,9 @@ def solve_characteristic(crucial: tuple[CrucialPrime, ...]) -> Solved:
     """All sign-balanced increment vectors, in lexicographic order, with the
     solution mask of each (prime, entry) pair.
 
-    Entry i ranges over v_increment_range(p_i, |delta_i|); a vector solves the
-    equation when the delta-signed sum of its entries is zero.
+    Entry i ranges over v_increment_range(p_i, |delta_i|), taken ascending
+    from its closed form; a vector solves the equation when the delta-signed
+    sum of its entries is zero.
 
     With t_i = s_i * u_i the signed entries and [lo_i, hi_i] the range of the
     prefix sums t_0 + ... + t_{i-1}, C_i counts, per suffix sum t_i + ... +
@@ -275,12 +288,13 @@ def solve_characteristic(crucial: tuple[CrucialPrime, ...]) -> Solved:
     """
     if not crucial:
         raise ValueError("need at least one crucial prime")
-    levels = [(1 if cp.delta > 0 else -1, sorted(v_increment_range(cp.p, abs(cp.delta))))
-              for cp in crucial]
+    levels = [(1 if cp.delta > 0 else -1, _increments(cp.p, abs(cp.delta))) for cp in crucial]
     lo, hi = [0], [0]
     for s, us in levels:
-        lo.append(lo[-1] + min(s * u for u in us))
-        hi.append(hi[-1] + max(s * u for u in us))
+        # us ascends, so its signed extremes sit at its two ends
+        first, last = s * us[0], s * us[-1]
+        lo.append(lo[-1] + min(first, last))
+        hi.append(hi[-1] + max(first, last))
     counts = [{0: 1}]  # C_m, ..., C_1
     for i in range(len(levels) - 1, 0, -1):
         s, us = levels[i]

@@ -1,9 +1,20 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from vpal.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILED, main
+import vpal
+from vpal.cli import (
+    EXIT_BROKEN_PIPE,
+    EXIT_BUDGET,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VERIFICATION_FAILED,
+    main,
+)
 from vpal.oracle import VerificationReport
 
 from test_factor import ARNAULT_1995
@@ -323,3 +334,19 @@ def test_verification_failure_exits_1(capsys, monkeypatch):
     assert code == EXIT_VERIFICATION_FAILED
     d = json.loads(out)
     assert d["failed"] == 1 and d["failures"] == [{"n": 18, "k": 2}]
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_exit_141():
+    # About 950 KB of JSON, more than a pipe buffer holds, so the writer is
+    # still writing when the reader goes, as with `vpal procedure ... | head -1`.
+    env = {**os.environ, "PYTHONPATH": str(Path(vpal.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "vpal.cli",
+         "procedure", "7243529084560665", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (EXIT_BROKEN_PIPE, b"")

@@ -66,6 +66,14 @@ def test_concat_oracle_equals_literal_oracle(n, k):
     assert oracle_is_vpal_concat(n, k) == oracle_is_vpal(repeat_concat(n, k))
 
 
+def test_concat_oracle_equals_literal_oracle_on_a_grid():
+    # The same identity on a fixed grid, so a fault in the one-pass sum fails
+    # on every run and not only on the draws that reach it.
+    mismatched = [(n, k) for n in corpus(200) for k in range(1, 5)
+                  if oracle_is_vpal_concat(n, k) != oracle_is_vpal(repeat_concat(n, k))]
+    assert mismatched == []
+
+
 def _oracle_elements(n):
     return oracle._oracle_elements(factorize(n), factorize(reverse_digits(n)), digit_count(n))
 

@@ -183,6 +183,12 @@ def test_repunit_valuation_matches_direct():
     assert repunit_valuation(5, 10, 2) == 0
 
 
+def test_repunit_valuation_counts_past_the_first_power_at_a_wieferich_prime():
+    # 487**2 divides 10**486 - 1 while 487 does not divide 10**3 - 1: the count
+    # that starts at 1 after the mod-p check must take one more step.
+    assert repunit_valuation(487, 162, 3) == valuation(487, repunit(162, 3)) == 2
+
+
 def test_rescaling_identity_examples():
     assert repunit_order_rescaled(3, 1, 2, 1) == 3 == repunit_order(3, 1, 2)
     assert repunit_order_rescaled(3, 1, 3, 1) == 3 == repunit_order(3, 1, 3)
