@@ -118,7 +118,7 @@ class Budget:
     iterations: int = 20_000_000
 
     def __post_init__(self):
-        if self.seconds <= 0 or self.iterations <= 0:
+        if not (self.seconds > 0 and self.iterations > 0):  # NaN fails both comparisons
             raise ValueError("budget must be positive")
 
 

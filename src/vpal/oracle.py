@@ -194,8 +194,10 @@ def _per_n_report(check, n: int, **params):
     with params, timed, and recording a budget run-out in the block as n's skip."""
     t0 = time.monotonic()
     report = VerificationReport(corpus=check.label.format(n=f"={n}", **params))
-    with _budget_skip(report, n=n):
+    try:
         yield report
+    except BudgetExhausted as exc:
+        _record_budget_skip(report, exc, n=n)
     report.elapsed = time.monotonic() - t0
 
 
@@ -322,9 +324,11 @@ def verify_periodicity(
     """Oracle membership over [1, periods*omega] must be omega-periodic.
 
     omega comes from the classification; the membership pattern comes from the
-    factorization oracle alone. Numbers whose omega exceeds the cap are
+    concatenation oracle alone. Numbers whose omega exceeds the cap are
     reported as skipped (their window is too wide to scan), and so is n when
-    run_procedure(n) runs out of budget.
+    run_procedure(n) runs out of budget. No k can run out: run_procedure(n)
+    leaves the factorizations of n and r(n) in the call's meter, and each k's
+    verdict (_concat_verdict) takes only modular powers.
 
     Superseded by compare_procedure_oracle: the columns are omega-periodic by
     construction, so agreement for every k makes the oracle omega-periodic,
@@ -332,32 +336,16 @@ def verify_periodicity(
     kept only for the benchmark's periodicity workload and goes when that
     workload is retired (ROADMAP item 7).
     """
-    t0 = time.monotonic()
-    report = VerificationReport(
-        corpus=verify_periodicity.label.format(n=f"={n}", periods=periods, omega_cap=omega_cap)
-    )
-    try:
+    with _per_n_report(verify_periodicity, n, periods=periods, omega_cap=omega_cap) as report:
         omega = run_procedure(n).omega
-    except BudgetExhausted as exc:
-        _record_budget_skip(report, exc, n=n)
-        omega = 0  # an empty window
-    if omega > omega_cap:
-        report.record_skip(n=n, reason="omega_cap", omega=omega)
-        report.elapsed = time.monotonic() - t0
-        return report
-    pattern: dict[int, bool | None] = {}
-    for k in range(1, periods * omega + 1):
-        try:
-            pattern[k] = oracle_is_vpal_concat(n, k)
-        except BudgetExhausted as exc:
-            pattern[k] = None
-            _record_budget_skip(report, exc, n=n, k=k)
-    for k in range(1, (periods - 1) * omega + 1):
-        a, b = pattern[k], pattern[k + omega]
-        if a is None or b is None:
-            continue
-        report.record(a == b, n=n, k=k, omega=omega, at_k=a, at_k_plus_omega=b)
-    report.elapsed = time.monotonic() - t0
+        if omega > omega_cap:
+            report.record_skip(n=n, reason="omega_cap", omega=omega)
+        else:
+            fn, fr, L = factorize(n), factorize(reverse_digits(n)), digit_count(n)
+            pattern = {k: _concat_verdict(fn, fr, L, k) for k in range(1, periods * omega + 1)}
+            for k in range(1, (periods - 1) * omega + 1):
+                a, b = pattern[k], pattern[k + omega]
+                report.record(a == b, n=n, k=k, omega=omega, at_k=a, at_k_plus_omega=b)
     return report
 
 

@@ -183,6 +183,19 @@ def test_budget_exhaustion_names_composite_cofactor():
     assert not is_probable_prime(cofactor)
 
 
+@pytest.mark.parametrize("cap", [{"seconds": math.nan}, {"iterations": math.nan},
+                                 {"seconds": 0}, {"iterations": -1}],
+                         ids=["nan_seconds", "nan_iterations", "zero_seconds", "negative_iterations"])
+def test_budget_rejects_a_cap_that_is_not_positive(cap):
+    # NaN is neither <= 0 nor > 0: a cap of NaN would never fire
+    with pytest.raises(ValueError):
+        Budget(**cap)
+
+
+def test_budget_accepts_an_unbounded_time_cap():
+    assert Budget(seconds=math.inf).seconds == math.inf
+
+
 def test_a_metered_call_factors_each_integer_once():
     # factorize(n) needs 13,054 rho iterations: twice would overrun 13,500.
     n = 860334011495401

@@ -99,7 +99,8 @@ def test_compare_procedure_oracle_skips_when_p_minus_1_does_not_factor(monkeypat
     assert rep.skips == [{"n": 13, "reason": "budget", "cofactor": "1001"}]
 
 
-@pytest.mark.parametrize("harness", [compare_procedure_oracle, verify_disjointness, verify_invariance])
+@pytest.mark.parametrize("harness", [compare_procedure_oracle, verify_disjointness, verify_invariance,
+                                     verify_periodicity])
 def test_harness_skips_when_n_does_not_factor(harness):
     # factorize(n) alone needs 13,054 rho iterations
     n = 860334011495401
@@ -109,21 +110,18 @@ def test_harness_skips_when_n_does_not_factor(harness):
 
 
 # run_procedure(n) spends 13,948 rho iterations on n and r(n); a harness
-# that factored them again would overrun 14,500.
-FACTORED_ONCE = (860334011495401, Budget(seconds=1e9, iterations=14_500))
-
-
-def test_compare_procedure_oracle_factors_n_and_its_reversal_once():
-    n, budget = FACTORED_ONCE
-    rep = compare_procedure_oracle(n, budget=budget)
-    assert (rep.checked, rep.failed, rep.skipped) == (784, 0, 0)
-
-
-def test_verify_invariance_factors_n_and_its_reversal_once():
-    # n(1) = n: the shifted and the from-scratch tables need no new factoring
-    n, budget = FACTORED_ONCE
-    rep = verify_invariance(n, 1, budget=budget)
-    assert (rep.checked, rep.failed, rep.skipped) == (1, 0, 0)
+# that factored them again would overrun 14,500. verify_invariance runs at
+# kmax 1, where n(1) = n needs no new factoring; omega = 1 for this n, so
+# verify_periodicity makes one comparison.
+@pytest.mark.parametrize("harness, params, counts", [
+    (compare_procedure_oracle, {}, (784, 0, 0)),
+    (verify_invariance, {"kmax": 1}, (1, 0, 0)),
+    (verify_periodicity, {}, (1, 0, 0)),
+], ids=["compare_procedure_oracle", "verify_invariance", "verify_periodicity"])
+def test_harness_factors_n_and_its_reversal_once(harness, params, counts):
+    n = 860334011495401
+    rep = harness(n, budget=Budget(seconds=1e9, iterations=14_500), **params)
+    assert (rep.checked, rep.failed, rep.skipped) == counts
 
 
 def test_oracle_elements_match_a_scan_of_powers_of_ten():
