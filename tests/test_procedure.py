@@ -628,6 +628,25 @@ def test_to_dict_round_trips():
     assert digest.hexdigest() == "f9230dc12d1cfcd8ab92b1629d8e09cceced236a584e618f7018bb1d0091840f"
 
 
+# (n, copies) of 12 to 16 digits: one without solutions, then 1, 5, 20 and 21
+# solutions, then the widest table under 20 ms per digit length and copies.
+_WIDE_ITEMS = [
+    (107240193705, 1), (213085777972, 1), (547718139057, 3), (396871711257, 3),
+    (535749848604, 3), (292277430733, 1), (695589112183, 2), (856668031023, 3),
+    (2653267845325, 1), (4556715502781, 2), (8418828846635, 3), (18575935096125, 1),
+    (61718724236119, 2), (51435861169833, 3), (823795783696145, 1), (636734409392165, 2),
+    (388781612269968, 3), (6600137782187808, 1), (1564732921789476, 2), (5818274800416984, 3),
+]
+
+
+def test_to_json_bytes_at_12_to_16_digits():
+    # The digest pins the bytes of all 20 documents, one newline after each.
+    digest = hashlib.sha256()
+    for n, copies in _WIDE_ITEMS:
+        digest.update(run_procedure(n, copies=copies).to_json().encode() + b"\n")
+    assert digest.hexdigest() == "31bda5ce3a69ef71e7cc67f51636d8f513de381b20016454d856d5ab3ce68da6"
+
+
 _JSON_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f aZé€\u2028😀') | st.characters())
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64)
                  | st.integers(max_value=-2**64) | _JSON_TEXT)
