@@ -38,10 +38,11 @@ from __future__ import annotations
 
 import enum
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import NamedTuple
 
 from .digits import decimal_string, digit_count, reverse_digits
@@ -188,9 +189,6 @@ class ConstraintPair:
         c = {math.lcm(a0, b) for b in self.B}
         return a0, frozenset(x for x in c if not any(x % y == 0 and y != x for y in c))
 
-    def to_dict(self) -> dict:
-        return {"A": sorted(self.A), "B": sorted(self.B)}
-
 
 def constraint_entry(p: int, label: CaseLabel, digit_len: int) -> ConstraintPair:
     """Divisibility constraints contributed by prime p under the given case.
@@ -233,9 +231,6 @@ class CrucialPrime:
     def shifted(self, x: int) -> "CrucialPrime":
         """Both exponents raised by x (the repunit valuation shift)."""
         return CrucialPrime(self.p, self.a + x, self.b + x)
-
-    def to_dict(self) -> dict:
-        return {"p": self.p, "a": self.a, "b": self.b, "delta": self.delta, "mu": self.mu}
 
 
 def crucial_primes(n: int) -> tuple[CrucialPrime, ...]:
@@ -352,21 +347,22 @@ class ProcedureResult:
     solutions: tuple[Solution, ...]
     rows: tuple[tuple[Cell, ...], ...]
 
-    def _spread(self, field: str) -> tuple[tuple, ...]:
-        # Per row, the field of each solution's cell, looked up by its entry.
+    def _spread(self, of) -> tuple[tuple, ...]:
+        # Per row, of(cell) for each solution's cell, looked up by its entry:
+        # of runs once per distinct cell.
         entries = zip(*self.solutions) if self.solutions else [()] * len(self.rows)
         return tuple(
-            tuple(map({cell.entry: getattr(cell, field) for cell in row}.__getitem__, us))
+            tuple(map({cell.entry: of(cell) for cell in row}.__getitem__, us))
             for row, us in zip(self.rows, entries)
         )
 
     @cached_property
     def case_table(self) -> tuple[tuple[CaseLabel, ...], ...]:
-        return self._spread("label")
+        return self._spread(attrgetter("label"))
 
     @cached_property
     def constraint_table(self) -> tuple[tuple[ConstraintPair, ...], ...]:
-        return self._spread("pair")
+        return self._spread(attrgetter("pair"))
 
     @cached_property
     def columns(self) -> tuple[ConstraintPair, ...]:
@@ -502,31 +498,36 @@ class ProcedureResult:
                    if cell.label is CaseLabel.VII)
 
     def to_dict(self) -> dict:
-        return {
-            "n": decimal_string(self.n),
-            "copies": self.copies,
-            "digit_length": self.digit_len,
-            "crucial_primes": [cp.to_dict() for cp in self.crucial],
-            "solutions": [list(sol) for sol in self.solutions],
-            "case_table": [[label.value for label in row] for row in self.case_table],
-            "constraint_table": [[pair.to_dict() for pair in row] for row in self.constraint_table],
-            "columns": self._column_dicts(),
-            "omega": self.omega,
-            "omega0": self.minimal_period(),
-            "c": self.first_member(),
-            "nondegenerate": [list(sol) for sol in self.nondegenerate_solutions()],
-            "case_vii_count": self.case_vii_count,
-        }
-
-    def _column_dicts(self) -> list[dict]:
-        return [
-            {"solution": list(sol), "A": sorted(col.A), "B": sorted(col.B), "first_member": f}
-            for sol, col, f in zip(self.solutions, self.columns, self._column_firsts)
-        ]
+        """The document of docs/procedure-result.schema.json: the parse of to_json."""
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        """to_dict as ``vpal procedure --json`` prints it: json.dumps(..., indent=2) text."""
-        return _indented(self.to_dict())
+        """The text ``vpal procedure --json`` prints, json.dumps(to_dict(), indent=2)
+        byte for byte, written from the rows: per row each distinct cell's text
+        once, and each solution's list once."""
+        p1, p2, p3, p4 = _PAD[1:]
+        sols = [_array(map(str, sol), p2) for sol in self.solutions]
+        crucial = _array((f'{{{p3}"p": {cp.p},{p3}"a": {cp.a},{p3}"b": {cp.b},'
+                          f'{p3}"delta": {cp.delta},{p3}"mu": {cp.mu}{p2}}}' for cp in self.crucial), p1)
+        label = lambda cell: f'"{cell.label.value}"'
+        pair = lambda cell: (f'{{{p4}"A": {_array(map(str, sorted(cell.pair.A)), p4)},'
+                             f'{p4}"B": {_array(map(str, sorted(cell.pair.B)), p4)}{p3}}}')
+        table = lambda of: _array((_array(row, p2) for row in self._spread(of)), p1)
+        firsts = self._column_firsts
+        # In a column a solution's list sits one level deeper: two more spaces per line.
+        columns = _array((f'{{{p3}"solution": {text.replace(_PAD[0], p1)},'
+                          f'{p3}"A": {_array(map(str, sorted(col.A)), p3)},'
+                          f'{p3}"B": {_array(map(str, sorted(col.B)), p3)},'
+                          f'{p3}"first_member": {_null_or(f)}{p2}}}'
+                          for text, col, f in zip(sols, self.columns, firsts)), p1)
+        return (f'{{\n  "n": "{decimal_string(self.n)}",\n  "copies": {self.copies},'
+                f'\n  "digit_length": {self.digit_len},\n  "crucial_primes": {crucial},'
+                f'\n  "solutions": {_array(sols, p1)},\n  "case_table": {table(label)},'
+                f'\n  "constraint_table": {table(pair)},\n  "columns": {columns},'
+                f'\n  "omega": {self.omega},\n  "omega0": {self.minimal_period()},'
+                f'\n  "c": {_null_or(self.first_member())},'
+                f'\n  "nondegenerate": {_array((t for t, f in zip(sols, firsts) if f is not None), p1)},'
+                f'\n  "case_vii_count": {self.case_vii_count}\n}}')
 
     @classmethod
     def from_tables(cls, n: int, copies: int, digit_len: int, crucial: tuple[CrucialPrime, ...],
@@ -568,7 +569,7 @@ class ProcedureResult:
                 tuple(ConstraintPair(e["A"], e["B"]) for e in row) for row in d["constraint_table"]
             ),
         )
-        if d["columns"] != result._column_dicts() or d["omega"] != result.omega:
+        if d["columns"] != result.to_dict()["columns"] or d["omega"] != result.omega:
             raise ValueError("columns or omega disagree with the constraint table")
         return result
 
@@ -592,37 +593,21 @@ def _coprime_base(xs) -> set[int]:
     return base
 
 
-# The text of each scalar a to_dict holds, keyed by its exact type: what
-# json.dumps writes for it, str through the same C escaper (ensure_ascii).
-_SCALAR = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
+# What json.dumps(..., indent=2) writes before an item at each depth: a newline
+# and two spaces per level.
+_PAD = tuple("\n" + "  " * depth for depth in range(5))
 
 
-def _indented(obj, pad: str = "\n") -> str:
-    """obj as json.dumps(obj, indent=2) writes it, for exactly the types a
-    to_dict holds: dicts with str keys, lists, str, int, bool and None. Any
-    other type, a float or a tuple too, raises TypeError. json.dumps would take
-    its pure-Python encoder, as it does whenever indent is set."""
-    write = _SCALAR.get(type(obj))
-    if write is not None:
-        return write(obj)
+def _array(items, pad: str) -> str:
+    """The indent-2 text of a list of items already written, the list itself at
+    the depth of pad; as no item's text is empty, an empty join is an empty list."""
     inner = pad + "  "
-    if type(obj) is list:
-        brackets = "[]"
-        items = [_indented(x, inner) for x in obj]
-    elif type(obj) is dict:
-        # encode_basestring_ascii raises TypeError on a key that is not a str
-        brackets = "{}"
-        items = [encode_basestring_ascii(k) + ": " + _indented(v, inner) for k, v in obj.items()]
-    else:
-        raise TypeError(f"procedure JSON holds no {type(obj).__name__}")
-    if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+    body = ("," + inner).join(items)
+    return "[" + inner + body + pad + "]" if body else "[]"
+
+
+def _null_or(x: int | None) -> str:
+    return "null" if x is None else str(x)
 
 
 @metered
