@@ -138,30 +138,34 @@ def oracle_is_vpal_concat(n: int, k: int, budget: Budget | None = None) -> bool:
         v(n*R) - v(r(n)*R) = sum over p | n*r(n) of c(p, a_p + x_p) - c(p, b_p + x_p):
 
     every prime of R dividing neither n nor r(n) adds c(p, x_p) to both sides
-    and cancels. The literal test holds exactly when this sum is 0, and
-    _concat_verdict adds it up in one pass over the primes of n*r(n). x_p is
+    and cancels, and so does every prime with a_p = b_p, at every x_p. The
+    literal test holds exactly when this sum is 0, and _concat_verdict adds it
+    up over the primes _concat_terms keeps, those with a_p != b_p. x_p is
     repunit_valuation(p, k, L), from modular powers that never build R,
     independently of the entry orders; so k may run into the millions and past.
     """
     if not eligible(n):
         return False
-    return _concat_verdict(factorize(n), factorize(reverse_digits(n)), digit_count(n), k)
+    terms = _concat_terms(factorize(n), factorize(reverse_digits(n)))
+    return _concat_verdict(terms, digit_count(n), k)
 
 
-def _concat_verdict(fn: Factorization, fr: Factorization, L: int, k: int) -> bool:
-    """oracle_is_vpal_concat from the factorizations fn of n and fr of r(n), L digits each.
-
-    One pass over the primes of n*r(n) sums c(p, a_p + x_p) - c(p, b_p + x_p),
-    with a_p and b_p read from the exponent maps of fn and fr. A prime with
-    a_p = b_p adds 0 at every x_p, so its x_p is never computed.
-    """
+def _concat_terms(fn: Factorization, fr: Factorization) -> tuple[tuple[int, int, int], ...]:
+    """(p, a_p, b_p) for each prime of n*r(n) with a_p != b_p, from the
+    factorizations fn of n and fr of r(n): the primes whose terms of the sum in
+    oracle_is_vpal_concat can be nonzero. They depend on n alone, not on k."""
     a, b = dict(fn.entries), dict(fr.entries)
+    exponents = ((p, a.get(p, 0), b.get(p, 0)) for p in a.keys() | b.keys())
+    return tuple(t for t in exponents if t[1] != t[2])
+
+
+def _concat_verdict(terms: tuple[tuple[int, int, int], ...], L: int, k: int) -> bool:
+    """oracle_is_vpal_concat at k, from the _concat_terms of n, L digits long:
+    whether c(p, a_p + x_p) - c(p, b_p + x_p) sums to 0 over them."""
     total = 0
-    for p in a.keys() | b.keys():
-        a_p, b_p = a.get(p, 0), b.get(p, 0)
-        if a_p != b_p:
-            x = repunit_valuation(p, k, L)
-            total += v_term(p, a_p + x) - v_term(p, b_p + x)
+    for p, a_p, b_p in terms:
+        x = repunit_valuation(p, k, L)
+        total += v_term(p, a_p + x) - v_term(p, b_p + x)
     return total == 0
 
 
@@ -257,9 +261,10 @@ def compare_procedure_oracle(n: int, budget: Budget | None = None) -> Verificati
         result = run_procedure(n)
         fn = factorize(n)
         fr = factorize(reverse_digits(n))
+        terms = _concat_terms(fn, fr)
         for m in sorted(lcm_closure(result.elements | _oracle_elements(fn, fr, L))):
             predicted = result.accepts(m)
-            actual = _concat_verdict(fn, fr, L, m)
+            actual = _concat_verdict(terms, L, m)
             report.record(predicted == actual, n=n, k=m, predicted=predicted, actual=actual)
     return report
 
@@ -341,8 +346,8 @@ def verify_periodicity(
         if omega > omega_cap:
             report.record_skip(n=n, reason="omega_cap", omega=omega)
         else:
-            fn, fr, L = factorize(n), factorize(reverse_digits(n)), digit_count(n)
-            pattern = {k: _concat_verdict(fn, fr, L, k) for k in range(1, periods * omega + 1)}
+            terms, L = _concat_terms(factorize(n), factorize(reverse_digits(n))), digit_count(n)
+            pattern = {k: _concat_verdict(terms, L, k) for k in range(1, periods * omega + 1)}
             for k in range(1, (periods - 1) * omega + 1):
                 a, b = pattern[k], pattern[k + omega]
                 report.record(a == b, n=n, k=k, omega=omega, at_k=a, at_k_plus_omega=b)
