@@ -17,9 +17,9 @@ with ``metered`` starts one meter for its ``budget`` argument, and every
 factorize() below it spends from that meter. The meter keeps each
 factorization it completes, so a metered call factors each integer once, also
 where it comes back as the cofactor of a later input. It also keeps each
-prime that the primality test proved under it, as that prime's own
-factorization, so a metered call tests each integer at most once and a later
-factorize() of that prime is a lookup.
+prime that rho split off or the primality test proved under it, as that
+prime's own factorization, so a metered call tests each integer at most once
+and a later factorize() of that prime is a lookup.
 This module alone decides what a budget covers; the layers in between take
 no budget.
 """
@@ -413,7 +413,9 @@ def factorize(n: int, budget: Budget | None = None) -> Factorization:
             while stack:
                 m = stack.pop()
                 known = clock.factored.get(m)
-                if known is None and is_probable_prime(m):
+                # Every piece divides the cofactor of trial division, so one
+                # below 10**8 is prime as that cofactor would be, untested.
+                if known is None and (m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_probable_prime(m)):
                     # A proved prime is kept as its own factorization.
                     known = clock.factored[m] = Factorization._trusted(((m, 1),))
                 if known is not None:

@@ -235,6 +235,15 @@ def test_a_metered_call_reads_a_kept_composite_cofactor(monkeypatch):
     assert sum(spent) == iterations
 
 
+def test_a_rho_piece_below_10_to_the_8_is_prime_untested(monkeypatch):
+    # Only the cofactor 10007 * 99991 is tested: the pieces rho splits off are
+    # below 10**8 and free of the primes below 10**4, so prime.
+    tested, real_test = [], factor.is_probable_prime
+    monkeypatch.setattr(factor, "is_probable_prime", lambda m: tested.append(m) or real_test(m))
+    assert factorize(10007 * 99991).entries == ((10007, 1), (99991, 1))
+    assert tested == [10007 * 99991]
+
+
 def test_valuation():
     assert valuation(3, 18) == 2
     assert valuation(7, 18) == 0
