@@ -104,7 +104,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--nmax", type=_decimal, default=DEFAULT_NMAX)
 
     q = what.add_parser("invariance", help="type agreement across concatenation bases")
-    q.add_argument("--nmax", type=_decimal, default=500)
+    q.add_argument("--nmax", type=_decimal, default=DEFAULT_NMAX)
     q.add_argument("--kmax", type=_decimal, default=6)
 
     q = what.add_parser("lemmas", help="entry-order divisibility and rescaling identities")

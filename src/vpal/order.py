@@ -96,7 +96,7 @@ def repunit_order(p: int, alpha: int, L: int) -> int:
     _require_coprime_to_ten(p)
     if alpha < 1 or L < 1:
         raise ValueError(f"expected alpha, L >= 1, got alpha={alpha}, L={L}")
-    e = alpha + ten_power_valuation(p, L)
+    e = alpha + _ten_power_valuation(p, L)
     if alpha > 1:
         order, steps = repunit_order(p, 1, L), alpha - 1
     elif factorize(p).entries != ((p, 1),):

@@ -529,50 +529,6 @@ class ProcedureResult:
                 f'\n  "nondegenerate": {_array((t for t, f in zip(sols, firsts) if f is not None), p1)},'
                 f'\n  "case_vii_count": {self.case_vii_count}\n}}')
 
-    @classmethod
-    def from_tables(cls, n: int, copies: int, digit_len: int, crucial: tuple[CrucialPrime, ...],
-                    solutions: tuple[Solution, ...], case_table, constraint_table) -> "ProcedureResult":
-        """The result with these tables, indexed [prime][solution]; ValueError
-        when they are not one row per crucial prime and one cell per solution,
-        when a solution lacks an entry per crucial prime, or when a row gives
-        two different cells to one entry."""
-        width = len(solutions)
-        if not crucial or any(len(sol) != len(crucial) for sol in solutions) or any(
-            len(table) != len(crucial) or any(len(row) != width for row in table)
-            for table in (case_table, constraint_table)
-        ):
-            raise ValueError("tables need one row per crucial prime and one cell per solution")
-        rows = []
-        for i, cells in enumerate(zip(case_table, constraint_table)):
-            by_entry: dict[int, list] = {}
-            for l, (sol, label, pair) in enumerate(zip(solutions, *cells)):
-                cell = by_entry.setdefault(sol[i], [label, pair, 0])
-                if cell[:2] != [label, pair]:
-                    raise ValueError(f"row {i} gives entry {sol[i]} two different cells")
-                cell[2] |= 1 << l
-            rows.append(tuple(Cell(u, *cell) for u, cell in by_entry.items()))
-        return cls(n, copies, digit_len, crucial, solutions, tuple(rows))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProcedureResult":
-        """The result a to_dict document describes; ValueError when from_tables
-        rejects its tables, or when its columns or omega disagree with those its
-        constraint table gives."""
-        result = cls.from_tables(
-            n=int(d["n"]),
-            copies=d["copies"],
-            digit_len=d["digit_length"],
-            crucial=tuple(CrucialPrime(c["p"], c["a"], c["b"]) for c in d["crucial_primes"]),
-            solutions=tuple(tuple(sol) for sol in d["solutions"]),
-            case_table=tuple(tuple(CaseLabel(v) for v in row) for row in d["case_table"]),
-            constraint_table=tuple(
-                tuple(ConstraintPair(e["A"], e["B"]) for e in row) for row in d["constraint_table"]
-            ),
-        )
-        if d["columns"] != result.to_dict()["columns"] or d["omega"] != result.omega:
-            raise ValueError("columns or omega disagree with the constraint table")
-        return result
-
 
 def lcm_closure(elements) -> frozenset[int]:
     """1 and the given positive integers, closed under lcm: the lcm of every subset."""

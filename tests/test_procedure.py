@@ -621,9 +621,14 @@ def test_to_dict_round_trips():
             r = run_procedure(n, copies=copies)
             text = r.to_json()
             assert text == json.dumps(r.to_dict(), indent=2), (n, copies)
-            back = ProcedureResult.from_dict(json.loads(text))
-            assert back == r, (n, copies)
-            assert back.to_dict() == r.to_dict(), (n, copies)
+            # A mask swap between two cells with equal pairs changes no byte,
+            # so the rows are checked against the solutions here.
+            for i, row in enumerate(r.rows):
+                us = [sol[i] for sol in r.solutions]
+                assert [cell.entry for cell in row] == list(dict.fromkeys(us)), (n, copies, i)
+                for cell in row:
+                    mask = sum(1 << l for l, u in enumerate(us) if u == cell.entry)
+                    assert cell.mask == mask, (n, copies, i)
             digest.update(text.encode() + b"\n")
     assert digest.hexdigest() == "f9230dc12d1cfcd8ab92b1629d8e09cceced236a584e618f7018bb1d0091840f"
 
@@ -661,44 +666,6 @@ def test_rows_hold_each_entry_once_with_its_solution_mask():
     assert [(cell.entry, cell.label, cell.mask) for cell in r.rows[0]] == [
         (1, CaseLabel.V, 0b011), (2, CaseLabel.III, 0b100)
     ]
-
-
-@pytest.mark.parametrize("tamper", [
-    lambda d: d["case_table"][0].__setitem__(1, "iii"),
-    lambda d: d["constraint_table"][0].__setitem__(1, {"A": [], "B": []}),
-], ids=["case", "constraint"])
-def test_from_dict_rejects_two_cells_for_one_entry(tamper):
-    # solutions 0 and 1 of 49 share entry 1 at the first prime, so one cell
-    doc = json.loads(run_procedure(49).to_json())
-    tamper(doc)
-    with pytest.raises(ValueError, match="two different cells"):
-        ProcedureResult.from_dict(doc)
-
-
-@pytest.mark.parametrize("tamper", [
-    lambda d: d["columns"][1].update(B=[39]),
-    lambda d: d["columns"][0].update(first_member=2),
-    lambda d: d["columns"][1].update(solution=[1, 1]),
-    lambda d: d.update(omega=12090),
-], ids=["B", "first_member", "solution", "omega"])
-def test_from_dict_rejects_columns_or_omega_off_the_table(tamper):
-    doc = json.loads(run_procedure(13).to_json())
-    tamper(doc)
-    with pytest.raises(ValueError, match="disagree"):
-        ProcedureResult.from_dict(doc)
-
-
-@pytest.mark.parametrize("tamper", [
-    lambda d: d["constraint_table"][0].pop(),
-    lambda d: d["case_table"].pop(),
-    lambda d: d.update(crucial_primes=[], case_table=[], constraint_table=[], columns=[], omega=1),
-], ids=["short row", "missing row", "no crucial prime"])
-def test_from_dict_rejects_misshapen_tables(tamper):
-    # on such tables the cell masks and the columns would read different verdicts
-    doc = json.loads(run_procedure(13).to_json())
-    tamper(doc)
-    with pytest.raises(ValueError, match="one row per crucial prime"):
-        ProcedureResult.from_dict(doc)
 
 
 def test_json_matches_shipped_schema():
