@@ -111,7 +111,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--pmax", type=_decimal, default=100)
     q.add_argument("--alphamax", type=_decimal, default=3)
     q.add_argument("--kmax", type=_decimal, default=60)
-    q.add_argument("--lmax", type=_decimal, default=6)
+    q.add_argument("--lmax", type=_decimal, default=14)
 
     q = what.add_parser("disjointness", help="no k accepted by two solution columns")
     q.add_argument("--nmax", type=_decimal, default=DEFAULT_NMAX)

@@ -345,13 +345,6 @@ class Factorization:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.entries)
 
-    def merge(self, other: "Factorization") -> "Factorization":
-        """Factorization of the product: exponent-wise sum."""
-        counts = dict(self.entries)
-        for p, e in other.entries:
-            counts[p] = counts.get(p, 0) + e
-        return Factorization(tuple(sorted(counts.items())))
-
     def __iter__(self):
         return iter(self.entries)
 

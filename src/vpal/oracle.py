@@ -210,7 +210,9 @@ def _oracle_elements(fn: Factorization, fr: Factorization, L: int) -> set[int]:
     given the factorizations fn of n and fr of r(n), L digits each.
 
     d_p = ord_p(10**L) is the least divisor d of p - 1 with 10**(d*L) = 1
-    (mod p), found from factorize(p - 1) alone, never from the entry orders.
+    (mod p). The oracle finds it by its own scan of the divisors of p - 1,
+    from factorize(p - 1) alone and never from the entry orders: it is the
+    independent side of compare_procedure_oracle's check of them.
     """
     primes = set(fn.primes()) | set(fr.primes())
     out = set()
@@ -246,9 +248,8 @@ def compare_procedure_oracle(n: int, budget: Budget | None = None) -> Verificati
       a_p - b_p; so only min(x_p, 2) matters. For p in {2, 5}, x_p = 0.
       Otherwise p is odd and coprime to 10: if d_p does not divide k, p does
       not divide 10**(kL) - 1, a multiple of repunit(k, L), so x_p = 0; if it
-      does, lifting the exponent (p odd, p | 10**(d_p L) - 1) gives
-      x_p = x_p(d_p) + v_p(k / d_p) = x_p(d_p) + v_p(k), as p does not
-      divide d_p | p - 1.
+      does, x_p = x_p(d_p) + v_p(k) by lifting the exponent, as stated in
+      the docstring of the order module.
       As d_p and p are coprime, min(x_p, 2) is fixed by which of d_p, d_p*p
       and d_p*p**2 divide k, the same at k and at D'(k).
 
@@ -388,7 +389,7 @@ def verify_lemmas(
     p_max: int = 100,
     alpha_max: int = 3,
     k_max: int = 60,
-    L_max: int = 6,
+    L_max: int = 14,
 ) -> VerificationReport:
     """Exhaustive grid checks of the two entry-order facts.
 

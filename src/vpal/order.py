@@ -1,19 +1,23 @@
 """Multiplicative orders and repunit entry orders.
 
-For a prime p not in {2, 5}, repunit_order(p, alpha, L) is the order of
-10**L in the unit group modulo p**(alpha + c) with c the p-adic valuation of
-10**L - 1. Equivalently (and this is how the rest of the package uses it):
-the least k >= 1 such that p**alpha divides repunit(k, L). It is always >= 2.
+For a prime p not in {2, 5}, repunit_order(p, alpha, L) is h(alpha), the
+least k >= 1 such that p**alpha divides repunit(k, L). It is always >= 2.
 
-Entry orders are computed from the prime itself, factoring only p - 1. The
-order d of g = 10**L modulo p is ord_p(10) / gcd(L, ord_p(10)), and ord_p(10)
-divides p - 1. The order of g modulo p**e is then d * p**j for the least j
-with g**(d * p**j) == 1 (mod p**e), and j <= e - 1. Proof: reduction mod p
-sends g to an element of order d, so d divides ord(g) and ord(g) =
-d * ord(g**d); g**d lies in the kernel of (Z/p**e)^x -> (Z/p)^x, a group of
-order p**(e-1), so ord(g**d) = p**j with j <= e - 1. The same argument over
-p**s for any s < e bounds j by e - s when d is the order modulo p**s, so the
-last multiplication by p that the bound allows needs no check after it.
+Entry orders have a closed form, computed from the prime itself, factoring
+only p - 1. Let t = ord_p(10), a divisor of p - 1, and d = t / gcd(L, t),
+the order of 10**L modulo p. As repunit(k, L) * (10**L - 1) = 10**(kL) - 1,
+p divides repunit(k, L) only if d | k. For such k, lifting the exponent
+(p odd, p | 10**(dL) - 1) gives
+
+    v_p(repunit(k, L)) = v_p(repunit(d, L)) + v_p(k / d) = v_p(repunit(d, L)) + v_p(k),
+
+as p does not divide d | p - 1. So h(alpha) = d * p**max(0, alpha - x_d)
+with x_d = v_p(repunit(d, L)). If d > 1, p divides 10**(dL) - 1 but not
+10**L - 1, so x_d = v_p(10**(dL) - 1) >= 1 and h(1) = d. If d = 1,
+x_d = 0, h(1) = p and v_p(repunit(p, L)) = 1. Either way, with
+x = v_p(repunit(h(1), L)),
+
+    h(alpha) = h(1) * p**max(0, alpha - x).
 
 Each factorize() here spends from the meter of the running call (see
 factor.metered), so the caller's budget covers these factorizations too:
@@ -81,35 +85,26 @@ def _ten_power_valuation(p: int, L: int, c: int = 0) -> int:
 
 @lru_cache(maxsize=None)
 def repunit_order(p: int, alpha: int, L: int) -> int:
-    """Least k with p**alpha dividing repunit(k, L); order of 10**L as described above.
+    """Least k with p**alpha dividing repunit(k, L), in the closed form above.
 
-    Starts from the order of 10**L modulo p**s and multiplies by p while 10**L
-    raised to it is not 1 modulo p**e, e = alpha + ten_power_valuation(p, L),
-    for at most e - s steps: the units that are 1 modulo p**s form a p-group
-    of order p**(e-s) (proof in the module docstring), so the last step is
-    taken unchecked. At alpha = 1, s = 1: factorize(p) checks that p is prime
-    and factorize(p - 1) gives ord_p(10), and when p does not divide
-    10**L - 1 no step is left. For alpha >= 2 it starts from
-    repunit_order(p, 1, L), the order modulo p**(e - alpha + 1), so at most
-    alpha - 1 steps are left.
+    At alpha = 1, factorize(p) checks that p is prime and factorize(p - 1)
+    gives ord_p(10). For alpha >= 2 it reads h(1) through this cache, and x
+    is 1 or v_p(10**(h(1) L) - 1) as above. The concatenation oracle finds d by
+    its own scan of the divisors of p - 1 (oracle._oracle_elements), which is
+    the independent side of the check that compares the two.
     """
     _require_coprime_to_ten(p)
     if alpha < 1 or L < 1:
         raise ValueError(f"expected alpha, L >= 1, got alpha={alpha}, L={L}")
-    e = alpha + _ten_power_valuation(p, L)
     if alpha > 1:
-        order, steps = repunit_order(p, 1, L), alpha - 1
-    elif factorize(p).entries != ((p, 1),):
+        h = repunit_order(p, 1, L)
+        x = 1 if h == p else _ten_power_valuation(p, h * L, 1)
+        return h * p ** max(0, alpha - x)
+    if factorize(p).entries != ((p, 1),):
         raise ValueError(f"expected a prime, got {p}")
-    else:
-        t = _order_dividing(10, p, p - 1)
-        order, steps = t // math.gcd(L, t), e - 1
-    modulus = p**e
-    for _ in range(steps):
-        if pow(10, L * order, modulus) == 1:
-            break
-        order *= p
-    return order
+    t = _order_dividing(10, p, p - 1)
+    d = t // math.gcd(L, t)
+    return d if d > 1 else p
 
 
 def repunit_valuation(p: int, k: int, block_len: int = 1) -> int:

@@ -487,10 +487,6 @@ class ProcedureResult:
                 d //= b
         return d
 
-    def nondegenerate_solutions(self) -> tuple[Solution, ...]:
-        """Solutions whose column accepts some k."""
-        return tuple(sol for sol, f in zip(self.solutions, self._column_firsts) if f is not None)
-
     @cached_property
     def case_vii_count(self) -> int:
         """Occurrences of the catch-all case in the table (expected never to accept)."""

@@ -1,3 +1,4 @@
+import functools
 import multiprocessing
 import os
 import subprocess
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import factorint
 
-from vpal import oracle, procedure
+from vpal import oracle, order, procedure
 from vpal.digits import digit_count, repeat_concat, reverse_digits
 from vpal.factor import Budget, BudgetExhausted, factorize
+from vpal.order import multiplicative_order
 from vpal.oracle import (
     VerificationReport,
     compare_procedure_oracle,
@@ -202,6 +204,22 @@ def test_compare_procedure_oracle_catches_the_lift_mutant(monkeypatch):
     window = [(n, k) for n in changed for k in range(1, 9)
               if run_procedure(n).accepts(k) != oracle_is_vpal_concat(n, k)]
     assert window == []
+
+
+@pytest.mark.parametrize("mutant, failed", [
+    # h(1) * p**max(0, alpha - x) with x = v_p(repunit(h(1), L)) capped at 1:
+    # wrong only where h(2) = h(1), which the default grid reaches at
+    # (p, L) = (7, 7), (7, 14), (11, 11) and (13, 13) alone
+    (lambda p, alpha, L: order.repunit_order(p, 1, L) * p ** (alpha - 1), 70),
+    # d * p**max(0, alpha - x_d) with x_d = v_p(repunit(d, L)) dropped
+    (lambda p, alpha, L: multiplicative_order(pow(10, L, p), p) * p**alpha, 2205),
+])
+def test_verify_lemmas_catches_each_entry_order_mutant(monkeypatch, mutant, failed):
+    # The divisibility kind checks the entry orders that verify_lemmas reads
+    # against a scan of repunit(k, L) mod p**alpha.
+    monkeypatch.setattr(oracle, "repunit_order", functools.cache(mutant))
+    rep = verify_lemmas()
+    assert sum(f["kind"] == "divisibility" for f in rep.failures) == failed
 
 
 def test_verify_periodicity_examples():

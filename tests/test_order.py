@@ -146,19 +146,22 @@ def test_a_warm_process_lends_no_budget_to_the_next_call():
 )
 @settings(max_examples=300, deadline=None)
 def test_repunit_order_matches_generic_order(p, alpha, L):
-    # The lift from ord_p against the generic order, which factors p**e and its
-    # Carmichael exponent.
+    # The closed form against the generic order of 10**L modulo
+    # p**(alpha + v_p(10**L - 1)), reduced from Euler's phi of that modulus.
     m = p ** (alpha + ten_power_valuation(p, L))
     assert repunit_order(p, alpha, L) == multiplicative_order(pow(10, L, m), m)
 
 
-@pytest.mark.parametrize("p", [3, 487, 56598313])
-def test_repunit_order_lift_at_wieferich_primes(p):
-    # The base-10 Wieferich primes, where p**2 | 10**(p-1) - 1. At 487 and
-    # 56598313, h(2) = h(1); at 3 the lift from h(1) takes every
-    # multiplication by p that its bound allows.
+@pytest.mark.parametrize("p", [3, 487, 56598313, 7, 11, 13])
+def test_repunit_order_at_wieferich_primes_and_block_length_p(p):
+    # Where x = v_p(repunit(h(1), L)) reaches 2, h(2) = h(1). The base-10
+    # Wieferich primes 3, 487 and 56598313 have p**2 | 10**(p-1) - 1: at 487
+    # and 56598313 that makes h(2) = h(1) at every L here, while 3 divides
+    # 10**L - 1 and h(alpha) = 3**alpha. At L = p, p**2 divides
+    # 10**(h(1) L) - 1 by lifting the exponent, so 7, 11 and 13 have
+    # h(2) = h(1) there with no Wieferich prime.
     for alpha in (1, 2, 3):
-        for L in (1, 2, 3):
+        for L in sorted({1, 2, 3, p}):
             m = p ** (alpha + ten_power_valuation(p, L))
             assert repunit_order(p, alpha, L) == multiplicative_order(pow(10, L, m), m), (alpha, L)
 
