@@ -239,8 +239,9 @@ def compare_procedure_oracle(n: int, budget: Budget | None = None) -> Verificati
 
     - e | k iff e | D'(k) for each e in E', since e | k puts e among the lcm's
       arguments and D'(k) | k.
-    - The procedure's verdict depends on k only through {e in E : e | k}
-      (ProcedureResult.lattice), so it is the same at k and at D'(k).
+    - The procedure's verdict depends on k only through which of its entry
+      orders divide k (ProcedureResult._code_table), each 1 or in E, so it is
+      the same at k and at D'(k).
     - The oracle's verdict is whether the sum over p | n*r(n) of
       c(p, a_p + x_p) - c(p, b_p + x_p) is 0, with x_p = v_p(repunit(k, L))
       (see oracle_is_vpal_concat). Each term is constant in x_p once
@@ -365,8 +366,8 @@ def verify_disjointness(n: int, budget: Budget | None = None) -> VerificationRep
     divides lcm(A). Independently, every k is accepted by the same columns as
     some m in the lattice M (see ProcedureResult.lattice), so counting the
     columns that accept each m in M checks every k. At each m that count must
-    also equal the popcount of accept_mask(m), the cell-by-cell verdict that
-    accepts and type_of read.
+    also equal the popcount of accept_mask(m), which the column unions do not
+    compute: the per-row code rule, from the cells' cases and entry orders.
     """
     with _per_n_report(verify_disjointness, n) as report:
         result = run_procedure(n)

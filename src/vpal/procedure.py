@@ -23,11 +23,11 @@ n(k) is a v-palindrome, by pure divisibility arithmetic:
 4. a solution's column, the union of its cells, accepts exactly the k in
    S(A, B) = {x : every a in A divides x, no b in B divides x}; as
    S(A ∪ A', B ∪ B') = S(A, B) ∩ S(A', B'), that is the k every cell of the
-   column accepts, so acceptance is decided from the rows, each distinct
-   cell tested once. The accepted sets are pairwise disjoint, and the
-   accepting solution is the type of the v-palindrome n(k). The case and
-   constraint tables (one cell per prime and solution), the columns and
-   omega are views derived from the rows only when asked for.
+   column accepts, so acceptance is decided from the rows, per row by which
+   of the entry orders h(1) | h(2) divide k. The accepted sets are pairwise
+   disjoint, and the accepting solution is the type of the v-palindrome
+   n(k). The case and constraint tables (one cell per prime and solution),
+   the columns and omega are views derived from the rows only when asked for.
 
 run_procedure(n, copies=k) produces the same tables for the base number n(k)
 without ever factoring n(k): crucial primes and deltas carry over, mu shifts
@@ -146,15 +146,7 @@ class ConstraintPair:
             raise ValueError("constraint elements must be positive")
 
     def accepts(self, x: int) -> bool:
-        # Plain loops: the sets hold at most a few elements, and a generator
-        # per call would cost more than the tests.
-        for a in self.A:
-            if x % a:
-                return False
-        for b in self.B:
-            if not x % b:
-                return False
-        return True
+        return all(x % a == 0 for a in self.A) and all(x % b != 0 for b in self.B)
 
     def union(self, other: "ConstraintPair") -> "ConstraintPair":
         return ConstraintPair(self.A | other.A, self.B | other.B)
@@ -333,7 +325,8 @@ class ProcedureResult:
     at most three, in order of first appearance: the cell of solution l is the
     one whose entry is its i-th entry, and bit l is set in that cell's mask.
     Solution l accepts exactly the k that every cell of its column accepts;
-    ``accepts`` and ``type_of`` decide k that way, from the rows alone.
+    ``accepts``, ``type_of`` and ``minimal_period`` decide k that way, per row
+    by which of the entry orders h(1) | h(2) divide k (see ``_code_table``).
     ``case_table`` and ``constraint_table``, indexed [prime][solution], the
     ``columns`` (``columns[l]`` the union of column l's cells) and ``omega``,
     the lcm of every constraint element and a period of the acceptance
@@ -373,21 +366,43 @@ class ProcedureResult:
             for column in zip(*self.constraint_table)
         )
 
-    def accept_mask(self, k: int) -> int:
-        """Bitmask of the solutions whose column accepts k (bit l for solution l).
+    @cached_property
+    def _code_table(self) -> tuple[tuple[int, int, tuple[int, int, int, int]], ...]:
+        """Per row (h1, h2, masks), the table every acceptance question reads.
 
-        A column accepts k iff each of its cells does, so this ANDs over the
-        rows the OR of the masks of the cells accepting k.
+        A cell allows an interval of x = min(v_p(R(k, L)), 2), and x >= alpha iff
+        h(alpha) | k. So k's code, 0 when h1 does not divide k, 1 when only h1
+        does and 3 when both do, selects masks[code], the OR of the masks of the
+        cells allowing that x. A threshold no cell reads is 1 for h1 and h1 for
+        h2, so it splits no cell, and every threshold above 1 is an element.
         """
+        table = []
+        for cp, row in zip(self.crucial, self.rows):
+            h, by_x, two_or_five = {}, [0, 0, 0], cp.p in (2, 5)
+            for _, label, pair, mask in row:
+                lo, hi = _INTERVAL.get(label, (1, 0))  # case vii allows no x
+                if two_or_five:  # x = 0 at every k: all three codes or none
+                    lo, hi = (0, 2) if lo == 0 else (1, 0)
+                elif lo <= hi:  # A holds h(lo) when lo >= 1, and B holds h(hi + 1) when hi < 2
+                    if lo:
+                        [h[lo]] = pair.A
+                    if hi < 2:
+                        [h[hi + 1]] = pair.B
+                for x in range(lo, hi + 1):
+                    by_x[x] |= mask
+            h1 = h.get(1, 1)
+            table.append((h1, h.get(2, h1), (by_x[0], by_x[1], 0, by_x[2])))
+        return tuple(table)
+
+    def accept_mask(self, k: int) -> int:
+        """Bitmask of the solutions whose column accepts k (bit l for solution l):
+        the AND over the rows of the mask that k's code selects (see _code_table),
+        as a column accepts k iff each of its cells does."""
         if k < 1:
             raise ValueError(f"expected k >= 1, got {k}")
         mask = (1 << len(self.solutions)) - 1
-        for row in self.rows:
-            hit = 0
-            for _, _, pair, bits in row:
-                if pair.accepts(k):
-                    hit |= bits
-            mask &= hit
+        for h1, h2, masks in self._code_table:
+            mask &= masks[0 if k % h1 else 1 if k % h2 else 3]
             if not mask:
                 break
         return mask
@@ -445,43 +460,21 @@ class ProcedureResult:
         a product of powers of a coprime base of E. Dividing omega by base
         elements while the quotient stays a period stops at d0.
 
-        The sets below are bitmasks over the sorted elements, so a cell (A, B)
-        accepts the set s iff A lies in s and B misses it; as in accept_mask, s
-        is accepted when some solution has a cell accepting s in every row.
+        code(k) packs k's row codes (see _code_table), 2 bits per row. As h1 | h2,
+        code(gcd(k, j)) = code(k) & code(j); accept(k) depends on k only through
+        code(k), and code(D(k)) = code(k) as every threshold above 1 is in E.
         """
-        # Two rules, kept apart on purpose: accept_mask per lattice point makes
-        # this scan about twice as slow, and these bit rows, built for a few
-        # accepts(k) on a fresh result, make those calls 3-4 times slower.
-        bits = {e: 1 << i for i, e in enumerate(sorted(self.elements))}
+        def code(k: int) -> int:
+            c = 0
+            for h1, h2, _ in self._code_table:
+                c = c << 2 | (0 if k % h1 else 1 if k % h2 else 3)
+            return c
 
-        def below(k: int) -> int:  # equal for k and D(k)
-            s = 0
-            for e, bit in bits.items():
-                if not k % e:
-                    s |= bit
-            return s
-
-        mask = lambda xs: sum(map(bits.__getitem__, xs))
-        rows = [[(mask(cell.pair.A), mask(cell.pair.B), cell.mask) for cell in row]
-                for row in self.rows]
-
-        def accepted(s: int) -> bool:
-            hit = (1 << len(self.solutions)) - 1
-            for row in rows:
-                row_hit = 0
-                for a, b, solutions in row:
-                    if not (a & ~s or b & s):
-                        row_hit |= solutions
-                hit &= row_hit
-                if not hit:
-                    return False
-            return True
-
-        accept = {s: accepted(s) for s in map(below, self.lattice)}
+        accept = {c: self.accepts(m) for c, m in {code(m): m for m in self.lattice}.items()}
         d = self.omega
         for b in _coprime_base(self.elements):
             while d % b == 0:
-                q = below(d // b)  # s & q is below(D(gcd(m, d // b))) for s = below(m)
+                q = code(d // b)  # s & q is the code of gcd(m, d // b) for s = code(m)
                 if any(accept[s & q] != v for s, v in accept.items()):
                     break
                 d //= b

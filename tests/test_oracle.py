@@ -27,7 +27,7 @@ from vpal.oracle import (
     verify_lemmas,
     verify_periodicity,
 )
-from vpal.procedure import ConstraintPair, lcm_closure, run_procedure
+from vpal.procedure import CaseLabel, lcm_closure, run_procedure
 
 
 def _is_vpal_reference(n):
@@ -247,8 +247,10 @@ def test_verify_disjointness():
 
 
 def test_verify_disjointness_checks_past_any_window(monkeypatch, table_result):
-    # columns 24 | k and 25 | k overlap first at k = 600
-    rigged = table_result((ConstraintPair((24,), ()), ConstraintPair((25,), ())))
+    # columns 24 | k and 25 | k, case iv at entry orders 24 and 25 beside case
+    # vi, overlap first at k = 600
+    iv_vi = (CaseLabel.IV, CaseLabel.VI)
+    rigged = table_result((7, 24, 24, iv_vi, (0, 1)), (11, 25, 25, iv_vi, (1, 0)))
     monkeypatch.setattr(oracle, "run_procedure", lambda n, budget=None: rigged)
     rep = verify_disjointness(13)
     assert {"n": 13, "k": 600, "hits": 2, "kind": "lattice scan"} in rep.failures

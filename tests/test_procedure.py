@@ -12,8 +12,9 @@ from vpal import procedure
 from vpal.digits import reverse_digits
 from vpal.factor import Budget, BudgetExhausted, factorize
 from vpal.oracle import corpus, oracle_is_vpal_concat
-from vpal.order import repunit_valuation
+from vpal.order import repunit_order, repunit_valuation
 from vpal.procedure import (
+    _INTERVAL,
     AmbiguousType,
     CaseLabel,
     ConstraintPair,
@@ -24,6 +25,7 @@ from vpal.procedure import (
     classify_case,
     constraint_entry,
     crucial_primes,
+    lcm_closure,
     run_procedure,
     solve_characteristic,
     v_increment,
@@ -416,45 +418,47 @@ _ELEMENT_POOLS = [[e for e in range(1, 61) if m % e == 0] for m in (5040, 3960, 
 
 @st.composite
 def _columns(draw):
+    # arbitrary pairs, for the facts that hold of any pair
     pool = draw(st.sampled_from(_ELEMENT_POOLS))
     side = st.sets(st.sampled_from(pool), max_size=3)
     return tuple(ConstraintPair(draw(side), draw(side)) for _ in range(draw(st.integers(0, 4))))
 
 
-@given(columns=_columns())
+@st.composite
+def _tables(draw, rows=st.integers(2, 4), width=st.integers(1, 5)):
+    # Rows for table_result: per made-up crucial prime, 2 and 5 among them,
+    # entry orders h1 | h2 from one pool and at most 3 cells of random cases.
+    pool = draw(st.sampled_from(_ELEMENT_POOLS))
+    w = draw(width)
+    table = []
+    for _ in range(draw(rows)):
+        h1 = draw(st.sampled_from(pool))
+        h2 = draw(st.sampled_from([e for e in pool if e % h1 == 0]))
+        labels = draw(st.lists(st.sampled_from(CaseLabel), min_size=1, max_size=3))
+        entries = draw(st.lists(st.integers(0, len(labels) - 1), min_size=w, max_size=w))
+        table.append((draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19])), h1, h2, labels, entries))
+    return table
+
+
+@given(rows=_tables(rows=st.just(1), width=st.integers(0, 4)), columns=_columns())
 @settings(max_examples=150, deadline=None)
-def test_closed_forms_match_scan_on_random_columns(table_result, columns):
-    omega = math.lcm(*(x for col in columns for x in col.A | col.B))
-    r = table_result(columns)
+def test_closed_forms_match_scan_on_random_columns(table_result, rows, columns):
+    r = table_result(*rows)
     assert r.minimal_period() == _scan_minimal_period(r)
-    assert r.first_member() == _scan_onset(r.accepts, omega)
+    assert r.first_member() == _scan_onset(r.accepts, r.omega)
+    omega = math.lcm(*(x for col in columns for x in col.A | col.B))
     for col in columns:
         assert col.first_member() == _scan_onset(col.accepts, omega)
 
 
 @given(columns=_columns())
 @settings(max_examples=150, deadline=None)
-def test_lattice_carries_every_acceptance_pattern(table_result, columns):
+def test_lattice_carries_every_acceptance_pattern(columns):
     # k and D(k) = lcm{e : e | k} in the lattice are accepted by the same columns
-    omega = math.lcm(*(x for col in columns for x in col.A | col.B))
-    r = table_result(columns)
+    elements = [x for col in columns for x in col.A | col.B]
     pattern = lambda k: tuple(col.accepts(k) for col in columns)
-    assert {pattern(k) for k in range(1, omega + 1)} == {pattern(m) for m in r.lattice}
-
-
-@st.composite
-def _tables(draw):
-    # 2 to 4 rows of at most 3 distinct cells each; a cell recurs either as the
-    # same object, as run_procedure shares it, or as an equal copy.
-    pool = draw(st.sampled_from(_ELEMENT_POOLS))
-    side = st.sets(st.sampled_from(pool), max_size=3)
-    width = draw(st.integers(1, 5))
-    rows = []
-    for _ in range(draw(st.integers(2, 4))):
-        cells = [ConstraintPair(draw(side), draw(side)) for _ in range(draw(st.integers(1, 3)))]
-        row = [draw(st.sampled_from(cells)) for _ in range(width)]
-        rows.append(tuple(ConstraintPair(c.A, c.B) if draw(st.booleans()) else c for c in row))
-    return rows
+    assert ({pattern(k) for k in range(1, math.lcm(*elements) + 1)}
+            == {pattern(m) for m in lcm_closure(elements)})
 
 
 def _assert_cells_decide_as_columns(r: ProcedureResult, k: int):
@@ -605,7 +609,9 @@ def test_tables_classify_each_distinct_entry_once(monkeypatch):
 
 
 def test_ambiguous_type_assertion_fires_on_bad_columns(table_result):
-    rigged = table_result((ConstraintPair((3,), ()), ConstraintPair((5,), ())))
+    # entry orders 3 | 15 at one prime: the cells of cases iv (3 | k) and v
+    # (15 | k) both accept 15
+    rigged = table_result((7, 3, 15, (CaseLabel.IV, CaseLabel.V), (0, 1)))
     with pytest.raises(AmbiguousType):
         rigged.type_of(15)
 
@@ -628,12 +634,26 @@ def test_to_dict_round_trips():
             assert text == json.dumps(r.to_dict(), indent=2), (n, copies)
             # A mask swap between two cells with equal pairs changes no byte,
             # so the rows are checked against the solutions here.
-            for i, row in enumerate(r.rows):
+            for i, (cp, row) in enumerate(zip(r.crucial, r.rows)):
                 us = [sol[i] for sol in r.solutions]
                 assert [cell.entry for cell in row] == list(dict.fromkeys(us)), (n, copies, i)
                 for cell in row:
                     mask = sum(1 << l for l, u in enumerate(us) if u == cell.entry)
                     assert cell.mask == mask, (n, copies, i)
+                # The row's code thresholds: the entry order h(alpha) where a
+                # cell reads it (A holds h(lo), B holds h(hi + 1); case vii and
+                # p in {2, 5} read none), else 1 for h1 and h1 for h2. So
+                # h1 | h2, and each above 1 is an element, which minimal_period's
+                # lookup needs.
+                reads = set()
+                if cp.p not in (2, 5):
+                    for cell in row:
+                        lo, hi = _INTERVAL.get(cell.label, (0, 2))
+                        reads |= {lo, hi + 1} & {1, 2}
+                h = {alpha: repunit_order(cp.p, alpha, r.digit_len) for alpha in reads}
+                h1, h2, _ = r._code_table[i]
+                assert (h1, h2) == (h.get(1, 1), h.get(2, h.get(1, 1))), (n, copies, i)
+                assert h2 % h1 == 0 and {h1, h2} - {1} <= r.elements, (n, copies, i)
             digest.update(text.encode() + b"\n")
     assert digest.hexdigest() == "f9230dc12d1cfcd8ab92b1629d8e09cceced236a584e618f7018bb1d0091840f"
 
