@@ -17,9 +17,10 @@ with ``metered`` starts one meter for its ``budget`` argument, and every
 factorize() below it spends from that meter. The meter keeps each
 factorization it completes, so a metered call factors each integer once, also
 where it comes back as the cofactor of a later input. It also keeps each
-prime that rho split off or the primality test proved under it, as that
-prime's own factorization, so a metered call tests each integer at most once
-and a later factorize() of that prime is a lookup.
+prime that rho split off, that the primality test proved, or that trial
+division left as a cofactor from 131**2 to 10**8 under it, as that prime's
+own factorization, so a metered call tests each integer at most once and a
+later factorize() of that prime is a lookup.
 This module alone decides what a budget covers; the layers in between take
 no budget.
 """
@@ -399,7 +400,11 @@ def factorize(n: int, budget: Budget | None = None) -> Factorization:
                 m //= p
     if m > 1:
         if m < _TRIAL_LIMIT * _TRIAL_LIMIT:
-            # Survived trial division past sqrt(m), hence prime.
+            # Survived trial division past sqrt(m), hence prime. Where finding
+            # that again would take the gcd with _TRIAL_PRODUCT, m is kept as
+            # its own factorization: a later factorize(m) in the call is a lookup.
+            if m >= _FIRST_BLOCK[-1] ** 2:
+                clock.factored.setdefault(m, Factorization._trusted(((m, 1),)))
             counts[m] = counts.get(m, 0) + 1
         else:
             stack = [m]

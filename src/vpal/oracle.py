@@ -240,8 +240,8 @@ def compare_procedure_oracle(n: int, budget: Budget | None = None) -> Verificati
     - e | k iff e | D'(k) for each e in E', since e | k puts e among the lcm's
       arguments and D'(k) | k.
     - The procedure's verdict depends on k only through which of its entry
-      orders divide k (ProcedureResult._code_table), each 1 or in E, so it is
-      the same at k and at D'(k).
+      orders divide k (the h1 | h2 of ProcedureResult.table, each 1 or in
+      E), so it is the same at k and at D'(k).
     - The oracle's verdict is whether the sum over p | n*r(n) of
       c(p, a_p + x_p) - c(p, b_p + x_p) is 0, with x_p = v_p(repunit(k, L))
       (see oracle_is_vpal_concat). Each term is constant in x_p once
@@ -367,7 +367,8 @@ def verify_disjointness(n: int, budget: Budget | None = None) -> VerificationRep
     some m in the lattice M (see ProcedureResult.lattice), so counting the
     columns that accept each m in M checks every k. At each m that count must
     also equal the popcount of accept_mask(m), which the column unions do not
-    compute: the per-row code rule, from the cells' cases and entry orders.
+    compute: the per-row code rule, from the masks run_procedure writes per x
+    and the entry orders, where the columns come from the cells' pairs.
     """
     with _per_n_report(verify_disjointness, n) as report:
         result = run_procedure(n)

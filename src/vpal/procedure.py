@@ -13,21 +13,24 @@ n(k) is a v-palindrome, by pure divisibility arithmetic:
    the remaining primes can still cancel it, so every prefix kept completes
    to a solution: the cost is the suffix sets plus O(m * #solutions) for m
    crucial primes, not the 3^m vectors of the full product;
-3. classify each (prime, distinct solution entry) pair, at most three per
-   prime, by the interval of x = v_p(R(k, L)) it allows, R(k, L) the repunit
-   of k blocks of length L: the seven cases are the six intervals and the
-   empty one. The interval gives the divisibility constraints on k. Each such
-   pair is one cell of the prime's row, kept with the mask of the solutions
-   taking that entry; the walk of step 2 builds the masks, since the
-   solutions completing a prefix are a contiguous run;
-4. a solution's column, the union of its cells, accepts exactly the k in
-   S(A, B) = {x : every a in A divides x, no b in B divides x}; as
-   S(A ∪ A', B ∪ B') = S(A, B) ∩ S(A', B'), that is the k every cell of the
-   column accepts, so acceptance is decided from the rows, per row by which
-   of the entry orders h(1) | h(2) divide k. The accepted sets are pairwise
-   disjoint, and the accepting solution is the type of the v-palindrome
-   n(k). The case and constraint tables (one cell per prime and solution),
-   the columns and omega are views derived from the rows only when asked for.
+3. write each crucial prime's row: x = min(v_p(R(k, L)), 2), R(k, L) the
+   repunit of k blocks of length L, is fixed by which of the entry orders
+   h(1) | h(2) divide k (x >= alpha iff h(alpha) | k), and at each x one
+   entry u = v_increment(p, |delta|, mu + x) holds. The row keeps the entry
+   orders it reads and, per x, the mask of the solutions taking that entry;
+   the walk of step 2 builds the masks, since the solutions completing a
+   prefix are a contiguous run;
+4. a solution accepts k exactly when its entry holds at x(k) at every
+   crucial prime, so the accepting solutions are the AND over the rows of
+   the mask that k selects. The accepted sets are pairwise disjoint, and the
+   accepting solution is the type of the v-palindrome n(k). Each distinct
+   (prime, entry) pair is a cell; its case is the interval of x where its
+   entry holds (the seven cases are the six intervals and the empty one),
+   which gives its constraints S(A, B) = {x : every a in A divides x, no b
+   in B divides x}. A solution's column, the union of its cells, accepts the
+   k every cell accepts, as S(A ∪ A', B ∪ B') = S(A, B) ∩ S(A', B'). The
+   cells, the case and constraint tables and the columns are views built
+   from the rows only when asked for.
 
 run_procedure(n, copies=k) produces the same tables for the base number n(k)
 without ever factoring n(k): crucial primes and deltas carry over, mu shifts
@@ -182,22 +185,28 @@ class ConstraintPair:
         return a0, frozenset(x for x in c if not any(x % y == 0 and y != x for y in c))
 
 
-def constraint_entry(p: int, label: CaseLabel, digit_len: int) -> ConstraintPair:
-    """Divisibility constraints contributed by prime p under the given case.
+def _cell_pair(p: int, label: CaseLabel, h) -> ConstraintPair:
+    """The constraints of a cell of prime p in the given case, h(alpha) its
+    entry orders: called only for the alpha the case reads.
 
     The case allows the x = v_p(R(k, L)) in its interval [lo, hi], and x >= alpha
     exactly when the entry order h(alpha) divides k: lo >= 1 asks h(lo) | k and
     hi <= 1 asks that h(hi + 1) not divide k. For p in {2, 5}, x is always 0,
-    so the cell accepts every k when lo == 0 and none otherwise. Entry orders
-    are taken at the digit length L of the analyzed number.
+    so the cell accepts every k when lo == 0 and none otherwise.
     """
     if label is CaseLabel.VII:
         return ConstraintPair((), (1,))
     lo, hi = _INTERVAL[label]
     if p in (2, 5):
         return ConstraintPair((), () if lo == 0 else (1,))
-    h = lambda alpha: repunit_order(p, alpha, digit_len)
     return ConstraintPair((h(lo),) if lo else (), (h(hi + 1),) if hi < 2 else ())
+
+
+def constraint_entry(p: int, label: CaseLabel, digit_len: int) -> ConstraintPair:
+    """Divisibility constraints contributed by prime p under the given case
+    (see _cell_pair), with entry orders taken at the digit length L of the
+    analyzed number."""
+    return _cell_pair(p, label, lambda alpha: repunit_order(p, alpha, digit_len))
 
 
 @dataclass(frozen=True)
@@ -321,16 +330,22 @@ class ProcedureResult:
     """Everything the classification produces for one analyzed number.
 
     The analyzed number is the copies-fold concatenation of n (copies == 1
-    means n itself). ``rows[i]`` holds the distinct cells of crucial prime i,
-    at most three, in order of first appearance: the cell of solution l is the
-    one whose entry is its i-th entry, and bit l is set in that cell's mask.
-    Solution l accepts exactly the k that every cell of its column accepts;
-    ``accepts``, ``type_of`` and ``minimal_period`` decide k that way, per row
-    by which of the entry orders h(1) | h(2) divide k (see ``_code_table``).
-    ``case_table`` and ``constraint_table``, indexed [prime][solution], the
-    ``columns`` (``columns[l]`` the union of column l's cells) and ``omega``,
-    the lcm of every constraint element and a period of the acceptance
-    pattern, are views derived from the rows when first read.
+    means n itself). ``entry_masks[i]`` maps each entry the solutions take at
+    crucial prime i, in order of first appearance, to the mask of those
+    solutions (bit l for solution l). ``table[i]`` is the row acceptance
+    reads: (h1, h2, masks), with masks[x] the mask of the entry that holds
+    at x = min(v_p(R(k, L)), 2) and h1 | h2 the entry orders that x reads
+    (x >= alpha iff h(alpha) | k); an order no cell reads is 1 for h1 and h1
+    for h2. ``accepts``, ``type_of``, ``omega`` and ``minimal_period`` read
+    only that table, through ``fixed`` (the AND of the masks of the rows
+    whose x never varies: p in {2, 5}, or no order read) and ``coded`` (the
+    other rows, their masks indexed by code; see accept_mask).
+
+    ``rows`` (the distinct cells of each prime, with case, pair and mask),
+    ``case_table`` and ``constraint_table``, indexed [prime][solution], and the
+    ``columns`` (``columns[l]`` the union of column l's cells) are views
+    built from the table and the entry masks when first read. Results are
+    built by ``tabulate``.
     """
 
     n: int
@@ -338,7 +353,54 @@ class ProcedureResult:
     digit_len: int
     crucial: tuple[CrucialPrime, ...]
     solutions: tuple[Solution, ...]
-    rows: tuple[tuple[Cell, ...], ...]
+    entry_masks: tuple[dict[int, int], ...]
+    table: tuple[tuple[int, int, tuple[int, int, int]], ...]
+    fixed: int
+    coded: tuple[tuple[int, int, tuple[int, int, int, int]], ...]
+
+    @classmethod
+    def tabulate(cls, n: int, copies: int, digit_len: int, crucial: tuple[CrucialPrime, ...],
+                 solved: Solved, by_x, order) -> "ProcedureResult":
+        """The result whose row i selects the solution masks by_x[i] at x = 0, 1
+        and 2. It calls order(i, alpha) for the entry order h(alpha) of row i
+        only where the masks at alpha - 1 and alpha differ, which is where
+        some cell reads it; for p in {2, 5}, x is 0 at every k."""
+        fixed = (1 << len(solved.solutions)) - 1
+        table, coded = [], []
+        for i, (cp, masks) in enumerate(zip(crucial, by_x)):
+            m0, m1, m2 = masks
+            if cp.p in (2, 5):
+                h1 = h2 = 1
+                fixed &= m0
+            else:
+                h1 = order(i, 1) if m0 != m1 else 1
+                h2 = order(i, 2) if m1 != m2 else h1
+                if h2 == 1:  # so h1 == 1 too, and every k has code 3
+                    fixed &= m2
+                else:
+                    coded.append((h1, h2, (m0, m1, 0, m2)))
+            table.append((h1, h2, masks))
+        return cls(n, copies, digit_len, crucial, solved.solutions, solved.entry_masks,
+                   tuple(table), fixed, tuple(coded))
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Cell, ...], ...]:
+        """Per crucial prime, its distinct cells in order of first appearance.
+
+        A cell's case is the interval of x whose table mask holds the cell's
+        solutions (case vii when there is none), and its pair is read off the
+        row's entry orders by the function constraint_entry uses too.
+        """
+        rows = []
+        for cp, masks, (h1, h2, by_x) in zip(self.crucial, self.entry_masks, self.table):
+            h = (None, h1, h2).__getitem__
+            row = []
+            for u, mask in masks.items():
+                xs = [x for x in (0, 1, 2) if by_x[x] & mask == mask]
+                label = _CASE[xs[0], xs[-1]] if xs else CaseLabel.VII
+                row.append(Cell(u, label, _cell_pair(cp.p, label, h), mask))
+            rows.append(tuple(row))
+        return tuple(rows)
 
     def _spread(self, of) -> tuple[tuple, ...]:
         # Per row, of(cell) for each solution's cell, looked up by its entry:
@@ -366,42 +428,19 @@ class ProcedureResult:
             for column in zip(*self.constraint_table)
         )
 
-    @cached_property
-    def _code_table(self) -> tuple[tuple[int, int, tuple[int, int, int, int]], ...]:
-        """Per row (h1, h2, masks), the table every acceptance question reads.
-
-        A cell allows an interval of x = min(v_p(R(k, L)), 2), and x >= alpha iff
-        h(alpha) | k. So k's code, 0 when h1 does not divide k, 1 when only h1
-        does and 3 when both do, selects masks[code], the OR of the masks of the
-        cells allowing that x. A threshold no cell reads is 1 for h1 and h1 for
-        h2, so it splits no cell, and every threshold above 1 is an element.
-        """
-        table = []
-        for cp, row in zip(self.crucial, self.rows):
-            h, by_x, two_or_five = {}, [0, 0, 0], cp.p in (2, 5)
-            for _, label, pair, mask in row:
-                lo, hi = _INTERVAL.get(label, (1, 0))  # case vii allows no x
-                if two_or_five:  # x = 0 at every k: all three codes or none
-                    lo, hi = (0, 2) if lo == 0 else (1, 0)
-                elif lo <= hi:  # A holds h(lo) when lo >= 1, and B holds h(hi + 1) when hi < 2
-                    if lo:
-                        [h[lo]] = pair.A
-                    if hi < 2:
-                        [h[hi + 1]] = pair.B
-                for x in range(lo, hi + 1):
-                    by_x[x] |= mask
-            h1 = h.get(1, 1)
-            table.append((h1, h.get(2, h1), (by_x[0], by_x[1], 0, by_x[2])))
-        return tuple(table)
-
     def accept_mask(self, k: int) -> int:
-        """Bitmask of the solutions whose column accepts k (bit l for solution l):
-        the AND over the rows of the mask that k's code selects (see _code_table),
-        as a column accepts k iff each of its cells does."""
+        """Bitmask of the solutions whose column accepts k (bit l for solution l).
+
+        A column accepts k iff each of its cells does, and a cell accepts k iff
+        x = min(v_p(R(k, L)), 2) lies in its interval. So the mask is the AND
+        over the rows of the table mask at that x: ``fixed`` for the rows where
+        x never varies, and per coded row masks[code], k's code being 0 when h1
+        does not divide k, 1 when only h1 does and 3 when h2 does too.
+        """
         if k < 1:
             raise ValueError(f"expected k >= 1, got {k}")
-        mask = (1 << len(self.solutions)) - 1
-        for h1, h2, masks in self._code_table:
+        mask = self.fixed
+        for h1, h2, masks in self.coded:
             mask &= masks[0 if k % h1 else 1 if k % h2 else 3]
             if not mask:
                 break
@@ -432,8 +471,13 @@ class ProcedureResult:
 
     @cached_property
     def elements(self) -> frozenset[int]:
-        """E: every constraint element of every cell, so of every column."""
-        return frozenset(x for row in self.rows for cell in row for x in cell.pair.A | cell.pair.B)
+        """E: every constraint element above 1 of every cell, so of every column.
+
+        These are the entry orders the cells read, which the table keeps: an
+        unread h1 is 1 and an unread h2 is h1. The element 1, of case vii and
+        of p in {2, 5}, changes no lcm, lattice or coprime base.
+        """
+        return frozenset(h for h1, h2, _ in self.table for h in (h1, h2) if h > 1)
 
     @cached_property
     def omega(self) -> int:
@@ -450,6 +494,15 @@ class ProcedureResult:
         """
         return lcm_closure(self.elements)
 
+    def _decide(self, k: int) -> tuple[int, int]:
+        # k's codes in the coded rows, packed 2 bits per row, and accept_mask(k).
+        code, mask = 0, self.fixed
+        for h1, h2, masks in self.coded:
+            c = 0 if k % h1 else 1 if k % h2 else 3
+            code = code << 2 | c
+            mask &= masks[c]
+        return code, mask
+
     def minimal_period(self) -> int:
         """Least period of the acceptance pattern; it divides omega.
 
@@ -460,21 +513,17 @@ class ProcedureResult:
         a product of powers of a coprime base of E. Dividing omega by base
         elements while the quotient stays a period stops at d0.
 
-        code(k) packs k's row codes (see _code_table), 2 bits per row. As h1 | h2,
-        code(gcd(k, j)) = code(k) & code(j); accept(k) depends on k only through
-        code(k), and code(D(k)) = code(k) as every threshold above 1 is in E.
+        code(k) packs k's codes in the coded rows (see accept_mask), 2 bits per
+        row; the row loop that packs a lattice point's code also ANDs the masks
+        those codes select, which decides the point. As h1 | h2, code(gcd(k, j))
+        = code(k) & code(j); accept(k) depends on k only through code(k), and
+        code(D(k)) = code(k) as every threshold above 1 is in E.
         """
-        def code(k: int) -> int:
-            c = 0
-            for h1, h2, _ in self._code_table:
-                c = c << 2 | (0 if k % h1 else 1 if k % h2 else 3)
-            return c
-
-        accept = {c: self.accepts(m) for c, m in {code(m): m for m in self.lattice}.items()}
+        accept = {code: mask != 0 for code, mask in map(self._decide, self.lattice)}
         d = self.omega
         for b in _coprime_base(self.elements):
             while d % b == 0:
-                q = code(d // b)  # s & q is the code of gcd(m, d // b) for s = code(m)
+                q = self._decide(d // b)[0]  # s & q is the code of gcd(m, d // b) for s = code(m)
                 if any(accept[s & q] != v for s, v in accept.items()):
                     break
                 d //= b
@@ -575,23 +624,14 @@ def run_procedure(n: int, copies: int = 1, budget: Budget | None = None) -> Proc
         crucial = base
     else:
         crucial = tuple(cp.shifted(repunit_valuation(cp.p, copies, block)) for cp in base)
-    solutions, entry_masks = solve_characteristic(crucial)
-    # A cell depends on its solution only through the entry u = sol[i], which
-    # takes at most three values per prime: classify each distinct u once.
-    # Taking the u in order of first appearance computes the entry orders, and
-    # spends the budget on them, in the order a walk over the table meets them.
-    rows = []
-    for cp, masks in zip(crucial, entry_masks):
-        row = []
-        for u, mask in masks.items():
-            label = classify_case(cp.p, abs(cp.delta), u, cp.mu)
-            row.append(Cell(u, label, constraint_entry(cp.p, label, digit_len), mask))
-        rows.append(tuple(row))
-    return ProcedureResult(
-        n=n,
-        copies=copies,
-        digit_len=digit_len,
-        crucial=crucial,
-        solutions=solutions,
-        rows=tuple(rows),
-    )
+    solved = solve_characteristic(crucial)
+    # A row's mask at x is that of the entry v_increment(p, |delta|, mu + x),
+    # which stops changing past mu = 2. Entry orders are computed here, in the
+    # call's meter, in the order the rows read them.
+    by_x = []
+    for cp, masks in zip(crucial, solved.entry_masks):
+        p, delta, mu = cp.p, abs(cp.delta), min(cp.mu, 2)
+        by_x.append((masks.get(v_increment(p, delta, mu), 0), masks.get(v_increment(p, delta, mu + 1), 0),
+                     masks.get(v_increment(p, delta, mu + 2), 0)))
+    order = lambda i, alpha: repunit_order(crucial[i].p, alpha, digit_len)
+    return ProcedureResult.tabulate(n, copies, digit_len, crucial, solved, by_x, order)

@@ -244,6 +244,19 @@ def test_a_rho_piece_below_10_to_the_8_is_prime_untested(monkeypatch):
     assert tested == [10007 * 99991]
 
 
+def test_a_metered_call_keeps_the_prime_cofactor_of_trial_division():
+    # Trial division of 2 * 99991 leaves 99991, below 10**8 and free of the
+    # primes below 10**4, so prime: the meter keeps it, and factorize(99991)
+    # later in the call reads it instead of dividing again.
+    @factor.metered
+    def both(budget=None):
+        factorize(2 * 99991)
+        return factor._METER.get().factored.get(99991), factorize(99991)
+
+    kept, again = both()
+    assert kept is again and kept.entries == ((99991, 1),)
+
+
 def test_valuation():
     assert valuation(3, 18) == 2
     assert valuation(7, 18) == 0

@@ -545,14 +545,29 @@ def test_a_budget_bounds_the_sum_of_a_calls_factorizations():
 
 
 def _per_cell_tables(r: ProcedureResult):
-    # The tables built one cell at a time, each column the union down its cells.
+    # The tables built one cell at a time, each column the union down its
+    # cells, with each pair from the definition rather than from the cases.
+    def pair(cp, u, label):
+        # The cell allows the x in {0, 1, 2} where its entry holds, and x >= alpha
+        # iff h(alpha) | k; for p in {2, 5}, x = 0 at every k.
+        xs = [x for x in (0, 1, 2) if v_increment(cp.p, abs(cp.delta), min(cp.mu, 2) + x) == u]
+        if cp.p in (2, 5):
+            expected = ConstraintPair((), () if 0 in xs else (1,))
+        elif not xs:
+            expected = ConstraintPair((), (1,))
+        else:
+            h = lambda alpha: repunit_order(cp.p, alpha, r.digit_len)
+            expected = ConstraintPair((h(xs[0]),) if xs[0] else (), (h(xs[-1] + 1),) if xs[-1] < 2 else ())
+        assert constraint_entry(cp.p, label, r.digit_len) == expected, (r.n, cp.p, u)
+        return expected
+
     case_table = tuple(
         tuple(classify_case(cp.p, abs(cp.delta), sol[i], cp.mu) for sol in r.solutions)
         for i, cp in enumerate(r.crucial)
     )
     constraint_table = tuple(
-        tuple(constraint_entry(cp.p, label, r.digit_len) for label in row)
-        for cp, row in zip(r.crucial, case_table)
+        tuple(pair(cp, sol[i], label) for sol, label in zip(r.solutions, row))
+        for i, (cp, row) in enumerate(zip(r.crucial, case_table))
     )
     columns = tuple(
         ConstraintPair(
@@ -594,18 +609,24 @@ def test_tables_match_per_cell_reference_on_random_large_n(n, copies):
     _assert_tables_match_per_cell(n, copies, Budget(seconds=1e9, iterations=10**6))
 
 
-def test_tables_classify_each_distinct_entry_once(monkeypatch):
-    calls = {"classify_case": 0, "constraint_entry": 0}
+def test_run_procedure_and_accepts_build_no_cell(monkeypatch):
+    # The table holds the entry orders; no cell is classified or paired, and
+    # each entry order read is computed once.
+    calls = {"classify_case": [], "constraint_entry": [], "repunit_order": []}
     for name in calls:
-        def counted(*args, _real=getattr(procedure, name), _name=name, **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
+        def counted(*args, _real=getattr(procedure, name), _name=name):
+            calls[_name].append(args)
+            return _real(*args)
         monkeypatch.setattr(procedure, name, counted)
     r = run_procedure(7955605587183862, copies=3)
-    distinct = sum(len({sol[i] for sol in r.solutions}) for i in range(len(r.crucial)))
-    assert calls == {"classify_case": distinct, "constraint_entry": distinct}
-    # 8 calls each, where a per-cell build makes 4 primes * 6 solutions = 24
-    assert distinct <= 3 * len(r.crucial) < len(r.crucial) * len(r.solutions)
+    for k in range(1, 9):
+        r.accepts(k)
+    assert calls["classify_case"] == calls["constraint_entry"] == []
+    orders = calls["repunit_order"]
+    assert len(orders) == len(set(orders)) > 0
+    for p, alpha, digit_len in orders:
+        [i] = [i for i, cp in enumerate(r.crucial) if cp.p == p]
+        assert digit_len == r.digit_len and r.table[i][alpha - 1] == repunit_order(p, alpha, digit_len)
 
 
 def test_ambiguous_type_assertion_fires_on_bad_columns(table_result):
@@ -651,7 +672,7 @@ def test_to_dict_round_trips():
                         lo, hi = _INTERVAL.get(cell.label, (0, 2))
                         reads |= {lo, hi + 1} & {1, 2}
                 h = {alpha: repunit_order(cp.p, alpha, r.digit_len) for alpha in reads}
-                h1, h2, _ = r._code_table[i]
+                h1, h2, _ = r.table[i]
                 assert (h1, h2) == (h.get(1, 1), h.get(2, h.get(1, 1))), (n, copies, i)
                 assert h2 % h1 == 0 and {h1, h2} - {1} <= r.elements, (n, copies, i)
             digest.update(text.encode() + b"\n")
@@ -679,10 +700,11 @@ def test_to_json_bytes_at_12_to_16_digits():
 
 def test_accepts_reads_the_rows_without_building_the_tables():
     r = run_procedure(396871711257, copies=3)
-    assert len(r.solutions) == 20 and all(len(row) <= 3 for row in r.rows)
     for k in range(1, 9):
         r.accepts(k)
-    assert "case_table" not in r.__dict__ and "constraint_table" not in r.__dict__
+    assert r.omega % r.minimal_period() == 0
+    assert not {"rows", "case_table", "constraint_table", "columns"} & r.__dict__.keys()
+    assert len(r.solutions) == 20 and all(len(row) <= 3 for row in r.rows)
 
 
 def test_rows_hold_each_entry_once_with_its_solution_mask():
