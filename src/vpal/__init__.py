@@ -37,20 +37,17 @@ from .order import (
     ten_power_valuation,
 )
 from .procedure import (
-    AmbiguousType,
     CaseLabel,
     ConstraintPair,
     CrucialPrime,
     InvalidInput,
     NotAVPalindrome,
     ProcedureResult,
-    classify_case,
     constraint_entry,
     crucial_primes,
     run_procedure,
     solve_characteristic,
     v_increment,
-    v_increment_range,
 )
 from .oracle import (
     VerificationReport,

@@ -255,8 +255,11 @@ def compare_procedure_oracle(n: int, budget: Budget | None = None) -> Verificati
       and d_p*p**2 divide k, the same at k and at D'(k).
 
     The oracle side takes d_p and x_p from modular powers and factorize
-    alone, so the check does not lean on the entry orders it tests. It
-    factors n and r(n) once, for the procedure, the elements and every m.
+    alone, so the check does not lean on the entry orders it tests. The
+    procedure's verdict is a signed sum that never reads the solution list,
+    so the same check also requires the type of each accepted m to be a
+    listed solution. It factors n and r(n) once, for the procedure, the
+    elements and every m.
     """
     with _per_n_report(compare_procedure_oracle, n) as report:
         L = digit_count(n)
@@ -267,7 +270,12 @@ def compare_procedure_oracle(n: int, budget: Budget | None = None) -> Verificati
         for m in sorted(lcm_closure(result.elements | _oracle_elements(fn, fr, L))):
             predicted = result.accepts(m)
             actual = _concat_verdict(terms, L, m)
-            report.record(predicted == actual, n=n, k=m, predicted=predicted, actual=actual)
+            # the type of an accepted m must be a solution the solver listed
+            listed = not predicted or result.type_of(m) in result.solutions
+            inputs = {"n": n, "k": m, "predicted": predicted, "actual": actual}
+            if not listed:
+                inputs["listed"] = False
+            report.record(predicted == actual and listed, **inputs)
     return report
 
 
@@ -365,10 +373,10 @@ def verify_disjointness(n: int, budget: Budget | None = None) -> VerificationRep
     itself a divisibility constraint set, empty exactly when some b in B
     divides lcm(A). Independently, every k is accepted by the same columns as
     some m in the lattice M (see ProcedureResult.lattice), so counting the
-    columns that accept each m in M checks every k. At each m that count must
-    also equal the popcount of accept_mask(m), which the column unions do not
-    compute: the per-row code rule, from the masks run_procedure writes per x
-    and the entry orders, where the columns come from the cells' pairs.
+    columns that accept each m in M checks every k. At each m, accepts(m)
+    must also hold exactly when that count is nonzero: accepts reads the
+    signed sum of the table's rows, where the columns come from the cells'
+    pairs over the solution list.
     """
     with _per_n_report(verify_disjointness, n) as report:
         result = run_procedure(n)
@@ -379,11 +387,11 @@ def verify_disjointness(n: int, budget: Budget | None = None) -> VerificationRep
                 report.record(inter.is_empty(), n=n, columns=[i, j], kind="pairwise intersection")
         for m in sorted(result.lattice):
             hits = sum(col.accepts(m) for col in cols)
-            mask_hits = result.accept_mask(m).bit_count()
+            accepted = result.accepts(m)
             inputs = {"n": n, "k": m, "hits": hits, "kind": "lattice scan"}
-            if mask_hits != hits:
-                inputs["mask_hits"] = mask_hits
-            report.record(hits <= 1 and mask_hits == hits, **inputs)
+            if accepted != (hits > 0):
+                inputs["accepted"] = accepted
+            report.record(hits <= 1 and accepted == (hits > 0), **inputs)
     return report
 
 

@@ -17,20 +17,20 @@ n(k) is a v-palindrome, by pure divisibility arithmetic:
    repunit of k blocks of length L, is fixed by which of the entry orders
    h(1) | h(2) divide k (x >= alpha iff h(alpha) | k), and at each x one
    entry u = v_increment(p, |delta|, mu + x) holds. The row keeps the entry
-   orders it reads and, per x, the mask of the solutions taking that entry;
-   the walk of step 2 builds the masks, since the solutions completing a
-   prefix are a contiguous run;
+   orders it reads and, per x, the signed entry sign(delta) * u;
 4. a solution accepts k exactly when its entry holds at x(k) at every
-   crucial prime, so the accepting solutions are the AND over the rows of
-   the mask that k selects. The accepted sets are pairwise disjoint, and the
-   accepting solution is the type of the v-palindrome n(k). Each distinct
-   (prime, entry) pair is a cell; its case is the interval of x where its
-   entry holds (the seven cases are the six intervals and the empty one),
-   which gives its constraints S(A, B) = {x : every a in A divides x, no b
-   in B divides x}. A solution's column, the union of its cells, accepts the
-   k every cell accepts, as S(A ∪ A', B ∪ B') = S(A, B) ∩ S(A', B'). The
-   cells, the case and constraint tables and the columns are views built
-   from the rows only when asked for.
+   crucial prime. So k is accepted exactly when the vector of the entries
+   that hold at k is a solution, that is, when the signed entries it
+   selects sum to zero, and that vector is the type of the v-palindrome
+   n(k). A k fixes x(k), so it fixes one vector: the accepted sets are
+   pairwise disjoint. Each distinct (prime, entry) pair of the solutions is
+   a cell; its case is the interval of x where its entry holds (the seven
+   cases are the six intervals and the empty one), which gives its
+   constraints S(A, B) = {x : every a in A divides x, no b in B divides x}.
+   A solution's column, the union of its cells, accepts the k every cell
+   accepts, as S(A ∪ A', B ∪ B') = S(A, B) ∩ S(A', B'). The cells, the case
+   and constraint tables and the columns are views built from the rows and
+   the solutions only when asked for.
 
 run_procedure(n, copies=k) produces the same tables for the base number n(k)
 without ever factoring n(k): crucial primes and deltas carry over, mu shifts
@@ -44,7 +44,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -61,10 +61,6 @@ class NotAVPalindrome(LookupError):
     """Asked for the type of a concatenation count that no solution accepts."""
 
 
-class AmbiguousType(RuntimeError):
-    """Two solution columns accepted the same k; disjointness is violated."""
-
-
 Solution = tuple[int, ...]
 
 
@@ -79,6 +75,11 @@ def v_increment(p: int, delta: int, alpha: int) -> int:
     return p + delta if alpha == 0 else 1 + delta if alpha == 1 else delta
 
 
+def _increments_at(p: int, delta: int, mu: int) -> tuple[int, int, int]:
+    """v_increment(p, delta, mu + x) at x = 0, 1 and 2."""
+    return v_increment(p, delta, mu), v_increment(p, delta, mu + 1), v_increment(p, delta, mu + 2)
+
+
 def _increments(p: int, delta: int) -> tuple[int, ...]:
     """The values v_increment(p, delta, .) attains, ascending: its values at
     alpha >= 2, 1 and 0, in closed form. They are 1, 2, p for delta = 1 (just
@@ -89,11 +90,6 @@ def _increments(p: int, delta: int) -> tuple[int, ...]:
     if delta > 1:
         return delta, delta + 1, delta + p
     return (1, 2) if p == 2 else (1, 2, p)
-
-
-def v_increment_range(p: int, delta: int) -> frozenset[int]:
-    """All values v_increment(p, delta, .) attains; size 2 for (2, 1), else 3."""
-    return frozenset(_increments(p, delta))
 
 
 class CaseLabel(str, enum.Enum):
@@ -115,24 +111,6 @@ class CaseLabel(str, enum.Enum):
 _INTERVAL = {CaseLabel.I: (0, 0), CaseLabel.II: (1, 1), CaseLabel.III: (0, 1),
              CaseLabel.IV: (1, 2), CaseLabel.V: (2, 2), CaseLabel.VI: (0, 2)}
 _CASE = {interval: label for label, interval in _INTERVAL.items()}
-
-
-@cache
-def _case(p: int, delta: int, u: int, mu: int) -> CaseLabel:
-    # mu is already capped at 2, past which the cell no longer depends on it.
-    xs = [x for x in (0, 1, 2) if v_increment(p, delta, mu + x) == u]
-    if xs:
-        return _CASE[xs[0], xs[-1]]
-    if u not in v_increment_range(p, delta):
-        raise ValueError(f"{u} is not a possible v-increment for p={p}, delta={delta}")
-    return CaseLabel.VII
-
-
-def classify_case(p: int, delta_abs: int, u: int, mu: int) -> CaseLabel:
-    """Which of the seven cases the quadruple falls into; exactly one always holds."""
-    if mu < 0:
-        raise ValueError(f"expected mu >= 0, got {mu}")
-    return _case(p, delta_abs, u, min(mu, 2))
 
 
 @dataclass(frozen=True)
@@ -253,21 +231,12 @@ def crucial_primes(n: int) -> tuple[CrucialPrime, ...]:
     return tuple(out)
 
 
-class Solved(NamedTuple):
-    """The solutions, and per crucial prime i the mask of the solutions whose
-    entry i is u (bit l for solution l), keyed by u in order of first appearance."""
+def solve_characteristic(crucial: tuple[CrucialPrime, ...]) -> tuple[Solution, ...]:
+    """All sign-balanced increment vectors, in lexicographic order.
 
-    solutions: tuple[Solution, ...]
-    entry_masks: tuple[dict[int, int], ...]
-
-
-def solve_characteristic(crucial: tuple[CrucialPrime, ...]) -> Solved:
-    """All sign-balanced increment vectors, in lexicographic order, with the
-    solution mask of each (prime, entry) pair.
-
-    Entry i ranges over v_increment_range(p_i, |delta_i|), taken ascending
-    from its closed form; a vector solves the equation when the delta-signed
-    sum of its entries is zero.
+    Entry i ranges over the values of v_increment(p_i, |delta_i|, .), taken
+    ascending from their closed form; a vector solves the equation when the
+    delta-signed sum of its entries is zero.
 
     With t_i = s_i * u_i the signed entries and [lo_i, hi_i] the range of the
     prefix sums t_0 + ... + t_{i-1}, C_i counts, per suffix sum t_i + ... +
@@ -277,10 +246,7 @@ def solve_characteristic(crucial: tuple[CrucialPrime, ...]) -> Solved:
     C_{i+1}, so every prefix the walk keeps completes to a solution. The cost
     is building the C_i plus O(m * #solutions), in place of the 3^m vectors of
     the product; extending each prefix in ascending u_i keeps the lexicographic
-    order. So the completions of a prefix are a contiguous run of solutions, as
-    long as the count C_{i+1}(-(P + t_i)) and starting where its elder
-    siblings' runs end: the mask of (prime i, entry u) is the OR of the runs of
-    the level-(i+1) prefixes ending in u.
+    order.
     """
     if not crucial:
         raise ValueError("need at least one crucial prime")
@@ -300,29 +266,25 @@ def solve_characteristic(crucial: tuple[CrucialPrime, ...]) -> Solved:
                 if -hi[i] <= (x := s * u + r) <= -lo[i]:
                     count[x] = count.get(x, 0) + ways
         counts.append(count)
-    prefixes = [((), 0, 0)]  # (entries so far, their signed sum, their first solution)
-    entry_masks = []
+    prefixes = [((), 0)]  # (entries so far, their signed sum)
     for (s, us), rest in zip(levels, reversed(counts)):
-        extended, masks = [], {}
-        for pre, total, start in prefixes:
-            for u in us:
-                if width := rest.get(-(total + s * u)):
-                    extended.append((pre + (u,), total + s * u, start))
-                    masks[u] = masks.get(u, 0) | ((1 << width) - 1) << start
-                    start += width
-        prefixes = extended
-        entry_masks.append(masks)
-    return Solved(tuple(pre for pre, _, _ in prefixes), tuple(entry_masks))
+        prefixes = [(pre + (u,), total + s * u) for pre, total in prefixes for u in us
+                    if -(total + s * u) in rest]
+    return tuple(pre for pre, _ in prefixes)
+
+
+def _by_prime(solutions: tuple[Solution, ...], m: int) -> tuple[tuple[int, ...], ...]:
+    """Per crucial prime (m of them), the entries the solutions take there."""
+    return tuple(zip(*solutions)) if solutions else ((),) * m
 
 
 class Cell(NamedTuple):
     """One distinct cell of a table row: the entry u that solutions take at the
-    row's prime, its case and constraints, and the mask of those solutions."""
+    row's prime, with its case and constraints."""
 
     entry: int
     label: CaseLabel
     pair: ConstraintPair
-    mask: int
 
 
 @dataclass(frozen=True)
@@ -330,21 +292,17 @@ class ProcedureResult:
     """Everything the classification produces for one analyzed number.
 
     The analyzed number is the copies-fold concatenation of n (copies == 1
-    means n itself). ``entry_masks[i]`` maps each entry the solutions take at
-    crucial prime i, in order of first appearance, to the mask of those
-    solutions (bit l for solution l). ``table[i]`` is the row acceptance
-    reads: (h1, h2, masks), with masks[x] the mask of the entry that holds
-    at x = min(v_p(R(k, L)), 2) and h1 | h2 the entry orders that x reads
-    (x >= alpha iff h(alpha) | k); an order no cell reads is 1 for h1 and h1
-    for h2. ``accepts``, ``type_of``, ``omega`` and ``minimal_period`` read
-    only that table, through ``fixed`` (the AND of the masks of the rows
-    whose x never varies: p in {2, 5}, or no order read) and ``coded`` (the
-    other rows, their masks indexed by code; see accept_mask).
+    means n itself). ``table[i]`` is the row acceptance reads for crucial
+    prime i: (h1, h2, t), with h1 | h2 the entry orders that x = min(v_p(R(k,
+    L)), 2) reads (x >= alpha iff h(alpha) | k; an order no cell reads is 1
+    for h1 and h1 for h2), and t[c] the signed entry that holds at the k of
+    code c (see _held). ``accepts``, ``type_of``, ``omega`` and
+    ``minimal_period`` read only that table.
 
-    ``rows`` (the distinct cells of each prime, with case, pair and mask),
+    ``rows`` (the distinct cells of each prime, with case and pair),
     ``case_table`` and ``constraint_table``, indexed [prime][solution], and the
     ``columns`` (``columns[l]`` the union of column l's cells) are views
-    built from the table and the entry masks when first read. Results are
+    built from the table and the solutions when first read. Results are
     built by ``tabulate``.
     """
 
@@ -353,62 +311,63 @@ class ProcedureResult:
     digit_len: int
     crucial: tuple[CrucialPrime, ...]
     solutions: tuple[Solution, ...]
-    entry_masks: tuple[dict[int, int], ...]
-    table: tuple[tuple[int, int, tuple[int, int, int]], ...]
-    fixed: int
-    coded: tuple[tuple[int, int, tuple[int, int, int, int]], ...]
+    table: tuple[tuple[int, int, tuple[int, int, None, int]], ...]
 
     @classmethod
     def tabulate(cls, n: int, copies: int, digit_len: int, crucial: tuple[CrucialPrime, ...],
-                 solved: Solved, by_x, order) -> "ProcedureResult":
-        """The result whose row i selects the solution masks by_x[i] at x = 0, 1
-        and 2. It calls order(i, alpha) for the entry order h(alpha) of row i
-        only where the masks at alpha - 1 and alpha differ, which is where
-        some cell reads it; for p in {2, 5}, x is 0 at every k."""
-        fixed = (1 << len(solved.solutions)) - 1
-        table, coded = [], []
-        for i, (cp, masks) in enumerate(zip(crucial, by_x)):
-            m0, m1, m2 = masks
+                 solutions: tuple[Solution, ...], order) -> "ProcedureResult":
+        """The result whose row i reads the entry orders order(i, alpha).
+
+        Row i's t holds sign(delta) * v_increment(p, |delta|, min(mu, 2) + x)
+        at t[0], t[1] and t[3] for x = 0, 1 and 2; no k has code 2. For p in
+        {2, 5}, x is 0 at every k, so all three are the x = 0 entry. order(i,
+        alpha) is called only where the entries at alpha - 1 and alpha differ
+        and some solution takes one of them, which is where some cell reads it.
+        """
+        table = []
+        for i, (cp, us) in enumerate(zip(crucial, _by_prime(solutions, len(crucial)))):
+            e0, e1, e2 = _increments_at(cp.p, abs(cp.a - cp.b), min(cp.a, cp.b, 2))
             if cp.p in (2, 5):
-                h1 = h2 = 1
-                fixed &= m0
-            else:
-                h1 = order(i, 1) if m0 != m1 else 1
-                h2 = order(i, 2) if m1 != m2 else h1
-                if h2 == 1:  # so h1 == 1 too, and every k has code 3
-                    fixed &= m2
-                else:
-                    coded.append((h1, h2, (m0, m1, 0, m2)))
-            table.append((h1, h2, masks))
-        return cls(n, copies, digit_len, crucial, solved.solutions, solved.entry_masks,
-                   tuple(table), fixed, tuple(coded))
+                e1 = e2 = e0
+            s = 1 if cp.a > cp.b else -1
+            taken = set(us)
+            h1 = order(i, 1) if e0 != e1 and (e0 in taken or e1 in taken) else 1
+            h2 = order(i, 2) if e1 != e2 and (e1 in taken or e2 in taken) else h1
+            table.append((h1, h2, (s * e0, s * e1, None, s * e2)))
+        return cls(n, copies, digit_len, crucial, solutions, tuple(table))
 
     @cached_property
     def rows(self) -> tuple[tuple[Cell, ...], ...]:
-        """Per crucial prime, its distinct cells in order of first appearance.
+        """Per crucial prime, its distinct cells: the entries its solutions
+        take, in order of first appearance.
 
-        A cell's case is the interval of x whose table mask holds the cell's
-        solutions (case vii when there is none), and its pair is read off the
-        row's entry orders by the function constraint_entry uses too.
+        A cell's case is the interval of x where the increment v_increment(p,
+        |delta|, min(mu, 2) + x) equals its entry (case vii when there is none),
+        at p in {2, 5} too; its pair is read off the row's entry orders by the
+        function constraint_entry uses too.
         """
         rows = []
-        for cp, masks, (h1, h2, by_x) in zip(self.crucial, self.entry_masks, self.table):
+        for cp, us, (h1, h2, _) in zip(self.crucial, self._entries, self.table):
             h = (None, h1, h2).__getitem__
+            increments = _increments_at(cp.p, abs(cp.a - cp.b), min(cp.a, cp.b, 2))
             row = []
-            for u, mask in masks.items():
-                xs = [x for x in (0, 1, 2) if by_x[x] & mask == mask]
+            for u in dict.fromkeys(us):
+                xs = [x for x in (0, 1, 2) if increments[x] == u]
                 label = _CASE[xs[0], xs[-1]] if xs else CaseLabel.VII
-                row.append(Cell(u, label, _cell_pair(cp.p, label, h), mask))
+                row.append(Cell(u, label, _cell_pair(cp.p, label, h)))
             rows.append(tuple(row))
         return tuple(rows)
+
+    @cached_property
+    def _entries(self) -> tuple[tuple[int, ...], ...]:
+        return _by_prime(self.solutions, len(self.crucial))
 
     def _spread(self, of) -> tuple[tuple, ...]:
         # Per row, of(cell) for each solution's cell, looked up by its entry:
         # of runs once per distinct cell.
-        entries = zip(*self.solutions) if self.solutions else [()] * len(self.rows)
         return tuple(
             tuple(map({cell.entry: of(cell) for cell in row}.__getitem__, us))
-            for row, us in zip(self.rows, entries)
+            for row, us in zip(self.rows, self._entries)
         )
 
     @cached_property
@@ -428,37 +387,25 @@ class ProcedureResult:
             for column in zip(*self.constraint_table)
         )
 
-    def accept_mask(self, k: int) -> int:
-        """Bitmask of the solutions whose column accepts k (bit l for solution l).
-
-        A column accepts k iff each of its cells does, and a cell accepts k iff
-        x = min(v_p(R(k, L)), 2) lies in its interval. So the mask is the AND
-        over the rows of the table mask at that x: ``fixed`` for the rows where
-        x never varies, and per coded row masks[code], k's code being 0 when h1
-        does not divide k, 1 when only h1 does and 3 when h2 does too.
-        """
+    def _held(self, k: int) -> list[int]:
+        """Per row, the signed entry that holds at k: t[code], k's code being 0
+        when h1 does not divide k, 1 when only h1 does and 3 when h2 does too."""
         if k < 1:
             raise ValueError(f"expected k >= 1, got {k}")
-        mask = self.fixed
-        for h1, h2, masks in self.coded:
-            mask &= masks[0 if k % h1 else 1 if k % h2 else 3]
-            if not mask:
-                break
-        return mask
+        return [t[0 if k % h1 else 1 if k % h2 else 3] for h1, h2, t in self.table]
 
     def accepts(self, k: int) -> bool:
-        """Whether the k-fold concatenation of the analyzed number is a v-palindrome."""
-        return self.accept_mask(k) != 0
+        """Whether the k-fold concatenation of the analyzed number is a
+        v-palindrome: whether the signed entries that hold at k sum to zero."""
+        return sum(self._held(k)) == 0
 
     def type_of(self, k: int) -> Solution:
-        """The unique solution whose column accepts k."""
-        mask = self.accept_mask(k)
-        if not mask:
+        """The unique solution whose column accepts k: the entries that hold at k,
+        which are a solution exactly when their signed sum is zero."""
+        held = self._held(k)
+        if sum(held):
             raise NotAVPalindrome(f"concatenation count {k} gives no v-palindrome")
-        if mask & (mask - 1):
-            matches = [sol for l, sol in enumerate(self.solutions) if mask >> l & 1]
-            raise AmbiguousType(f"k={k} accepted by {len(matches)} columns: {matches}")
-        return self.solutions[mask.bit_length() - 1]
+        return tuple(map(abs, held))
 
     @cached_property
     def _column_firsts(self) -> tuple[int | None, ...]:
@@ -495,13 +442,13 @@ class ProcedureResult:
         return lcm_closure(self.elements)
 
     def _decide(self, k: int) -> tuple[int, int]:
-        # k's codes in the coded rows, packed 2 bits per row, and accept_mask(k).
-        code, mask = 0, self.fixed
-        for h1, h2, masks in self.coded:
+        # k's codes packed 2 bits per row, and the sum of the signed entries they select.
+        code = total = 0
+        for h1, h2, t in self.table:
             c = 0 if k % h1 else 1 if k % h2 else 3
             code = code << 2 | c
-            mask &= masks[c]
-        return code, mask
+            total += t[c]
+        return code, total
 
     def minimal_period(self) -> int:
         """Least period of the acceptance pattern; it divides omega.
@@ -513,13 +460,13 @@ class ProcedureResult:
         a product of powers of a coprime base of E. Dividing omega by base
         elements while the quotient stays a period stops at d0.
 
-        code(k) packs k's codes in the coded rows (see accept_mask), 2 bits per
-        row; the row loop that packs a lattice point's code also ANDs the masks
-        those codes select, which decides the point. As h1 | h2, code(gcd(k, j))
-        = code(k) & code(j); accept(k) depends on k only through code(k), and
-        code(D(k)) = code(k) as every threshold above 1 is in E.
+        code(k) packs k's codes (see _held), 2 bits per row; the row loop that
+        packs a lattice point's code also sums the signed entries those codes
+        select, which decides the point. As h1 | h2, code(gcd(k, j)) = code(k) &
+        code(j); accept(k) depends on k only through code(k), and code(D(k)) =
+        code(k) as every threshold above 1 is in E.
         """
-        accept = {code: mask != 0 for code, mask in map(self._decide, self.lattice)}
+        accept = {code: total == 0 for code, total in map(self._decide, self.lattice)}
         d = self.omega
         for b in _coprime_base(self.elements):
             while d % b == 0:
@@ -532,8 +479,8 @@ class ProcedureResult:
     @cached_property
     def case_vii_count(self) -> int:
         """Occurrences of the catch-all case in the table (expected never to accept)."""
-        return sum(cell.mask.bit_count() for row in self.rows for cell in row
-                   if cell.label is CaseLabel.VII)
+        return sum(us.count(cell.entry) for row, us in zip(self.rows, self._entries)
+                   for cell in row if cell.label is CaseLabel.VII)
 
     def to_dict(self) -> dict:
         """The document of docs/procedure-result.schema.json: the parse of to_json."""
@@ -624,14 +571,7 @@ def run_procedure(n: int, copies: int = 1, budget: Budget | None = None) -> Proc
         crucial = base
     else:
         crucial = tuple(cp.shifted(repunit_valuation(cp.p, copies, block)) for cp in base)
-    solved = solve_characteristic(crucial)
-    # A row's mask at x is that of the entry v_increment(p, |delta|, mu + x),
-    # which stops changing past mu = 2. Entry orders are computed here, in the
-    # call's meter, in the order the rows read them.
-    by_x = []
-    for cp, masks in zip(crucial, solved.entry_masks):
-        p, delta, mu = cp.p, abs(cp.delta), min(cp.mu, 2)
-        by_x.append((masks.get(v_increment(p, delta, mu), 0), masks.get(v_increment(p, delta, mu + 1), 0),
-                     masks.get(v_increment(p, delta, mu + 2), 0)))
+    solutions = solve_characteristic(crucial)
+    # tabulate computes the entry orders in the call's meter, in the order the rows read them.
     order = lambda i, alpha: repunit_order(crucial[i].p, alpha, digit_len)
-    return ProcedureResult.tabulate(n, copies, digit_len, crucial, solved, by_x, order)
+    return ProcedureResult.tabulate(n, copies, digit_len, crucial, solutions, order)

@@ -27,7 +27,7 @@ from vpal.oracle import (
     verify_lemmas,
     verify_periodicity,
 )
-from vpal.procedure import CaseLabel, lcm_closure, run_procedure
+from vpal.procedure import lcm_closure, run_procedure
 
 
 def _is_vpal_reference(n):
@@ -247,10 +247,12 @@ def test_verify_disjointness():
 
 
 def test_verify_disjointness_checks_past_any_window(monkeypatch, table_result):
-    # columns 24 | k and 25 | k, case iv at entry orders 24 and 25 beside case
-    # vi, overlap first at k = 600
-    iv_vi = (CaseLabel.IV, CaseLabel.VI)
-    rigged = table_result((7, 24, 24, iv_vi, (0, 1)), (11, 25, 25, iv_vi, (1, 0)))
+    # Entry orders 24 and 25 at 7 and 11, each delta 1 and mu 0: solution
+    # (1, 1) accepts the multiples of 600 and (2, 2) accepts nothing. Rigged
+    # as a copy of column 0, column 1 overlaps it first at k = 600.
+    rigged = table_result((7, 1, 0, 24, 24), (11, 0, 1, 25, 25))
+    assert rigged.solutions == ((1, 1), (2, 2)) and rigged.lattice == {1, 24, 25, 600}
+    rigged.__dict__["columns"] = (rigged.columns[0],) * 2
     monkeypatch.setattr(oracle, "run_procedure", lambda n, budget=None: rigged)
     rep = verify_disjointness(13)
     assert {"n": 13, "k": 600, "hits": 2, "kind": "lattice scan"} in rep.failures
@@ -258,13 +260,14 @@ def test_verify_disjointness_checks_past_any_window(monkeypatch, table_result):
 
 
 def test_verify_disjointness_checks_cell_masks_against_columns(monkeypatch):
-    # a cell-mask verdict that drops solution 0 disagrees with the columns
-    # wherever column 0 accepts; the columns alone see nothing wrong
-    real = procedure.ProcedureResult.accept_mask
-    monkeypatch.setattr(procedure.ProcedureResult, "accept_mask", lambda self, k: real(self, k) & ~1)
+    # a signed-sum verdict that never accepts for solution 0 disagrees with
+    # the columns wherever column 0 accepts; the columns alone see nothing wrong
+    real = procedure.ProcedureResult.accepts
+    monkeypatch.setattr(procedure.ProcedureResult, "accepts",
+                        lambda self, k: real(self, k) and self.type_of(k) != self.solutions[0])
     rep = verify_disjointness(13)
     assert [f["k"] for f in rep.failures] == [6045]
-    assert rep.failures[0] == {"n": 13, "k": 6045, "hits": 1, "kind": "lattice scan", "mask_hits": 0}
+    assert rep.failures[0] == {"n": 13, "k": 6045, "hits": 1, "kind": "lattice scan", "accepted": False}
 
 
 def test_verify_lemmas_small_grid():

@@ -9,33 +9,35 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vpal import procedure
-from vpal.digits import reverse_digits
-from vpal.factor import Budget, BudgetExhausted, factorize
+from vpal.digits import repunit, reverse_digits
+from vpal.factor import Budget, BudgetExhausted, factorize, valuation
 from vpal.oracle import corpus, oracle_is_vpal_concat
 from vpal.order import repunit_order, repunit_valuation
 from vpal.procedure import (
     _INTERVAL,
-    AmbiguousType,
     CaseLabel,
     ConstraintPair,
     CrucialPrime,
     InvalidInput,
     NotAVPalindrome,
     ProcedureResult,
-    classify_case,
     constraint_entry,
     crucial_primes,
     lcm_closure,
     run_procedure,
     solve_characteristic,
     v_increment,
-    v_increment_range,
 )
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_procedures.json").read_text())
 
 
 # --- v_increment and its preimages -------------------------------------------
+
+
+def v_increment_range(p: int, delta: int) -> frozenset[int]:
+    """All values v_increment(p, delta, .) attains; size 2 for (2, 1), else 3."""
+    return frozenset(v_increment(p, delta, alpha) for alpha in (0, 1, 2))
 
 
 def test_v_increment_branch_values():
@@ -74,6 +76,22 @@ def test_v_increment_range_is_full_image(p, delta):
 
 
 # --- case classification ------------------------------------------------------
+
+_LABEL = {interval: label for label, interval in _INTERVAL.items()}
+
+
+def classify_case(p: int, delta_abs: int, u: int, mu: int) -> CaseLabel:
+    """Which of the seven cases the quadruple falls into; exactly one always
+    holds. The per-cell reference: the interval of x in {0, 1, 2} at which
+    the entry u holds, mu capped at 2, past which nothing changes."""
+    if mu < 0:
+        raise ValueError(f"expected mu >= 0, got {mu}")
+    xs = [x for x in (0, 1, 2) if v_increment(p, delta_abs, min(mu, 2) + x) == u]
+    if xs:
+        return _LABEL[xs[0], xs[-1]]
+    if u not in v_increment_range(p, delta_abs):
+        raise ValueError(f"{u} is not a possible v-increment for p={p}, delta={delta_abs}")
+    return CaseLabel.VII
 
 
 def test_classify_case_examples():
@@ -261,17 +279,16 @@ def test_crucial_primes_rejects_out_of_domain():
 
 
 def test_solve_characteristic_examples():
-    assert solve_characteristic(crucial_primes(18)) == (((2, 2),), ({2: 0b1}, {2: 0b1}))
-    assert solve_characteristic(crucial_primes(13)).solutions == ((1, 1), (2, 2))
-    assert solve_characteristic(crucial_primes(13)).entry_masks == ({1: 0b01, 2: 0b10},) * 2
+    assert solve_characteristic(crucial_primes(18)) == ((2, 2),)
+    assert solve_characteristic(crucial_primes(13)) == ((1, 1), (2, 2))
     # a single crucial prime can never balance
-    assert solve_characteristic((CrucialPrime(3, 2, 0),)) == ((), ({},))
+    assert solve_characteristic((CrucialPrime(3, 2, 0),)) == ()
 
 
 def test_solutions_satisfy_signed_sum_and_are_sorted():
     for n in (18, 13, 112, 132, 1234):
         crucial = crucial_primes(n)
-        sols = solve_characteristic(crucial).solutions
+        sols = solve_characteristic(crucial)
         assert list(sols) == sorted(sols)
         for u in sols:
             assert sum((1 if c.delta > 0 else -1) * x for c, x in zip(crucial, u)) == 0
@@ -299,15 +316,7 @@ def _brute_force_solutions(crucial):
 @settings(max_examples=200, deadline=None)
 def test_solve_characteristic_matches_brute_force(primes_and_deltas):
     crucial = tuple(CrucialPrime(p, max(d, 0), max(-d, 0)) for p, d in primes_and_deltas)
-    solutions, entry_masks = solve_characteristic(crucial)
-    assert solutions == _brute_force_solutions(crucial)
-    # per prime, each entry in order of first appearance with the mask of the
-    # solutions taking it
-    for i, masks in enumerate(entry_masks):
-        expected = {}
-        for l, sol in enumerate(solutions):
-            expected[sol[i]] = expected.get(sol[i], 0) | 1 << l
-        assert list(masks.items()) == list(expected.items())
+    assert solve_characteristic(crucial) == _brute_force_solutions(crucial)
 
 
 # 2 and the 23 primes from 29 on, each with delta 1: entries in {1, 2} below 29
@@ -319,7 +328,7 @@ def test_solve_characteristic_one_signed_is_empty():
     crucial = tuple(CrucialPrime(p, 1, 0) for p in _SMALL) + tuple(
         CrucialPrime(p, 4, 1) for p in (1_000_003, 1_000_033, 1_000_037, 1_000_039)
     )
-    assert solve_characteristic(crucial).solutions == ()
+    assert solve_characteristic(crucial) == ()
 
 
 def test_solve_characteristic_closed_form_at_25_primes():
@@ -331,7 +340,7 @@ def test_solve_characteristic_closed_form_at_25_primes():
         [(1,) * 24 + (24,)] + [(1,) * j + (2,) + (1,) * (23 - j) + (25,) for j in range(24)]
     )
     start = time.perf_counter()
-    assert solve_characteristic(crucial).solutions == tuple(expected)
+    assert solve_characteristic(crucial) == tuple(expected)
     assert time.perf_counter() - start < 1.0  # the product has 2 * 3^24 vectors
 
 
@@ -425,22 +434,23 @@ def _columns(draw):
 
 
 @st.composite
-def _tables(draw, rows=st.integers(2, 4), width=st.integers(1, 5)):
-    # Rows for table_result: per made-up crucial prime, 2 and 5 among them,
-    # entry orders h1 | h2 from one pool and at most 3 cells of random cases.
+def _tables(draw):
+    # Rows for table_result: 2 to 4 made-up crucial primes, 2 and 5 among
+    # them, with mu <= 3, |delta| <= 3 and entry orders h1 | h2 from one pool.
+    # The first two deltas have opposite signs, so that the rows can balance.
     pool = draw(st.sampled_from(_ELEMENT_POOLS))
-    w = draw(width)
     table = []
-    for _ in range(draw(rows)):
+    for i in range(draw(st.integers(2, 4))):
+        mu, delta = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+        positive = i == 0 if i < 2 else draw(st.booleans())
         h1 = draw(st.sampled_from(pool))
         h2 = draw(st.sampled_from([e for e in pool if e % h1 == 0]))
-        labels = draw(st.lists(st.sampled_from(CaseLabel), min_size=1, max_size=3))
-        entries = draw(st.lists(st.integers(0, len(labels) - 1), min_size=w, max_size=w))
-        table.append((draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19])), h1, h2, labels, entries))
+        a, b = (mu + delta, mu) if positive else (mu, mu + delta)
+        table.append((draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19])), a, b, h1, h2))
     return table
 
 
-@given(rows=_tables(rows=st.just(1), width=st.integers(0, 4)), columns=_columns())
+@given(rows=_tables(), columns=_columns())
 @settings(max_examples=150, deadline=None)
 def test_closed_forms_match_scan_on_random_columns(table_result, rows, columns):
     r = table_result(*rows)
@@ -461,13 +471,20 @@ def test_lattice_carries_every_acceptance_pattern(columns):
             == {pattern(m) for m in lcm_closure(elements)})
 
 
-def _assert_cells_decide_as_columns(r: ProcedureResult, k: int):
+def _assert_cells_decide_as_columns(r: ProcedureResult, k: int, rep: int | None = None):
+    # rep, when given, is the materialized repunit R(k, L): the type of an
+    # accepted k must then be the increments at its valuations.
     accepting = [sol for sol, col in zip(r.solutions, r.columns) if col.accepts(k)]
     assert r.accepts(k) == bool(accepting), k
-    if len(accepting) == 1:
-        assert r.type_of(k) == accepting[0], k
+    if accepting:
+        assert len(accepting) == 1 and r.type_of(k) == accepting[0], k
+        if rep is not None:
+            assert r.type_of(k) == tuple(
+                v_increment(cp.p, abs(cp.delta), min(cp.mu, 2) + min(valuation(cp.p, rep), 2))
+                for cp in r.crucial
+            ), k
     else:
-        with pytest.raises(AmbiguousType if accepting else NotAVPalindrome):
+        with pytest.raises(NotAVPalindrome):
             r.type_of(k)
 
 
@@ -482,10 +499,11 @@ def test_cell_masks_decide_as_columns_on_random_tables(table_result, rows):
 
 
 def test_cell_masks_decide_as_columns_on_corpus():
+    reps = {(k, L): repunit(k, L) for k in range(1, 61) for L in range(2, 5)}
     for n in corpus(2000):
         r = run_procedure(n)
         for k in range(1, 61):
-            _assert_cells_decide_as_columns(r, k)
+            _assert_cells_decide_as_columns(r, k, reps[k, r.digit_len])
 
 
 def test_closed_forms_match_scan_on_corpus():
@@ -610,9 +628,9 @@ def test_tables_match_per_cell_reference_on_random_large_n(n, copies):
 
 
 def test_run_procedure_and_accepts_build_no_cell(monkeypatch):
-    # The table holds the entry orders; no cell is classified or paired, and
-    # each entry order read is computed once.
-    calls = {"classify_case": [], "constraint_entry": [], "repunit_order": []}
+    # The table holds the entry orders; no cell is paired, and each entry
+    # order read is computed once.
+    calls = {"constraint_entry": [], "repunit_order": []}
     for name in calls:
         def counted(*args, _real=getattr(procedure, name), _name=name):
             calls[_name].append(args)
@@ -621,20 +639,12 @@ def test_run_procedure_and_accepts_build_no_cell(monkeypatch):
     r = run_procedure(7955605587183862, copies=3)
     for k in range(1, 9):
         r.accepts(k)
-    assert calls["classify_case"] == calls["constraint_entry"] == []
+    assert calls["constraint_entry"] == []
     orders = calls["repunit_order"]
     assert len(orders) == len(set(orders)) > 0
     for p, alpha, digit_len in orders:
         [i] = [i for i, cp in enumerate(r.crucial) if cp.p == p]
         assert digit_len == r.digit_len and r.table[i][alpha - 1] == repunit_order(p, alpha, digit_len)
-
-
-def test_ambiguous_type_assertion_fires_on_bad_columns(table_result):
-    # entry orders 3 | 15 at one prime: the cells of cases iv (3 | k) and v
-    # (15 | k) both accept 15
-    rigged = table_result((7, 3, 15, (CaseLabel.IV, CaseLabel.V), (0, 1)))
-    with pytest.raises(AmbiguousType):
-        rigged.type_of(15)
 
 
 def test_case_vii_never_accepts():
@@ -653,14 +663,9 @@ def test_to_dict_round_trips():
             r = run_procedure(n, copies=copies)
             text = r.to_json()
             assert text == json.dumps(r.to_dict(), indent=2), (n, copies)
-            # A mask swap between two cells with equal pairs changes no byte,
-            # so the rows are checked against the solutions here.
             for i, (cp, row) in enumerate(zip(r.crucial, r.rows)):
                 us = [sol[i] for sol in r.solutions]
                 assert [cell.entry for cell in row] == list(dict.fromkeys(us)), (n, copies, i)
-                for cell in row:
-                    mask = sum(1 << l for l, u in enumerate(us) if u == cell.entry)
-                    assert cell.mask == mask, (n, copies, i)
                 # The row's code thresholds: the entry order h(alpha) where a
                 # cell reads it (A holds h(lo), B holds h(hi + 1); case vii and
                 # p in {2, 5} read none), else 1 for h1 and h1 for h2. So
@@ -710,9 +715,9 @@ def test_accepts_reads_the_rows_without_building_the_tables():
 def test_rows_hold_each_entry_once_with_its_solution_mask():
     r = run_procedure(49)
     assert r.solutions == ((1, 2, 1), (1, 3, 2), (2, 3, 1))
-    assert [(cell.entry, cell.label, cell.mask) for cell in r.rows[0]] == [
-        (1, CaseLabel.V, 0b011), (2, CaseLabel.III, 0b100)
-    ]
+    assert [(cell.entry, cell.label) for cell in r.rows[0]] == [(1, CaseLabel.V), (2, CaseLabel.III)]
+    # solutions 0 and 1 take the cell of entry 1, solution 2 that of entry 2
+    assert r.case_table[0] == (CaseLabel.V, CaseLabel.V, CaseLabel.III)
 
 
 def test_json_matches_shipped_schema():
