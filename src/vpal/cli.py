@@ -10,7 +10,7 @@ factorization budget in seconds, per command and per n in a sweep, is
 number written in ASCII decimal digits, with an optional fraction and
 exponent, is a usage error. `verify oracle` and `verify disjointness` decide
 every k on a finite set of k (see oracle.compare_procedure_oracle and
-ProcedureResult.lattice), so they take no k bound.
+oracle.verify_disjointness), so they take no k bound.
 """
 
 from __future__ import annotations

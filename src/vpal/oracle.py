@@ -198,10 +198,8 @@ def _per_n_report(check, n: int, **params):
     with params, timed, and recording a budget run-out in the block as n's skip."""
     t0 = time.monotonic()
     report = VerificationReport(corpus=check.label.format(n=f"={n}", **params))
-    try:
+    with _budget_skip(report, n=n):
         yield report
-    except BudgetExhausted as exc:
-        _record_budget_skip(report, exc, n=n)
     report.elapsed = time.monotonic() - t0
 
 
@@ -369,23 +367,20 @@ def verify_periodicity(
 def verify_disjointness(n: int, budget: Budget | None = None) -> VerificationReport:
     """No k may be accepted by two solution columns.
 
-    Decided exactly on each column pair: the intersection of two columns is
-    itself a divisibility constraint set, empty exactly when some b in B
-    divides lcm(A). Independently, every k is accepted by the same columns as
-    some m in the lattice M (see ProcedureResult.lattice), so counting the
-    columns that accept each m in M checks every k. At each m, accepts(m)
-    must also hold exactly when that count is nonzero: accepts reads the
-    signed sum of the table's rows, where the columns come from the cells'
-    pairs over the solution list.
+    With E the result's elements and those of every column's A and B, e | k
+    iff e | D(k) = lcm{e in E : e | k}, so each column accepts k iff it
+    accepts D(k), which lies in M, the lcm-closure of 1 and E. Counting the
+    columns that accept each m in M thus decides every k, also for a column
+    that reads an element the table lacks. At each m, accepts(m), the signed
+    sum over the table's rows (whose entry orders are in E), must also hold
+    exactly when that count, from the cells' pairs over the solution list,
+    is nonzero.
     """
     with _per_n_report(verify_disjointness, n) as report:
         result = run_procedure(n)
         cols = result.columns
-        for i in range(len(cols)):
-            for j in range(i + 1, len(cols)):
-                inter = cols[i].union(cols[j])
-                report.record(inter.is_empty(), n=n, columns=[i, j], kind="pairwise intersection")
-        for m in sorted(result.lattice):
+        elements = result.elements.union(*(col.A | col.B for col in cols))
+        for m in sorted(lcm_closure(elements)):
             hits = sum(col.accepts(m) for col in cols)
             accepted = result.accepts(m)
             inputs = {"n": n, "k": m, "hits": hits, "kind": "lattice scan"}

@@ -80,18 +80,6 @@ def _increments_at(p: int, delta: int, mu: int) -> tuple[int, int, int]:
     return v_increment(p, delta, mu), v_increment(p, delta, mu + 1), v_increment(p, delta, mu + 2)
 
 
-def _increments(p: int, delta: int) -> tuple[int, ...]:
-    """The values v_increment(p, delta, .) attains, ascending: its values at
-    alpha >= 2, 1 and 0, in closed form. They are 1, 2, p for delta = 1 (just
-    1, 2 at p = 2, where alpha = 1 and 0 both give 2) and delta, delta + 1,
-    delta + p for delta >= 2."""
-    if delta < 1:
-        raise ValueError(f"expected delta >= 1, got {delta}")
-    if delta > 1:
-        return delta, delta + 1, delta + p
-    return (1, 2) if p == 2 else (1, 2, p)
-
-
 class CaseLabel(str, enum.Enum):
     I = "i"
     II = "ii"
@@ -128,9 +116,6 @@ class ConstraintPair:
 
     def accepts(self, x: int) -> bool:
         return all(x % a == 0 for a in self.A) and all(x % b != 0 for b in self.B)
-
-    def union(self, other: "ConstraintPair") -> "ConstraintPair":
-        return ConstraintPair(self.A | other.A, self.B | other.B)
 
     def is_empty(self) -> bool:
         return self.first_member() is None
@@ -234,40 +219,36 @@ def crucial_primes(n: int) -> tuple[CrucialPrime, ...]:
 def solve_characteristic(crucial: tuple[CrucialPrime, ...]) -> tuple[Solution, ...]:
     """All sign-balanced increment vectors, in lexicographic order.
 
-    Entry i ranges over the values of v_increment(p_i, |delta_i|, .), taken
-    ascending from their closed form; a vector solves the equation when the
-    delta-signed sum of its entries is zero.
+    Entry i ranges over the values v_increment(p_i, |delta_i|, .) takes at
+    exponents 0, 1 and 2 (it stops changing at 2), ascending; a vector solves
+    the equation when the delta-signed sum of its entries is zero.
 
     With t_i = s_i * u_i the signed entries and [lo_i, hi_i] the range of the
-    prefix sums t_0 + ... + t_{i-1}, C_i counts, per suffix sum t_i + ... +
-    t_{m-1} in [-hi_i, -lo_i] (the only ones a prefix can cancel), the
-    suffixes that reach it; C_m = {0: 1}.
-    A prefix with sum P extends by u_i only when -(P + t_i) is a key of
-    C_{i+1}, so every prefix the walk keeps completes to a solution. The cost
-    is building the C_i plus O(m * #solutions), in place of the 3^m vectors of
-    the product; extending each prefix in ascending u_i keeps the lexicographic
+    prefix sums t_0 + ... + t_{i-1}, R_i, the reachable suffix sums, holds
+    each t_i + ... + t_{m-1} in [-hi_i, -lo_i] (the only ones a prefix can
+    cancel); R_m = {0}.
+    A prefix with sum P extends by u_i only when -(P + t_i) is in R_{i+1}, so
+    every prefix the walk keeps completes to a solution. The cost is building
+    the R_i plus O(m * #solutions), in place of the 3^m vectors of the
+    product; extending each prefix in ascending u_i keeps the lexicographic
     order.
     """
     if not crucial:
         raise ValueError("need at least one crucial prime")
-    levels = [(1 if cp.delta > 0 else -1, _increments(cp.p, abs(cp.delta))) for cp in crucial]
+    levels = [(1 if cp.delta > 0 else -1, sorted(set(_increments_at(cp.p, abs(cp.delta), 0))))
+              for cp in crucial]
     lo, hi = [0], [0]
     for s, us in levels:
         # us ascends, so its signed extremes sit at its two ends
         first, last = s * us[0], s * us[-1]
         lo.append(lo[-1] + min(first, last))
         hi.append(hi[-1] + max(first, last))
-    counts = [{0: 1}]  # C_m, ..., C_1
+    reach = [{0}]  # R_m, ..., R_1
     for i in range(len(levels) - 1, 0, -1):
         s, us = levels[i]
-        count: dict[int, int] = {}
-        for u in us:
-            for r, ways in counts[-1].items():
-                if -hi[i] <= (x := s * u + r) <= -lo[i]:
-                    count[x] = count.get(x, 0) + ways
-        counts.append(count)
+        reach.append({x for u in us for r in reach[-1] if -hi[i] <= (x := s * u + r) <= -lo[i]})
     prefixes = [((), 0)]  # (entries so far, their signed sum)
-    for (s, us), rest in zip(levels, reversed(counts)):
+    for (s, us), rest in zip(levels, reversed(reach)):
         prefixes = [(pre + (u,), total + s * u) for pre, total in prefixes for u in us
                     if -(total + s * u) in rest]
     return tuple(pre for pre, _ in prefixes)
@@ -296,7 +277,7 @@ class ProcedureResult:
     prime i: (h1, h2, t), with h1 | h2 the entry orders that x = min(v_p(R(k,
     L)), 2) reads (x >= alpha iff h(alpha) | k; an order no cell reads is 1
     for h1 and h1 for h2), and t[c] the signed entry that holds at the k of
-    code c (see _held). ``accepts``, ``type_of``, ``omega`` and
+    code c (see _decide). ``accepts``, ``type_of``, ``omega`` and
     ``minimal_period`` read only that table.
 
     ``rows`` (the distinct cells of each prime, with case and pair),
@@ -387,25 +368,34 @@ class ProcedureResult:
             for column in zip(*self.constraint_table)
         )
 
-    def _held(self, k: int) -> list[int]:
-        """Per row, the signed entry that holds at k: t[code], k's code being 0
-        when h1 does not divide k, 1 when only h1 does and 3 when h2 does too."""
+    def _decide(self, k: int) -> tuple[int, int]:
+        """k's code and the sum of the signed entries that hold at k.
+
+        Row i's code, at bits 2i and 2i + 1 of k's, is 0 when its h1 does not
+        divide k, 1 when only h1 does and 3 when h2 does too; it selects the
+        row's signed entry t[code].
+        """
         if k < 1:
             raise ValueError(f"expected k >= 1, got {k}")
-        return [t[0 if k % h1 else 1 if k % h2 else 3] for h1, h2, t in self.table]
+        code = total = 0
+        for i, (h1, h2, t) in enumerate(self.table):
+            c = 0 if k % h1 else 1 if k % h2 else 3
+            code |= c << 2 * i
+            total += t[c]
+        return code, total
 
     def accepts(self, k: int) -> bool:
         """Whether the k-fold concatenation of the analyzed number is a
         v-palindrome: whether the signed entries that hold at k sum to zero."""
-        return sum(self._held(k)) == 0
+        return self._decide(k)[1] == 0
 
     def type_of(self, k: int) -> Solution:
         """The unique solution whose column accepts k: the entries that hold at k,
         which are a solution exactly when their signed sum is zero."""
-        held = self._held(k)
-        if sum(held):
+        code, total = self._decide(k)
+        if total:
             raise NotAVPalindrome(f"concatenation count {k} gives no v-palindrome")
-        return tuple(map(abs, held))
+        return tuple(abs(t[code >> 2 * i & 3]) for i, (_, _, t) in enumerate(self.table))
 
     @cached_property
     def _column_firsts(self) -> tuple[int | None, ...]:
@@ -441,15 +431,6 @@ class ProcedureResult:
         """
         return lcm_closure(self.elements)
 
-    def _decide(self, k: int) -> tuple[int, int]:
-        # k's codes packed 2 bits per row, and the sum of the signed entries they select.
-        code = total = 0
-        for h1, h2, t in self.table:
-            c = 0 if k % h1 else 1 if k % h2 else 3
-            code = code << 2 | c
-            total += t[c]
-        return code, total
-
     def minimal_period(self) -> int:
         """Least period of the acceptance pattern; it divides omega.
 
@@ -460,11 +441,11 @@ class ProcedureResult:
         a product of powers of a coprime base of E. Dividing omega by base
         elements while the quotient stays a period stops at d0.
 
-        code(k) packs k's codes (see _held), 2 bits per row; the row loop that
-        packs a lattice point's code also sums the signed entries those codes
-        select, which decides the point. As h1 | h2, code(gcd(k, j)) = code(k) &
-        code(j); accept(k) depends on k only through code(k), and code(D(k)) =
-        code(k) as every threshold above 1 is in E.
+        _decide packs k's row codes into code(k), 2 bits per row, and sums the
+        signed entries they select, which decides the point. As h1 | h2,
+        code(gcd(k, j)) = code(k) & code(j); accept(k) depends on k only
+        through code(k), and code(D(k)) = code(k) as every threshold above 1
+        is in E.
         """
         accept = {code: total == 0 for code, total in map(self._decide, self.lattice)}
         d = self.omega

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,7 @@ from vpal.oracle import (
     verify_lemmas,
     verify_periodicity,
 )
-from vpal.procedure import lcm_closure, run_procedure
+from vpal.procedure import CaseLabel, ConstraintPair, lcm_closure, run_procedure
 
 
 def _is_vpal_reference(n):
@@ -268,6 +269,49 @@ def test_verify_disjointness_checks_cell_masks_against_columns(monkeypatch):
     rep = verify_disjointness(13)
     assert [f["k"] for f in rep.failures] == [6045]
     assert rep.failures[0] == {"n": 13, "k": 6045, "hits": 1, "kind": "lattice scan", "accepted": False}
+
+
+def test_verify_disjointness_scans_the_columns_own_elements(monkeypatch, table_result):
+    # Column 1, rigged as column 0 (the multiples of 600) that also asks 7 | k,
+    # reads an element no row of the table holds: the two columns overlap
+    # first at k = 4200, outside the table's lattice {1, 24, 25, 600}.
+    rigged = table_result((7, 1, 0, 24, 24), (11, 0, 1, 25, 25))
+    col = rigged.columns[0]
+    rigged.__dict__["columns"] = (col, ConstraintPair(col.A | {7}, col.B))
+    monkeypatch.setattr(oracle, "run_procedure", lambda n, budget=None: rigged)
+    assert 4200 not in rigged.lattice
+    assert verify_disjointness(13).failures == [{"n": 13, "k": 4200, "hits": 2, "kind": "lattice scan"}]
+
+
+def _case_ii_allows_x_0(monkeypatch):
+    # set after _CASE is built, so only the cells' pairs, and the columns, change
+    monkeypatch.setitem(procedure._INTERVAL, CaseLabel.II, (0, 1))
+
+
+def _signed_sum_skips_last_row(monkeypatch):
+    decide = procedure.ProcedureResult._decide
+    monkeypatch.setattr(procedure.ProcedureResult, "_decide",
+                        lambda self, k: decide(replace(self, table=self.table[:-1]), k))
+
+
+# Mutants of the procedure core: per name, the patch, the check that kills it,
+# a witness n, and the (k, kind) of each failure the check reports there.
+MUTANTS = {
+    "case ii allows x in [0, 1]": (
+        _case_ii_allows_x_0, verify_disjointness, 13, [(1, "lattice scan"), (3, "lattice scan")]),
+    "the signed sum skips its last row": (
+        _signed_sum_skips_last_row, compare_procedure_oracle, 1461,
+        [(k, None) for k in (12095811, 5890659957, 6616408617, 2868751399059, 3222190996479,
+                             1569207015285273)]),
+}
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_each_mutant_fails_its_check_at_its_witness(monkeypatch, mutant):
+    patch, check, n, failures = MUTANTS[mutant]
+    assert check(n).failed == 0
+    patch(monkeypatch)
+    assert [(f["k"], f.get("kind")) for f in check(n).failures] == failures
 
 
 def test_verify_lemmas_small_grid():
