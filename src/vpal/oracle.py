@@ -290,7 +290,8 @@ def verify_invariance(
     the from-scratch classification of the integer n(k) are built once.
 
     "shift tables": both have the crucial primes and deltas of n, mu shifted by
-    the valuation of the materialized repunit, and identical tables.
+    the valuation of the materialized repunit, identical tables and identical
+    solutions.
 
     "pullback", one per column l of n: the paper's theorem says n and n(k)
     share their solutions and column l of n(k) accepts j exactly when column
@@ -311,7 +312,9 @@ def verify_invariance(
                 mu_shift_ok = same_primes and all(
                     sc.mu == bc.mu + valuation(bc.p, rho) for sc, bc in zip(scratch.crucial, base.crucial)
                 )
-                tables_equal = replace(shifted, n=scratch.n, copies=1) == scratch  # every row, so every table cell
+                # every row, so every table cell; the solutions are a view, not a field
+                tables_equal = (replace(shifted, n=scratch.n, copies=1) == scratch
+                                and shifted.solutions == scratch.solutions)
                 report.record(
                     same_primes and same_delta and mu_shift_ok and tables_equal,
                     n=n, k=k, kind="shift tables",

@@ -9,15 +9,18 @@ n(k) is a v-palindrome, by pure divisibility arithmetic:
    exponent part);
 2. solve the signed-sum equation over the per-prime ranges of possible
    v-increments; each solution is one way the v values can balance. A
-   prefix of a vector is extended only while the suffix sums reachable from
-   the remaining primes can still cancel it, so every prefix kept completes
-   to a solution: the cost is the suffix sets plus O(m * #solutions) for m
-   crucial primes, not the 3^m vectors of the full product;
+   backward pass builds R_i, the signed sums the primes from i on can reach
+   that a prefix can still cancel; a forward pass over the sums that the
+   prefixes of solutions reach then gives, per prime, the entries some
+   solution takes there. Both passes handle sets of integers, not vectors:
+   the cost follows the number of reachable sums, neither 3^m for m crucial
+   primes nor the number of solutions;
 3. write each crucial prime's row: x = min(v_p(R(k, L)), 2), R(k, L) the
    repunit of k blocks of length L, is fixed by which of the entry orders
    h(1) | h(2) divide k (x >= alpha iff h(alpha) | k), and at each x one
    entry u = v_increment(p, |delta|, mu + x) holds. The row keeps the entry
-   orders it reads and, per x, the signed entry sign(delta) * u;
+   orders that separate two entries of which some solution takes one, and,
+   per x, the signed entry sign(delta) * u;
 4. a solution accepts k exactly when its entry holds at x(k) at every
    crucial prime. So k is accepted exactly when the vector of the entries
    that hold at k is a solution, that is, when the signed entries it
@@ -28,9 +31,10 @@ n(k) is a v-palindrome, by pure divisibility arithmetic:
    cases are the six intervals and the empty one), which gives its
    constraints S(A, B) = {x : every a in A divides x, no b in B divides x}.
    A solution's column, the union of its cells, accepts the k every cell
-   accepts, as S(A ∪ A', B ∪ B') = S(A, B) ∩ S(A', B'). The cells, the case
-   and constraint tables and the columns are views built from the rows and
-   the solutions only when asked for.
+   accepts, as S(A ∪ A', B ∪ B') = S(A, B) ∩ S(A', B'). The solutions
+   themselves, listed by a walk that extends a prefix only while R_i can
+   cancel it (O(m * #solutions)), the cells, the case and constraint tables
+   and the columns are views built only when asked for.
 
 run_procedure(n, copies=k) produces the same tables for the base number n(k)
 without ever factoring n(k): crucial primes and deltas carry over, mu shifts
@@ -43,7 +47,7 @@ import enum
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 from typing import NamedTuple
@@ -70,14 +74,20 @@ def v_increment(p: int, delta: int, alpha: int) -> int:
         raise ValueError(f"expected delta >= 1, got {delta}")
     if alpha < 0:
         raise ValueError(f"expected alpha >= 0, got {alpha}")
-    if delta == 1:
-        return p if alpha == 0 else 2 if alpha == 1 else 1
-    return p + delta if alpha == 0 else 1 + delta if alpha == 1 else delta
+    return _increments_at(p, delta)[alpha if alpha < 2 else 2]
 
 
-def _increments_at(p: int, delta: int, mu: int) -> tuple[int, int, int]:
-    """v_increment(p, delta, mu + x) at x = 0, 1 and 2."""
-    return v_increment(p, delta, mu), v_increment(p, delta, mu + 1), v_increment(p, delta, mu + 2)
+def _increments_at(p: int, delta: int) -> tuple[int, int, int]:
+    """v_increment(p, delta, alpha) at alpha = 0, 1 and at every alpha >= 2: v
+    of p^a is p at a = 1 and p + a from a = 2 on, so the increase stops
+    changing at alpha = 2."""
+    return (p, 2, 1) if delta == 1 else (p + delta, 1 + delta, delta)
+
+
+def _shifted(increments: tuple[int, int, int], mu: int) -> tuple[int, int, int]:
+    """The increments at alpha = mu + x for x = 0, 1 and 2, from those at 0, 1, 2."""
+    m = min(mu, 2)
+    return increments[m:] + increments[2:] * m
 
 
 class CaseLabel(str, enum.Enum):
@@ -216,6 +226,83 @@ def crucial_primes(n: int) -> tuple[CrucialPrime, ...]:
     return tuple(out)
 
 
+# A level of the signed-sum equation: the sign s_i of delta_i and the ascending
+# range of the entry u_i, the values v_increment(p_i, |delta_i|, .) takes.
+Level = tuple[int, tuple[int, ...]]
+
+
+def _level(cp: CrucialPrime, increments: tuple[int, int, int]) -> Level:
+    # The increments fall strictly from alpha = 0 to 2 but at p = 2, delta = 1,
+    # where they are (2, 2, 1).
+    us = increments[:0:-1] if increments[0] == increments[1] else increments[::-1]
+    return 1 if cp.a > cp.b else -1, us
+
+
+def _suffix_sums(levels: tuple[Level, ...]) -> list[set[int]]:
+    """R_1, ..., R_m: R_i holds the signed sums t_i + ... + t_{m-1} (t_j = s_j *
+    u_j) that the rows from i on reach and that lie in [-hi_i, -lo_i], with
+    [lo_i, hi_i] the range of the prefix sums t_0 + ... + t_{i-1}, the only
+    ones a prefix can cancel; R_m = {0}, the empty suffix. Each such sum is
+    t_i plus one in R_{i+1}, as the range moves by the extremes of t_i."""
+    bounds, lo, hi = [], 0, 0  # bounds[i] = (-hi_i, -lo_i)
+    for s, us in levels:
+        bounds.append((-hi, -lo))
+        # us ascends, so its signed extremes sit at its two ends
+        if s > 0:
+            lo, hi = lo + us[0], hi + us[-1]
+        else:
+            lo, hi = lo - us[-1], hi - us[0]
+    reach = [{0}]  # R_m, ..., R_1
+    for (s, us), (low, high) in zip(levels[:0:-1], bounds[:0:-1]):
+        after = reach[-1]
+        reach.append({x for u in us for r in after if low <= (x := s * u + r) <= high})
+    return reach[::-1]
+
+
+def _taken_entries(levels: tuple[Level, ...], reach: list[set[int]]) -> list[set[int]]:
+    """Per row, the entries that some solution takes there, from sums alone.
+
+    The pass keeps G_i, the negated prefix sums -P that reach row i: G_0 =
+    {0}; row i keeps each u for which some g in G_i has g - t in R_{i+1}, t =
+    s_i * u, and G_{i+1} is the set of those g - t. By induction, G_i (i >= 1)
+    is the set of -P for the prefix sums P = t_0 + ... + t_{i-1} of the
+    solutions, and row i keeps exactly the entries u_i of the solutions:
+    - kept u is taken: g = -P for some prefix (of a solution, or the empty
+      one at i = 0), and g - t in R_{i+1} is the sum of some suffix of the
+      rows after i, so that prefix, u and that suffix sum to P + t + g - t =
+      0, a solution with entry u at row i and -(P + t) = g - t in G_{i+1};
+    - taken u is kept: a solution's prefix sum P at i gives g = -P in G_i,
+      and g - t is the sum of the solution's own suffix after i, which lies
+      in [-hi_{i+1}, -lo_{i+1}] as P + t is a prefix sum, so it is in R_{i+1}.
+    With no solution, row 0 keeps nothing, so every G_i for i >= 1 and every
+    row's set is empty. The cost is O(m * max |G_i|), whatever the number
+    of solutions.
+    """
+    owed, taken = {0}, []
+    for (s, us), rest in zip(levels, reach):
+        kept, reached = set(), set()
+        for u in us:
+            t = s * u
+            hits = {x for g in owed if (x := g - t) in rest}
+            if hits:
+                kept.add(u)
+                reached |= hits
+        taken.append(kept)
+        owed = reached
+    return taken
+
+
+def _list_solutions(levels: tuple[Level, ...], reach: list[set[int]]) -> tuple[Solution, ...]:
+    """The pruned walk: a prefix with sum P extends by u_i only when -(P + t_i)
+    is in R_{i+1}, so every prefix kept completes to a solution; extending
+    each prefix in ascending u_i keeps the lexicographic order."""
+    prefixes = [((), 0)]  # (entries so far, minus their signed sum)
+    for (s, us), rest in zip(levels, reach):
+        prefixes = [(pre + (u,), x) for pre, owed in prefixes for u in us
+                    if (x := owed - s * u) in rest]
+    return tuple(pre for pre, _ in prefixes)
+
+
 def solve_characteristic(crucial: tuple[CrucialPrime, ...]) -> tuple[Solution, ...]:
     """All sign-balanced increment vectors, in lexicographic order.
 
@@ -223,40 +310,14 @@ def solve_characteristic(crucial: tuple[CrucialPrime, ...]) -> tuple[Solution, .
     exponents 0, 1 and 2 (it stops changing at 2), ascending; a vector solves
     the equation when the delta-signed sum of its entries is zero.
 
-    With t_i = s_i * u_i the signed entries and [lo_i, hi_i] the range of the
-    prefix sums t_0 + ... + t_{i-1}, R_i, the reachable suffix sums, holds
-    each t_i + ... + t_{m-1} in [-hi_i, -lo_i] (the only ones a prefix can
-    cancel); R_m = {0}.
-    A prefix with sum P extends by u_i only when -(P + t_i) is in R_{i+1}, so
-    every prefix the walk keeps completes to a solution. The cost is building
-    the R_i plus O(m * #solutions), in place of the 3^m vectors of the
-    product; extending each prefix in ascending u_i keeps the lexicographic
-    order.
+    The reachable suffix sums R_i (_suffix_sums) prune the walk
+    (_list_solutions): the cost is building them plus O(m * #solutions), in
+    place of the 3^m vectors of the product.
     """
     if not crucial:
         raise ValueError("need at least one crucial prime")
-    levels = [(1 if cp.delta > 0 else -1, sorted(set(_increments_at(cp.p, abs(cp.delta), 0))))
-              for cp in crucial]
-    lo, hi = [0], [0]
-    for s, us in levels:
-        # us ascends, so its signed extremes sit at its two ends
-        first, last = s * us[0], s * us[-1]
-        lo.append(lo[-1] + min(first, last))
-        hi.append(hi[-1] + max(first, last))
-    reach = [{0}]  # R_m, ..., R_1
-    for i in range(len(levels) - 1, 0, -1):
-        s, us = levels[i]
-        reach.append({x for u in us for r in reach[-1] if -hi[i] <= (x := s * u + r) <= -lo[i]})
-    prefixes = [((), 0)]  # (entries so far, their signed sum)
-    for (s, us), rest in zip(levels, reversed(reach)):
-        prefixes = [(pre + (u,), total + s * u) for pre, total in prefixes for u in us
-                    if -(total + s * u) in rest]
-    return tuple(pre for pre, _ in prefixes)
-
-
-def _by_prime(solutions: tuple[Solution, ...], m: int) -> tuple[tuple[int, ...], ...]:
-    """Per crucial prime (m of them), the entries the solutions take there."""
-    return tuple(zip(*solutions)) if solutions else ((),) * m
+    levels = tuple(_level(cp, _increments_at(cp.p, abs(cp.delta))) for cp in crucial)
+    return _list_solutions(levels, _suffix_sums(levels))
 
 
 class Cell(NamedTuple):
@@ -280,42 +341,55 @@ class ProcedureResult:
     code c (see _decide). ``accepts``, ``type_of``, ``omega`` and
     ``minimal_period`` read only that table.
 
-    ``rows`` (the distinct cells of each prime, with case and pair),
-    ``case_table`` and ``constraint_table``, indexed [prime][solution], and the
-    ``columns`` (``columns[l]`` the union of column l's cells) are views
-    built from the table and the solutions when first read. Results are
-    built by ``tabulate``.
+    ``solutions`` lists every solution, in lexicographic order, on first read:
+    the pruned walk over the reachable suffix sums that ``tabulate`` built and
+    the result keeps, so the table never waits for the list. ``rows`` (the
+    distinct cells of each prime, with case and pair), ``case_table`` and
+    ``constraint_table``, indexed [prime][solution], and the ``columns``
+    (``columns[l]`` the union of column l's cells) are views built from the
+    table and the solutions when first read. Results are built by
+    ``tabulate``.
     """
 
     n: int
     copies: int
     digit_len: int
     crucial: tuple[CrucialPrime, ...]
-    solutions: tuple[Solution, ...]
     table: tuple[tuple[int, int, tuple[int, int, None, int]], ...]
+    # The levels and the reachable suffix sums R_1, ..., R_m the lister reads;
+    # they follow from the crucial primes.
+    _sums: tuple[tuple[Level, ...], list[set[int]]] = field(repr=False, compare=False)
 
     @classmethod
     def tabulate(cls, n: int, copies: int, digit_len: int, crucial: tuple[CrucialPrime, ...],
-                 solutions: tuple[Solution, ...], order) -> "ProcedureResult":
+                 order) -> "ProcedureResult":
         """The result whose row i reads the entry orders order(i, alpha).
 
         Row i's t holds sign(delta) * v_increment(p, |delta|, min(mu, 2) + x)
         at t[0], t[1] and t[3] for x = 0, 1 and 2; no k has code 2. For p in
         {2, 5}, x is 0 at every k, so all three are the x = 0 entry. order(i,
         alpha) is called only where the entries at alpha - 1 and alpha differ
-        and some solution takes one of them, which is where some cell reads it.
+        and some solution takes one of them (_taken_entries), which is where
+        some cell reads it.
         """
+        increments = [_increments_at(cp.p, abs(cp.a - cp.b)) for cp in crucial]
+        levels = tuple(map(_level, crucial, increments))
+        reach = _suffix_sums(levels)
         table = []
-        for i, (cp, us) in enumerate(zip(crucial, _by_prime(solutions, len(crucial)))):
-            e0, e1, e2 = _increments_at(cp.p, abs(cp.a - cp.b), min(cp.a, cp.b, 2))
+        rows = zip(crucial, increments, levels, _taken_entries(levels, reach))
+        for i, (cp, inc, (s, _), taken) in enumerate(rows):
+            e0, e1, e2 = _shifted(inc, min(cp.a, cp.b))
             if cp.p in (2, 5):
                 e1 = e2 = e0
-            s = 1 if cp.a > cp.b else -1
-            taken = set(us)
             h1 = order(i, 1) if e0 != e1 and (e0 in taken or e1 in taken) else 1
             h2 = order(i, 2) if e1 != e2 and (e1 in taken or e2 in taken) else h1
             table.append((h1, h2, (s * e0, s * e1, None, s * e2)))
-        return cls(n, copies, digit_len, crucial, solutions, tuple(table))
+        return cls(n, copies, digit_len, crucial, tuple(table), (levels, reach))
+
+    @cached_property
+    def solutions(self) -> tuple[Solution, ...]:
+        """Every solution, in lexicographic order, listed on first read."""
+        return _list_solutions(*self._sums)
 
     @cached_property
     def rows(self) -> tuple[tuple[Cell, ...], ...]:
@@ -330,7 +404,7 @@ class ProcedureResult:
         rows = []
         for cp, us, (h1, h2, _) in zip(self.crucial, self._entries, self.table):
             h = (None, h1, h2).__getitem__
-            increments = _increments_at(cp.p, abs(cp.a - cp.b), min(cp.a, cp.b, 2))
+            increments = _shifted(_increments_at(cp.p, abs(cp.a - cp.b)), min(cp.a, cp.b))
             row = []
             for u in dict.fromkeys(us):
                 xs = [x for x in (0, 1, 2) if increments[x] == u]
@@ -341,7 +415,8 @@ class ProcedureResult:
 
     @cached_property
     def _entries(self) -> tuple[tuple[int, ...], ...]:
-        return _by_prime(self.solutions, len(self.crucial))
+        """Per crucial prime, the entries the solutions take there, in order."""
+        return tuple(zip(*self.solutions)) if self.solutions else ((),) * len(self.crucial)
 
     def _spread(self, of) -> tuple[tuple, ...]:
         # Per row, of(cell) for each solution's cell, looked up by its entry:
@@ -552,7 +627,6 @@ def run_procedure(n: int, copies: int = 1, budget: Budget | None = None) -> Proc
         crucial = base
     else:
         crucial = tuple(cp.shifted(repunit_valuation(cp.p, copies, block)) for cp in base)
-    solutions = solve_characteristic(crucial)
     # tabulate computes the entry orders in the call's meter, in the order the rows read them.
     order = lambda i, alpha: repunit_order(crucial[i].p, alpha, digit_len)
-    return ProcedureResult.tabulate(n, copies, digit_len, crucial, solutions, order)
+    return ProcedureResult.tabulate(n, copies, digit_len, crucial, order)

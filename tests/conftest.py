@@ -1,6 +1,6 @@
 import pytest
 
-from vpal.procedure import CrucialPrime, ProcedureResult, solve_characteristic
+from vpal.procedure import CrucialPrime, ProcedureResult
 
 
 def _table_result(*rows) -> ProcedureResult:
@@ -9,8 +9,7 @@ def _table_result(*rows) -> ProcedureResult:
     # solutions of all the rows, and made-up entry orders h1 | h2, read only
     # where some cell reads them.
     crucial = tuple(CrucialPrime(p, a, b) for p, a, b, _, _ in rows)
-    return ProcedureResult.tabulate(13, 1, 2, crucial, solve_characteristic(crucial),
-                                    lambda i, alpha: rows[i][2 + alpha])
+    return ProcedureResult.tabulate(13, 1, 2, crucial, lambda i, alpha: rows[i][2 + alpha])
 
 
 @pytest.fixture(scope="session")

@@ -294,6 +294,12 @@ def _signed_sum_skips_last_row(monkeypatch):
                         lambda self, k: decide(replace(self, table=self.table[:-1]), k))
 
 
+def _sum_walk_drops_largest_entry(monkeypatch):
+    taken = procedure._taken_entries
+    monkeypatch.setattr(procedure, "_taken_entries",
+                        lambda levels, reach: taken(tuple((s, us[:-1]) for s, us in levels), reach))
+
+
 # Mutants of the procedure core: per name, the patch, the check that kills it,
 # a witness n, and the (k, kind) of each failure the check reports there.
 MUTANTS = {
@@ -303,6 +309,9 @@ MUTANTS = {
         _signed_sum_skips_last_row, compare_procedure_oracle, 1461,
         [(k, None) for k in (12095811, 5890659957, 6616408617, 2868751399059, 3222190996479,
                              1569207015285273)]),
+    # At 255 the row of 23 loses its taken entry 23, so its h1 = 22 goes unread.
+    "the sum walk drops a row's largest entry": (
+        _sum_walk_drops_largest_entry, compare_procedure_oracle, 255, [(16, None), (48, None), (144, None)]),
 }
 
 

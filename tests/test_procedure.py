@@ -6,7 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vpal import procedure
 from vpal.digits import repunit, reverse_digits
@@ -303,6 +303,8 @@ def _brute_force_solutions(crucial):
     return tuple(u for u in itertools.product(*ranges) if sum(s * x for s, x in zip(signs, u)) == 0)
 
 
+# Up to 8 crucial primes as (p, delta): a list of one, or of one sign, has no
+# solution, and so has the first example.
 @given(
     st.lists(
         st.tuples(
@@ -313,10 +315,18 @@ def _brute_force_solutions(crucial):
         max_size=8,
     )
 )
+@example([(3, 2)])
+@example([(3, 1), (7, -1)])
 @settings(max_examples=200, deadline=None)
 def test_solve_characteristic_matches_brute_force(primes_and_deltas):
     crucial = tuple(CrucialPrime(p, max(d, 0), max(-d, 0)) for p, d in primes_and_deltas)
-    assert solve_characteristic(crucial) == _brute_force_solutions(crucial)
+    solutions = _brute_force_solutions(crucial)
+    assert solve_characteristic(crucial) == solutions
+    # The forward walk over sums keeps, per row, exactly the entries some
+    # solution takes there; with no solution every row's set is empty.
+    levels = tuple(procedure._level(cp, procedure._increments_at(cp.p, abs(cp.delta))) for cp in crucial)
+    taken = procedure._taken_entries(levels, procedure._suffix_sums(levels))
+    assert taken == ([set(column) for column in zip(*solutions)] if solutions else [set()] * len(crucial))
 
 
 # 2 and the 23 primes from 29 on, each with delta 1: entries in {1, 2} below 29
@@ -627,24 +637,73 @@ def test_tables_match_per_cell_reference_on_random_large_n(n, copies):
     _assert_tables_match_per_cell(n, copies, Budget(seconds=1e9, iterations=10**6))
 
 
+def _unlisted(*args):
+    raise AssertionError("listed the solutions")
+
+
 def test_run_procedure_and_accepts_build_no_cell(monkeypatch):
-    # The table holds the entry orders; no cell is paired, and each entry
-    # order read is computed once.
+    # The table holds the entry orders; no cell is paired, no solution is
+    # listed, and each entry order read is computed once.
     calls = {"constraint_entry": [], "repunit_order": []}
     for name in calls:
         def counted(*args, _real=getattr(procedure, name), _name=name):
             calls[_name].append(args)
             return _real(*args)
         monkeypatch.setattr(procedure, name, counted)
+    monkeypatch.setattr(procedure, "_list_solutions", _unlisted)
     r = run_procedure(7955605587183862, copies=3)
     for k in range(1, 9):
         r.accepts(k)
+    with pytest.raises(NotAVPalindrome):
+        r.type_of(1)
+    assert r.type_of(1276442171468360427622484993435) == (2, 2, 2, 2)  # the least accepted k
+    assert r.omega % r.minimal_period() == 0
     assert calls["constraint_entry"] == []
     orders = calls["repunit_order"]
     assert len(orders) == len(set(orders)) > 0
     for p, alpha, digit_len in orders:
         [i] = [i for i, cp in enumerate(r.crucial) if cp.p == p]
         assert digit_len == r.digit_len and r.table[i][alpha - 1] == repunit_order(p, alpha, digit_len)
+
+
+def test_thirty_digits_decide_without_listing_five_million_solutions(monkeypatch):
+    # 22 crucial primes and 5,396,157 solutions: the table reads reachable
+    # sums only, and no k up to 60 gives a v-palindrome (the oracle agrees at 1).
+    monkeypatch.setattr(procedure, "_list_solutions", _unlisted)
+    start = time.perf_counter()
+    r = run_procedure(294350988072419291464119994383)
+    assert not any(r.accepts(k) for k in range(1, 61))
+    assert time.perf_counter() - start < 1.0
+    assert len(r.crucial) == 22
+
+
+def _table_from_listed_solutions(r: ProcedureResult):
+    # The table as the listed solutions give it: an entry order where the
+    # entries at alpha - 1 and alpha differ and the column of solutions
+    # takes one of them.
+    table = []
+    for i, cp in enumerate(r.crucial):
+        taken = {sol[i] for sol in r.solutions}
+        e = [v_increment(cp.p, abs(cp.delta), min(cp.mu, 2) + x) for x in (0, 1, 2)]
+        if cp.p in (2, 5):
+            e = [e[0]] * 3
+        h = {alpha: repunit_order(cp.p, alpha, r.digit_len) for alpha in (1, 2)
+             if e[alpha - 1] != e[alpha] and taken & {e[alpha - 1], e[alpha]}}
+        s = 1 if cp.delta > 0 else -1
+        table.append((h.get(1, 1), h.get(2, h.get(1, 1)), (s * e[0], s * e[1], None, s * e[2])))
+    return tuple(table)
+
+
+_BIGN = Path(__file__).parent.parent / "benchmarks" / "data" / "bign.txt"
+
+
+def test_table_reads_the_entries_the_listed_solutions_take():
+    items = [(n, copies) for n in corpus(600) for copies in (1, 2, 3)]
+    items += [tuple(map(int, line.split()[:2])) for line in _BIGN.read_text().splitlines()]
+    assert len(items) > 2000
+    for n, copies in items:
+        r = run_procedure(n, copies=copies)
+        assert r.table == _table_from_listed_solutions(r), (n, copies)
 
 
 def test_case_vii_never_accepts():
