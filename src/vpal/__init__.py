@@ -55,10 +55,12 @@ from .oracle import (
     corpus,
     eligible,
     enumerate_vpals,
+    literal_test,
     oracle_is_vpal,
     oracle_is_vpal_concat,
     sweep,
     verify_disjointness,
+    verify_enumeration,
     verify_invariance,
     verify_lemmas,
     verify_periodicity,

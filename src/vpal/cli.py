@@ -22,18 +22,18 @@ import math
 import os
 import re
 import sys
-import time
-from importlib import resources
 
-from .digits import decimal_string, parse_decimal, reverse_digits
-from .factor import Budget, BudgetExhausted, factorize, metered, v_of_factorization, v_value
+from .digits import decimal_string, parse_decimal
+from .factor import Budget, BudgetExhausted, v_value
 from .oracle import (
     DEFAULT_NMAX,
+    GOLDEN_LIMIT,
     VerificationReport,
     compare_procedure_oracle,
-    enumerate_vpals,
+    literal_test,
     sweep,
     verify_disjointness,
+    verify_enumeration,
     verify_invariance,
     verify_lemmas,
 )
@@ -45,8 +45,6 @@ EXIT_BUDGET = 2
 EXIT_USAGE = 64
 EXIT_BROKEN_PIPE = 141
 
-_GOLDEN_ENUMERATION = "data/vpalindromes_1e4.txt"
-_GOLDEN_LIMIT = 10_000
 _SECONDS = re.compile(r"([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
 
 
@@ -124,11 +122,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_golden() -> list[int]:
-    text = resources.files("vpal").joinpath(_GOLDEN_ENUMERATION).read_text()
-    return [int(line) for line in text.split() if line.strip()]
-
-
 def _emit_report(report: VerificationReport, as_json: bool) -> int:
     if report.checked == 0:
         print(f"vpal: error: the options leave nothing to check ({report.corpus})", file=sys.stderr)
@@ -177,36 +170,17 @@ def _cmd_v(args, budget: Budget) -> int:
     return EXIT_OK
 
 
-@metered
 def _cmd_check(args, budget: Budget) -> int:
-    n = args.n
-    verdict: dict = {"n": decimal_string(n)}
-    if n % 10 == 0:
-        verdict.update(vpalindrome=False, reason="divisible by 10")
+    w, n = literal_test(args.n, budget), decimal_string(args.n)
+    if w.reason is not None:
+        record, text = {"n": n, "vpalindrome": False, "reason": w.reason}, f"no: {w.reason}"
     else:
-        r = reverse_digits(n)
-        if n == r:
-            verdict.update(vpalindrome=False, reason="equals its own reversal")
-        else:
-            vn = v_of_factorization(factorize(n))
-            vr = v_of_factorization(factorize(r))
-            verdict.update(
-                vpalindrome=vn == vr,
-                v=vn,
-                reversal=decimal_string(r),
-                v_of_reversal=vr,
-            )
-    if args.json:
-        print(json.dumps(verdict))
-    elif verdict["vpalindrome"]:
-        print(f"yes: v({verdict['n']}) = {verdict['v']} = v({verdict['reversal']})")
-    elif "reason" in verdict:
-        print(f"no: {verdict['reason']}")
-    else:
-        print(
-            f"no: v({verdict['n']}) = {verdict['v']} != "
-            f"v({verdict['reversal']}) = {verdict['v_of_reversal']}"
-        )
+        r = decimal_string(w.reversal)
+        record = {"n": n, "vpalindrome": w.vpalindrome, "v": w.v, "reversal": r,
+                  "v_of_reversal": w.v_of_reversal}
+        text = (f"yes: v({n}) = {w.v} = v({r})" if w.vpalindrome
+                else f"no: v({n}) = {w.v} != v({r}) = {w.v_of_reversal}")
+    print(json.dumps(record) if args.json else text)
     return EXIT_OK
 
 
@@ -238,20 +212,12 @@ def _cmd_verify(args, budget: Budget) -> int:
     elif args.what == "disjointness":
         report = sweep(verify_disjointness, args.nmax, args.jobs, budget=budget)
     else:  # enumerate
-        t0 = time.monotonic()
-        report = VerificationReport(corpus=f"enumeration vs golden file: limit {args.limit}")
-        values = enumerate_vpals(args.limit, budget, report)
-        golden = _load_golden()
-        comparable = min(args.limit, _GOLDEN_LIMIT)
-        expected = [g for g in golden if g <= comparable]
-        got = [x for x in values if x <= comparable]
-        report.record(got == expected, limit=args.limit, expected_count=len(expected), got_count=len(got))
-        report.elapsed = time.monotonic() - t0
+        values, report = verify_enumeration(args.limit, budget)
         if args.print_values:
             for x in values:
                 print(x)
-        if args.limit > _GOLDEN_LIMIT and not args.json:
-            print(f"note: golden file covers up to {_GOLDEN_LIMIT}; larger values not compared")
+        if args.limit > GOLDEN_LIMIT and not args.json:
+            print(f"note: golden file covers up to {GOLDEN_LIMIT}; larger values not compared")
     return _emit_report(report, args.json)
 
 

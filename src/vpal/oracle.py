@@ -1,11 +1,11 @@
-"""Brute-force verification: the literal v-palindrome test and corpus harnesses.
+"""Brute-force verification: the literal v-palindrome test and every harness.
 
-Everything here checks the classification tables against direct computation.
-The literal test factors a number and its reversal and compares v values; the
-harnesses sweep corpora and produce mergeable reports. A harness's budget
-bounds all the factoring it does for its one n, so each n of a sweep gets
-its own; factorization misses under the budget are recorded as skips, never
-guessed.
+Every verdict the command line prints is decided here. The literal test
+factors a number and its reversal and compares v values; the harnesses check
+the classification tables against it, or the enumeration against the shipped
+golden list, and produce mergeable reports. A harness's budget bounds all the
+factoring it does for its one n, so each n of a sweep gets its own;
+factorization misses under the budget are recorded as skips, never guessed.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
+from typing import NamedTuple
 
 from .digits import digit_count, repeat_concat, repunit, reverse_digits
 from .factor import (
@@ -25,8 +26,8 @@ from .factor import (
     factorize,
     metered,
     primes_up_to,
-    v_of_factorization,
     v_term,
+    v_value,
     valuation,
 )
 from .order import repunit_order, repunit_order_rescaled, repunit_valuation
@@ -36,6 +37,7 @@ from .procedure import lcm_closure, run_procedure
 # large enough to exercise nontrivial entry orders.
 DEFAULT_NMAX = 2000
 DEFAULT_OMEGA_CAP = 60
+GOLDEN_LIMIT = 10_000  # data/vpalindromes_1e4.txt lists every v-palindrome up to it
 
 
 @dataclass
@@ -104,25 +106,47 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _outside_domain(n: int, r: int) -> str | None:
+    """The domain rule of the literal test: why n, with reversal r, is outside it, or None."""
+    if n % 10 == 0:
+        return "divisible by 10"
+    return "equals its own reversal" if n == r else None
+
+
 def eligible(n: int) -> bool:
     """In the procedure's domain: positive, not divisible by 10, not self-reversed."""
-    return n >= 1 and n % 10 != 0 and n != reverse_digits(n)
+    return n >= 1 and _outside_domain(n, reverse_digits(n)) is None
 
 
 def corpus(nmax: int) -> list[int]:
     return [n for n in range(1, nmax + 1) if eligible(n)]
 
 
+class Witness(NamedTuple):
+    """The literal test's verdict on n and its witness: the reason n is outside
+    the domain, or else v(n), the reversal r(n) and v(r(n))."""
+
+    vpalindrome: bool
+    reason: str | None = None
+    v: int | None = None
+    reversal: int | None = None
+    v_of_reversal: int | None = None
+
+
 @metered
-def oracle_is_vpal(n: int, budget: Budget | None = None) -> bool:
+def literal_test(n: int, budget: Budget | None = None) -> Witness:
     """The literal test: 10 does not divide n, n differs from its reversal,
     and v(n) equals v of the reversal, both via complete factorization."""
-    if n < 1:
-        raise ValueError(f"expected a positive integer, got {n}")
-    if not eligible(n):
-        return False
-    r = reverse_digits(n)
-    return v_of_factorization(factorize(n)) == v_of_factorization(factorize(r))
+    r = reverse_digits(n)  # a ValueError unless n >= 1
+    if reason := _outside_domain(n, r):
+        return Witness(False, reason)
+    vn, vr = v_value(n), v_value(r)
+    return Witness(vn == vr, None, vn, r, vr)
+
+
+def oracle_is_vpal(n: int, budget: Budget | None = None) -> bool:
+    """The verdict of literal_test(n, budget)."""
+    return literal_test(n, budget).vpalindrome
 
 
 @metered
@@ -436,24 +460,36 @@ def verify_lemmas(
     return report
 
 
-def enumerate_vpals(
-    limit: int,
-    budget: Budget | None = None,
-    report: VerificationReport | None = None,
-) -> list[int]:
+def enumerate_vpals(limit: int, budget: Budget | None = None) -> list[int]:
     """All v-palindromes up to limit, ascending, by the literal oracle."""
     if limit < 1:
         raise ValueError(f"expected limit >= 1, got {limit}")
-    out = []
+    return [n for n in range(1, limit + 1) if oracle_is_vpal(n, budget)]
+
+
+def verify_enumeration(limit: int, budget: Budget | None = None) -> tuple[list[int], VerificationReport]:
+    """enumerate_vpals(limit), with a budget run-out at an n recorded as that
+    n's skip, and the report of one check: the values up to GOLDEN_LIMIT are
+    the shipped golden list's. Larger values go unchecked."""
+    from importlib import resources  # imported here: no other code reads the golden list
+
+    if limit < 1:
+        raise ValueError(f"expected limit >= 1, got {limit}")
+    t0 = time.monotonic()
+    report = VerificationReport(corpus=f"enumeration vs golden file: limit {limit}")
+    values = []
     for n in range(1, limit + 1):
         try:
             if oracle_is_vpal(n, budget):
-                out.append(n)
+                values.append(n)
         except BudgetExhausted as exc:
-            if report is None:
-                raise
             _record_budget_skip(report, exc, n=n)
-    return out
+    golden = map(int, resources.files("vpal").joinpath("data/vpalindromes_1e4.txt").read_text().split())
+    expected = [g for g in golden if g <= limit]
+    got = [x for x in values if x <= GOLDEN_LIMIT]
+    report.record(got == expected, limit=limit, expected_count=len(expected), got_count=len(got))
+    report.elapsed = time.monotonic() - t0
+    return values, report
 
 
 def sweep(check, nmax: int, jobs: int = 1, **params) -> VerificationReport:

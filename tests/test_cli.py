@@ -16,8 +16,10 @@ from vpal.cli import (
     main,
 )
 from vpal.oracle import VerificationReport
+from vpal.procedure import run_procedure
 
 from test_factor import ARNAULT_1995
+from test_oracle import _is_vpal_reference
 
 
 def run(capsys, *argv):
@@ -51,6 +53,26 @@ def test_check_json(capsys):
     assert d == {
         "n": "18", "vpalindrome": True, "v": 7, "reversal": "81", "v_of_reversal": 7,
     }
+
+
+def test_check_agrees_with_the_sympy_reference(capsys):
+    # n <= 300 holds multiples of 10, palindromes and v-palindromes
+    from sympy import factorint
+
+    v = lambda m: sum(p + e if e >= 2 else p for p, e in factorint(m).items())
+    for n in range(1, 301):
+        code, out, _ = run(capsys, "check", str(n), "--json")
+        record = json.loads(out)
+        assert code == EXIT_OK and record["vpalindrome"] == _is_vpal_reference(n), n
+        r = int(str(n)[::-1])
+        if n % 10 == 0 or n == r:
+            reason = "divisible by 10" if n % 10 == 0 else "equals its own reversal"
+            assert record == {"n": str(n), "vpalindrome": False, "reason": reason}, n
+            assert list(record) == ["n", "vpalindrome", "reason"], n
+        else:
+            assert record == {"n": str(n), "vpalindrome": v(n) == v(r), "v": v(n),
+                              "reversal": str(r), "v_of_reversal": v(r)}, n
+            assert list(record) == ["n", "vpalindrome", "v", "reversal", "v_of_reversal"], n
 
 
 def test_type(capsys):
@@ -339,6 +361,11 @@ def test_verification_failure_exits_1(capsys, monkeypatch):
 def test_a_reader_that_closes_the_pipe_early_gets_exit_141():
     # About 950 KB of JSON, more than a pipe buffer holds, so the writer is
     # still writing when the reader goes, as with `vpal procedure ... | head -1`.
+    size = len(run_procedure(7243529084560665).to_json())
+    assert size > 256 * 1024, (
+        f"the document is {size} bytes: a pipe buffer may hold it all, so the "
+        "writer could finish before the reader goes; choose an n with a larger one"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(vpal.__file__).parents[1])}
     proc = subprocess.Popen(
         [sys.executable, "-X", "dev", "-W", "error", "-m", "vpal.cli",

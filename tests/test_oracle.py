@@ -1,4 +1,5 @@
 import functools
+import importlib.resources
 import multiprocessing
 import os
 import subprocess
@@ -339,6 +340,52 @@ def test_enumerate_is_budget_insensitive():
     generous = enumerate_vpals(2000)
     tight = enumerate_vpals(2000, Budget(seconds=5.0))
     assert generous == tight
+
+
+@pytest.mark.parametrize("at, values, failures", [
+    (50, [18, 81], []),
+    (81, [18], [{"limit": 100, "expected_count": 2, "got_count": 1}]),
+])
+def test_a_budget_run_out_in_the_enumeration_is_that_ns_skip(monkeypatch, at, values, failures):
+    literal = oracle.oracle_is_vpal
+
+    def run_out(n, budget=None):
+        if n == at:
+            raise BudgetExhausted(1001)
+        return literal(n, budget)
+
+    monkeypatch.setattr(oracle, "oracle_is_vpal", run_out)
+    got, report = oracle.verify_enumeration(100)
+    assert got == values
+    assert report.skips == [{"n": at, "reason": "budget", "cofactor": "1001"}]
+    assert report.failures == failures
+    assert (report.checked, report.skipped) == (2, 1)
+    with pytest.raises(BudgetExhausted):  # the bare enumeration records nothing
+        enumerate_vpals(100)
+
+
+def test_a_doctored_golden_list_fails_the_enumeration(monkeypatch, tmp_path):
+    shipped = (Path(oracle.__file__).parent / "data" / "vpalindromes_1e4.txt").read_text().split()
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "vpalindromes_1e4.txt").write_text("\n".join(shipped[1:]) + "\n")
+    monkeypatch.setattr(importlib.resources, "files", lambda package: tmp_path)
+    for limit, expected, got in ((100, 1, 2), (10_500, len(shipped) - 1, len(shipped))):
+        _, report = oracle.verify_enumeration(limit)
+        assert (report.checked, report.failed, report.skipped) == (1, 1, 0)
+        assert report.failures == [{"limit": limit, "expected_count": expected, "got_count": got}]
+
+
+@pytest.mark.parametrize("limit, count, values_past", [
+    (100, 2, []), (10_000, 26, []), (10_500, 26, []), (12_500, 27, [12441]),
+])
+def test_the_enumeration_report_keeps_its_label_and_counts(limit, count, values_past):
+    # the golden list holds the 26 v-palindromes up to 10**4; those past it go unchecked
+    values, report = oracle.verify_enumeration(limit)
+    assert report.corpus == f"enumeration vs golden file: limit {limit}"
+    assert (report.checked, report.passed, report.failed, report.skipped) == (1, 1, 0, 0)
+    assert report.failures == report.skips == [] and report.elapsed > 0
+    assert values[:2] == [18, 81] and len(values) == count
+    assert [x for x in values if x > oracle.GOLDEN_LIMIT] == values_past
 
 
 def test_report_invariant_and_merge():
