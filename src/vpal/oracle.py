@@ -22,7 +22,6 @@ from .digits import digit_count, repeat_concat, repunit, reverse_digits
 from .factor import (
     Budget,
     BudgetExhausted,
-    Factorization,
     factorize,
     metered,
     primes_up_to,
@@ -170,15 +169,14 @@ def oracle_is_vpal_concat(n: int, k: int, budget: Budget | None = None) -> bool:
     """
     if not eligible(n):
         return False
-    terms = _concat_terms(factorize(n), factorize(reverse_digits(n)))
-    return _concat_verdict(terms, digit_count(n), k)
+    return _concat_verdict(_concat_terms(n), digit_count(n), k)
 
 
-def _concat_terms(fn: Factorization, fr: Factorization) -> tuple[tuple[int, int, int], ...]:
-    """(p, a_p, b_p) for each prime of n*r(n) with a_p != b_p, from the
-    factorizations fn of n and fr of r(n): the primes whose terms of the sum in
-    oracle_is_vpal_concat can be nonzero. They depend on n alone, not on k."""
-    a, b = dict(fn.entries), dict(fr.entries)
+def _concat_terms(n: int) -> tuple[tuple[int, int, int], ...]:
+    """(p, a_p, b_p) for each prime of n*r(n) with a_p != b_p, from factorize
+    of n and of r(n): the primes whose terms of the sum in oracle_is_vpal_concat
+    can be nonzero. They depend on n alone, not on k."""
+    a, b = dict(factorize(n).entries), dict(factorize(reverse_digits(n)).entries)
     exponents = ((p, a.get(p, 0), b.get(p, 0)) for p in a.keys() | b.keys())
     return tuple(t for t in exponents if t[1] != t[2])
 
@@ -227,23 +225,24 @@ def _per_n_report(check, n: int, **params):
     report.elapsed = time.monotonic() - t0
 
 
-def _oracle_elements(fn: Factorization, fr: Factorization, L: int) -> set[int]:
-    """d_p, d_p*p and d_p*p**2 for each prime p outside {2, 5} of n*r(n),
-    given the factorizations fn of n and fr of r(n), L digits each.
+def _oracle_elements(terms: tuple[tuple[int, int, int], ...], L: int) -> set[int]:
+    """d_p * p**max(0, alpha - x_d) for alpha = 1, 2 and each crucial prime p
+    outside {2, 5}, given the _concat_terms of n, L digits long.
 
     d_p = ord_p(10**L) is the least divisor d of p - 1 with 10**(d*L) = 1
-    (mod p). The oracle finds it by its own scan of the divisors of p - 1,
-    from factorize(p - 1) alone and never from the entry orders: it is the
-    independent side of compare_procedure_oracle's check of them.
+    (mod p), found by the oracle's own scan of the divisors of p - 1 from
+    factorize(p - 1) alone; x_d = repunit_valuation(p, d_p, L). Neither reads
+    an entry order: this is the independent side of compare_procedure_oracle's
+    check of them.
     """
-    primes = set(fn.primes()) | set(fr.primes())
     out = set()
-    for p in primes - {2, 5}:
+    for p in {p for p, _, _ in terms} - {2, 5}:
         divisors = [1]
         for q, e in factorize(p - 1):
             divisors = [d * q**i for d in divisors for i in range(e + 1)]
         d = min(d for d in divisors if pow(10, d * L, p) == 1)
-        out |= {d, d * p, d * p * p}
+        x = repunit_valuation(p, d, L)
+        out |= {d * p ** max(0, 1 - x), d * p ** max(0, 2 - x)}
     return out
 
 
@@ -253,9 +252,9 @@ def compare_procedure_oracle(n: int, budget: Budget | None = None) -> Verificati
     """Procedure verdicts against the concatenation oracle, for every k at once.
 
     Both are compared at each m of M', the lcm-closure of 1, the constraint
-    elements E of n and the oracle elements d_p*p**i (i <= 2, p a prime of
-    n*r(n) outside {2, 5}; see _oracle_elements). With E' the union of the
-    two element sets, both verdicts at any k >= 1 equal their verdicts at
+    elements E of n and the oracle's thresholds (two per crucial prime outside
+    {2, 5}; see _oracle_elements). With E' the union of the two element sets,
+    both verdicts at any k >= 1 equal their verdicts at
     D'(k) = lcm{e in E' : e | k}, which lies in M', so the checks decide
     every k:
 
@@ -264,32 +263,32 @@ def compare_procedure_oracle(n: int, budget: Budget | None = None) -> Verificati
     - The procedure's verdict depends on k only through which of its entry
       orders divide k (the h1 | h2 of ProcedureResult.table, each 1 or in
       E), so it is the same at k and at D'(k).
-    - The oracle's verdict is whether the sum over p | n*r(n) of
+    - The oracle's verdict is whether the sum over the crucial primes p of
       c(p, a_p + x_p) - c(p, b_p + x_p) is 0, with x_p = v_p(repunit(k, L))
       (see oracle_is_vpal_concat). Each term is constant in x_p once
       x_p >= 2, as a_p + x_p and b_p + x_p are then both >= 2 and the term is
-      a_p - b_p; so only min(x_p, 2) matters. For p in {2, 5}, x_p = 0.
-      Otherwise p is odd and coprime to 10: if d_p does not divide k, p does
-      not divide 10**(kL) - 1, a multiple of repunit(k, L), so x_p = 0; if it
-      does, x_p = x_p(d_p) + v_p(k) by lifting the exponent, as stated in
-      the docstring of the order module.
-      As d_p and p are coprime, min(x_p, 2) is fixed by which of d_p, d_p*p
-      and d_p*p**2 divide k, the same at k and at D'(k).
+      a_p - b_p; so only whether x_p >= 1 and whether x_p >= 2 matter. For p
+      in {2, 5}, x_p = 0. Otherwise p is odd and coprime to 10: if d_p does
+      not divide k, p does not divide 10**(kL) - 1, a multiple of
+      repunit(k, L), so x_p = 0; if it does, x_p = x_d + v_p(k) by lifting the
+      exponent (see the order module), with x_d = v_p(repunit(d_p, L)). As
+      d_p | p - 1 is coprime to p, x_p >= alpha exactly when
+      d_p * p**max(0, alpha - x_d) divides k, the same at k and at D'(k). At
+      d_p = 1, x_d = 0 as repunit(1, L) = 1, so the first threshold is p,
+      not d_p.
 
-    The oracle side takes d_p and x_p from modular powers and factorize
-    alone, so the check does not lean on the entry orders it tests. The
-    procedure's verdict is a signed sum that never reads the solution list,
-    so the same check also requires the type of each accepted m to be a
-    listed solution. It factors n and r(n) once, for the procedure, the
-    elements and every m.
+    The oracle side takes d_p and x_d from modular powers and factorize
+    alone, so the check does not lean on the entry orders it tests; it
+    factors p - 1 only for the crucial primes. The procedure's verdict is a
+    signed sum that never reads the solution list, so the same check also
+    requires the type of each accepted m to be a listed solution. It factors
+    n and r(n) once, for the procedure, the thresholds and every m.
     """
     with _per_n_report(compare_procedure_oracle, n) as report:
         L = digit_count(n)
         result = run_procedure(n)
-        fn = factorize(n)
-        fr = factorize(reverse_digits(n))
-        terms = _concat_terms(fn, fr)
-        for m in sorted(lcm_closure(result.elements | _oracle_elements(fn, fr, L))):
+        terms = _concat_terms(n)
+        for m in sorted(lcm_closure(result.elements | _oracle_elements(terms, L))):
             predicted = result.accepts(m)
             actual = _concat_verdict(terms, L, m)
             # the type of an accepted m must be a solution the solver listed
@@ -381,7 +380,7 @@ def verify_periodicity(
         if omega > omega_cap:
             report.record_skip(n=n, reason="omega_cap", omega=omega)
         else:
-            terms, L = _concat_terms(factorize(n), factorize(reverse_digits(n))), digit_count(n)
+            terms, L = _concat_terms(n), digit_count(n)
             pattern = {k: _concat_verdict(terms, L, k) for k in range(1, periods * omega + 1)}
             for k in range(1, (periods - 1) * omega + 1):
                 a, b = pattern[k], pattern[k + omega]

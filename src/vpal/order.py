@@ -89,9 +89,10 @@ def repunit_order(p: int, alpha: int, L: int) -> int:
 
     At alpha = 1, factorize(p) checks that p is prime and factorize(p - 1)
     gives ord_p(10). For alpha >= 2 it reads h(1) through this cache, and x
-    is 1 or v_p(10**(h(1) L) - 1) as above. The concatenation oracle finds d by
-    its own scan of the divisors of p - 1 (oracle._oracle_elements), which is
-    the independent side of the check that compares the two.
+    is 1 or v_p(10**(h(1) L) - 1) as above. The concatenation oracle's two
+    thresholds per crucial prime (oracle._oracle_elements) are h(1) and h(2),
+    found by its own scan of the divisors of p - 1: the independent side of
+    the check that compares them.
     """
     _require_coprime_to_ten(p)
     if alpha < 1 or L < 1:

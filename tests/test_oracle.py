@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from sympy import factorint
 
 from vpal import oracle, order, procedure
-from vpal.digits import digit_count, repeat_concat, reverse_digits
-from vpal.factor import Budget, BudgetExhausted, factorize
+from vpal.digits import digit_count, repeat_concat
+from vpal.factor import Budget, BudgetExhausted
 from vpal.order import multiplicative_order
 from vpal.oracle import (
     VerificationReport,
@@ -79,18 +79,29 @@ def test_concat_oracle_equals_literal_oracle_on_a_grid():
 
 
 def _oracle_elements(n):
-    return oracle._oracle_elements(factorize(n), factorize(reverse_digits(n)), digit_count(n))
+    return oracle._oracle_elements(oracle._concat_terms(n), digit_count(n))
+
+
+def _elements_outside_the_thresholds(nmax):
+    """The eligible n <= nmax with an entry order of their table that is not
+    one of the oracle's thresholds, computed independently of it."""
+    return [n for n in corpus(nmax) if not run_procedure(n).elements <= _oracle_elements(n)]
+
+
+def test_every_entry_order_the_table_reads_is_an_oracle_threshold():
+    assert _elements_outside_the_thresholds(2000) == []
 
 
 def test_compare_procedure_oracle_examples():
     # one check per element of M', the lcm-closure of 1 and both element sets
-    for n, size in ((18, 3), (12, 7), (13, 13)):
+    for n, size in ((18, 3), (12, 3), (13, 7)):
         rep = compare_procedure_oracle(n)
         elements = run_procedure(n).elements | _oracle_elements(n)
         assert len(lcm_closure(elements)) == size
         assert (rep.checked, rep.failed, rep.skipped) == (size, 0, 0), n
-    # 18 = 2 * 3**2 and 81 = 3**4: d_3 = 1 at L = 2, and no constraint element
-    assert _oracle_elements(18) == {1, 3, 9}
+    # 18 = 2 * 3**2 and 81 = 3**4: d_3 = 1 at L = 2, so x_d = 0 and the
+    # thresholds of 3 are 3 and 9, not 1; 2 has none, and no constraint element
+    assert _oracle_elements(18) == {3, 9}
 
 
 def test_compare_procedure_oracle_skips_when_p_minus_1_does_not_factor(monkeypatch):
@@ -118,7 +129,7 @@ def test_harness_skips_when_n_does_not_factor(harness):
 # kmax 1, where n(1) = n needs no new factoring; omega = 1 for this n, so
 # verify_periodicity makes one comparison.
 @pytest.mark.parametrize("harness, params, counts", [
-    (compare_procedure_oracle, {}, (784, 0, 0)),
+    (compare_procedure_oracle, {}, (171, 0, 0)),
     (verify_invariance, {"kmax": 1}, (1, 0, 0)),
     (verify_periodicity, {}, (1, 0, 0)),
 ], ids=["compare_procedure_oracle", "verify_invariance", "verify_periodicity"])
@@ -129,14 +140,24 @@ def test_harness_factors_n_and_its_reversal_once(harness, params, counts):
 
 
 def test_oracle_elements_match_a_scan_of_powers_of_ten():
-    # d_p = ord_p(10**L), here by scanning j until 10**(j*L) = 1 (mod p)
-    for n in (13, 1461, 98765):
+    # For each crucial p outside {2, 5} and alpha in {1, 2}, the least k with
+    # p**alpha dividing repunit(k, L), here by scanning the repunits themselves.
+    # 18 has d_3 = 1 at L = 2. 487 has the reversal 784 = 2**4 * 7**2, and
+    # h(1) = h(2) = 162 at the base-10 Wieferich prime 487 at L = 3.
+    for n, thresholds in ((13, {3, 39, 15, 465}), (18, {3, 9}), (255, {16, 272, 22, 506}),
+                          (487, {2, 14, 162})):
         L = len(str(n))
-        primes = (set(factorint(n)) | set(factorint(int(str(n)[::-1])))) - {2, 5}
+        a, b = factorint(n), factorint(int(str(n)[::-1]))
         expected = set()
-        for p in primes:
-            d = next(j for j in range(1, p) if pow(10, j * L, p) == 1)
-            expected |= {d, d * p, d * p * p}
+        for p in (a.keys() | b.keys()) - {2, 5}:
+            if a.get(p, 0) == b.get(p, 0):
+                continue
+            R, k = 1, 1  # repunit(k, L), materialised
+            for alpha in (1, 2):
+                while R % p**alpha:
+                    R, k = R * 10**L + 1, k + 1
+                expected.add(k)
+        assert expected == thresholds, n
         assert _oracle_elements(n) == expected, n
 
 
@@ -191,18 +212,20 @@ def test_verify_invariance_catches_each_mutant(monkeypatch):
 def test_compare_procedure_oracle_catches_the_lift_mutant(monkeypatch):
     # h(2) = h(1) * p is wrong at a base-10 Wieferich prime: 487**2 divides
     # 10**486 - 1, so h(2) = h(1) for p = 487. Among n <= 2000 the patch
-    # changes the tables of these six n only. The every-k check finds six
+    # changes the tables of these six n only, and at each of them an entry
+    # order leaves the oracle's thresholds. The every-k check finds four
     # failures, at 1461 = 3 * 487 and its reversal 1641 = 3 * 547; a window
     # k <= 8 finds none.
-    changed = (479, 974, 1336, 1461, 1641, 1948)
+    changed = [479, 974, 1336, 1461, 1641, 1948]
     order_at = procedure.repunit_order
     monkeypatch.setattr(
         procedure, "repunit_order",
         lambda p, alpha, L: order_at(p, 1, L) * p if alpha == 2 else order_at(p, alpha, L),
     )
     failed = {n: sorted(f["k"] for f in compare_procedure_oracle(n).failures) for n in changed}
-    lattice_ks = [22113, 12095811, 6616408617]
+    lattice_ks = [22113, 12095811]
     assert failed == {479: [], 974: [], 1336: [], 1461: lattice_ks, 1641: lattice_ks, 1948: []}
+    assert _elements_outside_the_thresholds(2000) == changed
     window = [(n, k) for n in changed for k in range(1, 9)
               if run_procedure(n).accepts(k) != oracle_is_vpal_concat(n, k)]
     assert window == []
@@ -308,11 +331,10 @@ MUTANTS = {
         _case_ii_allows_x_0, verify_disjointness, 13, [(1, "lattice scan"), (3, "lattice scan")]),
     "the signed sum skips its last row": (
         _signed_sum_skips_last_row, compare_procedure_oracle, 1461,
-        [(k, None) for k in (12095811, 5890659957, 6616408617, 2868751399059, 3222190996479,
-                             1569207015285273)]),
+        [(12095811, None)]),
     # At 255 the row of 23 loses its taken entry 23, so its h1 = 22 goes unread.
     "the sum walk drops a row's largest entry": (
-        _sum_walk_drops_largest_entry, compare_procedure_oracle, 255, [(16, None), (48, None), (144, None)]),
+        _sum_walk_drops_largest_entry, compare_procedure_oracle, 255, [(16, None)]),
 }
 
 
