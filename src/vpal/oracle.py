@@ -225,25 +225,39 @@ def _per_n_report(check, n: int, **params):
     report.elapsed = time.monotonic() - t0
 
 
-def _oracle_elements(terms: tuple[tuple[int, int, int], ...], L: int) -> set[int]:
-    """d_p * p**max(0, alpha - x_d) for alpha = 1, 2 and each crucial prime p
-    outside {2, 5}, given the _concat_terms of n, L digits long.
-
-    d_p = ord_p(10**L) is the least divisor d of p - 1 with 10**(d*L) = 1
-    (mod p), found by the oracle's own scan of the divisors of p - 1 from
-    factorize(p - 1) alone; x_d = repunit_valuation(p, d_p, L). Neither reads
-    an entry order: this is the independent side of compare_procedure_oracle's
-    check of them.
+def _oracle_rows(terms: tuple[tuple[int, int, int], ...], L: int) -> tuple[tuple, ...]:
+    """(p, a_p, b_p, (t1, t2)) for each of the _concat_terms of n, L digits long:
+    x_p = v_p(repunit(k, L)) >= alpha exactly when t_alpha | k. At p in {2, 5},
+    x_p = 0 at every k and the row has no threshold. Otherwise d_p = ord_p(10**L),
+    the least divisor d of p - 1 with 10**(d*L) = 1 (mod p), comes from
+    factorize(p - 1) alone and x_d = repunit_valuation(p, d_p, L), reading no
+    entry order: the independent side of compare_procedure_oracle's check of
+    them. If d_p does not divide k, p does not divide 10**(kL) - 1, a multiple
+    of repunit(k, L), so x_p = 0; if it does, x_p = x_d + v_p(k) by lifting the
+    exponent (see the order module), and d_p | p - 1 is coprime to p, so
+    t_alpha = d_p * p**max(0, alpha - x_d). At d_p = 1, x_d = 0, so t1 = p.
     """
-    out = set()
-    for p in {p for p, _, _ in terms} - {2, 5}:
-        divisors = [1]
-        for q, e in factorize(p - 1):
-            divisors = [d * q**i for d in divisors for i in range(e + 1)]
-        d = min(d for d in divisors if pow(10, d * L, p) == 1)
-        x = repunit_valuation(p, d, L)
-        out |= {d * p ** max(0, 1 - x), d * p ** max(0, 2 - x)}
-    return out
+    rows = []
+    for p, a_p, b_p in terms:
+        thresholds = ()
+        if p not in (2, 5):
+            divisors = [1]
+            for q, e in factorize(p - 1):
+                divisors = [d * q**i for d in divisors for i in range(e + 1)]
+            d = min(d for d in divisors if pow(10, d * L, p) == 1)
+            x = repunit_valuation(p, d, L)
+            thresholds = (d * p ** max(0, 1 - x), d * p ** max(0, 2 - x))
+        rows.append((p, a_p, b_p, thresholds))
+    return tuple(rows)
+
+
+def _threshold_verdict(rows: tuple[tuple, ...], k: int) -> bool:
+    """_concat_verdict at k, with min(x_p, 2) counted as the thresholds of p that divide k."""
+    total = 0
+    for p, a_p, b_p, thresholds in rows:
+        x = sum(k % t == 0 for t in thresholds)
+        total += v_term(p, a_p + x) - v_term(p, b_p + x)
+    return total == 0
 
 
 @_labelled("procedure vs oracle: n{n}, every k")
@@ -253,45 +267,32 @@ def compare_procedure_oracle(n: int, budget: Budget | None = None) -> Verificati
 
     Both are compared at each m of M', the lcm-closure of 1, the constraint
     elements E of n and the oracle's thresholds (two per crucial prime outside
-    {2, 5}; see _oracle_elements). With E' the union of the two element sets,
-    both verdicts at any k >= 1 equal their verdicts at
-    D'(k) = lcm{e in E' : e | k}, which lies in M', so the checks decide
-    every k:
+    {2, 5}; see _oracle_rows). With E' the union of the two element sets, both
+    verdicts at any k >= 1 equal their verdicts at D'(k) = lcm{e in E' : e | k},
+    which lies in M', so the checks decide every k:
 
     - e | k iff e | D'(k) for each e in E', since e | k puts e among the lcm's
       arguments and D'(k) | k.
     - The procedure's verdict depends on k only through which of its entry
       orders divide k (the h1 | h2 of ProcedureResult.table, each 1 or in
       E), so it is the same at k and at D'(k).
-    - The oracle's verdict is whether the sum over the crucial primes p of
-      c(p, a_p + x_p) - c(p, b_p + x_p) is 0, with x_p = v_p(repunit(k, L))
-      (see oracle_is_vpal_concat). Each term is constant in x_p once
-      x_p >= 2, as a_p + x_p and b_p + x_p are then both >= 2 and the term is
-      a_p - b_p; so only whether x_p >= 1 and whether x_p >= 2 matter. For p
-      in {2, 5}, x_p = 0. Otherwise p is odd and coprime to 10: if d_p does
-      not divide k, p does not divide 10**(kL) - 1, a multiple of
-      repunit(k, L), so x_p = 0; if it does, x_p = x_d + v_p(k) by lifting the
-      exponent (see the order module), with x_d = v_p(repunit(d_p, L)). As
-      d_p | p - 1 is coprime to p, x_p >= alpha exactly when
-      d_p * p**max(0, alpha - x_d) divides k, the same at k and at D'(k). At
-      d_p = 1, x_d = 0 as repunit(1, L) = 1, so the first threshold is p,
-      not d_p.
+    - The oracle's verdict, whether c(p, a_p + x_p) - c(p, b_p + x_p) sums to 0
+      over the crucial primes p (see oracle_is_vpal_concat), reads only
+      min(x_p, 2): once x_p >= 2, a_p + x_p and b_p + x_p are both >= 2 and
+      the term is a_p - b_p. As t1 | t2, min(x_p, 2) is the number of p's
+      thresholds that divide k, the same at k and at D'(k); _threshold_verdict
+      counts them at each m, with no modular power.
 
-    The oracle side takes d_p and x_d from modular powers and factorize
-    alone, so the check does not lean on the entry orders it tests; it
-    factors p - 1 only for the crucial primes. The procedure's verdict is a
-    signed sum that never reads the solution list, so the same check also
-    requires the type of each accepted m to be a listed solution. It factors
-    n and r(n) once, for the procedure, the thresholds and every m.
+    The procedure's verdict is a signed sum that never reads the solution
+    list, so the check also requires the type of each accepted m to be a
+    listed solution. It factors n and r(n) once, for both sides.
     """
     with _per_n_report(compare_procedure_oracle, n) as report:
-        L = digit_count(n)
         result = run_procedure(n)
-        terms = _concat_terms(n)
-        for m in sorted(lcm_closure(result.elements | _oracle_elements(terms, L))):
+        rows = _oracle_rows(_concat_terms(n), digit_count(n))
+        for m in sorted(lcm_closure(result.elements.union(*(ts for *_, ts in rows)))):
             predicted = result.accepts(m)
-            actual = _concat_verdict(terms, L, m)
-            # the type of an accepted m must be a solution the solver listed
+            actual = _threshold_verdict(rows, m)
             listed = not predicted or result.type_of(m) in result.solutions
             inputs = {"n": n, "k": m, "predicted": predicted, "actual": actual}
             if not listed:

@@ -89,10 +89,9 @@ def repunit_order(p: int, alpha: int, L: int) -> int:
 
     At alpha = 1, factorize(p) checks that p is prime and factorize(p - 1)
     gives ord_p(10). For alpha >= 2 it reads h(1) through this cache, and x
-    is 1 or v_p(10**(h(1) L) - 1) as above. The concatenation oracle's two
-    thresholds per crucial prime (oracle._oracle_elements) are h(1) and h(2),
-    found by its own scan of the divisors of p - 1: the independent side of
-    the check that compares them.
+    is 1 or v_p(10**(h(1) L) - 1) as above. The oracle's rows (oracle._oracle_rows)
+    hold h(1) and h(2) of each crucial prime, found by its own scan of the
+    divisors of p - 1: the independent side of the check that compares them.
     """
     _require_coprime_to_ten(p)
     if alpha < 1 or L < 1:

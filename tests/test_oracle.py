@@ -1,7 +1,9 @@
 import functools
 import importlib.resources
+import math
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -78,8 +80,16 @@ def test_concat_oracle_equals_literal_oracle_on_a_grid():
     assert mismatched == []
 
 
+def _oracle_rows(n):
+    return oracle._oracle_rows(oracle._concat_terms(n), digit_count(n))
+
+
+def _thresholds(rows):
+    return {t for *_, thresholds in rows for t in thresholds}
+
+
 def _oracle_elements(n):
-    return oracle._oracle_elements(oracle._concat_terms(n), digit_count(n))
+    return _thresholds(_oracle_rows(n))
 
 
 def _elements_outside_the_thresholds(nmax):
@@ -108,7 +118,7 @@ def test_compare_procedure_oracle_skips_when_p_minus_1_does_not_factor(monkeypat
     def exhausted(*args):
         raise BudgetExhausted(1001)
 
-    monkeypatch.setattr(oracle, "_oracle_elements", exhausted)
+    monkeypatch.setattr(oracle, "_oracle_rows", exhausted)
     rep = compare_procedure_oracle(13)
     assert (rep.checked, rep.failed, rep.skipped) == (1, 0, 1)
     assert rep.skips == [{"n": 13, "reason": "budget", "cofactor": "1001"}]
@@ -140,25 +150,75 @@ def test_harness_factors_n_and_its_reversal_once(harness, params, counts):
 
 
 def test_oracle_elements_match_a_scan_of_powers_of_ten():
-    # For each crucial p outside {2, 5} and alpha in {1, 2}, the least k with
-    # p**alpha dividing repunit(k, L), here by scanning the repunits themselves.
+    # Each crucial p's row holds, for alpha in {1, 2}, the least k with p**alpha
+    # dividing repunit(k, L), here found by scanning the repunits themselves.
     # 18 has d_3 = 1 at L = 2. 487 has the reversal 784 = 2**4 * 7**2, and
     # h(1) = h(2) = 162 at the base-10 Wieferich prime 487 at L = 3.
     for n, thresholds in ((13, {3, 39, 15, 465}), (18, {3, 9}), (255, {16, 272, 22, 506}),
                           (487, {2, 14, 162})):
         L = len(str(n))
         a, b = factorint(n), factorint(int(str(n)[::-1]))
-        expected = set()
-        for p in (a.keys() | b.keys()) - {2, 5}:
+        expected = {}
+        for p in a.keys() | b.keys():
             if a.get(p, 0) == b.get(p, 0):
                 continue
-            R, k = 1, 1  # repunit(k, L), materialised
-            for alpha in (1, 2):
+            R, k, ks = 1, 1, ()  # repunit(k, L), materialised; 2 and 5 divide none
+            for alpha in () if p in (2, 5) else (1, 2):
                 while R % p**alpha:
                     R, k = R * 10**L + 1, k + 1
-                expected.add(k)
-        assert expected == thresholds, n
-        assert _oracle_elements(n) == expected, n
+                ks += (k,)
+            expected[p] = ks
+        assert set().union(*expected.values()) == thresholds, n
+        assert {p: ts for p, _, _, ts in _oracle_rows(n)} == expected, n
+
+
+def test_the_threshold_verdict_is_the_literal_verdict():
+    # compare_procedure_oracle reads min(x_p, 2) off the thresholds; here that
+    # verdict meets repunit_valuation's modular powers at every point of M'
+    # and at 20 seeded random k < 10**12 per n, off the lattice too.
+    rng = random.Random(20261019)
+    compared, disagree = 0, []
+    for n in corpus(2000):
+        terms, L = oracle._concat_terms(n), digit_count(n)
+        rows = oracle._oracle_rows(terms, L)
+        lattice = sorted(lcm_closure(run_procedure(n).elements | _thresholds(rows)))
+        for k in lattice + [rng.randrange(1, 10**12) for _ in range(20)]:
+            compared += 1
+            if oracle._threshold_verdict(rows, k) != oracle._concat_verdict(terms, L, k):
+                disagree.append((n, k))
+    assert (compared, disagree) == (59_912, [])
+
+
+def _copies_failures(nmax, copies):
+    """(n, c, m) for each eligible n <= nmax, c in copies and m in M_c where
+    r_c = run_procedure(n, copies=c) disagrees with the oracle at c*m, or,
+    accepting m, gives a type other than r_1 = run_procedure(n) at c*m; and
+    the number of points scanned."""
+    failures, points = [], 0
+    for n in corpus(nmax):
+        r1, rows = run_procedure(n), _oracle_rows(n)
+        base = r1.elements | _thresholds(rows)
+        for c in copies:
+            rc = run_procedure(n, copies=c)
+            for m in lcm_closure(rc.elements | {e // math.gcd(e, c) for e in base}):
+                points += 1
+                accepted = rc.accepts(m)
+                if (accepted != oracle._threshold_verdict(rows, c * m)
+                        or accepted and (not r1.accepts(c * m) or rc.type_of(m) != r1.type_of(c * m))):
+                    failures.append((n, c, m))
+    return failures, points
+
+
+def test_the_copies_result_agrees_with_the_oracle_for_every_j(monkeypatch):
+    # e | c*m iff e/gcd(e, c) | m, so r_c at m, and the oracle and r_1 at c*m,
+    # depend on m only through which e of E(r_c) and of the e/gcd(e, c) for e
+    # in E(r_1) and the thresholds divide m; the lcm of those, a point of their
+    # lcm-closure M_c, has the same verdicts and types, so M_c decides every m.
+    assert _copies_failures(500, (2, 3)) == ([], 7564)
+    # the mu-shift mutant of test_verify_invariance_catches_each_mutant fails here too
+    monkeypatch.setattr(procedure, "repunit_valuation", lambda p, k, L: 0)
+    failures, _ = _copies_failures(500, (2, 3))
+    assert (len(failures), len({n for n, _, _ in failures})) == (195, 69)
 
 
 def test_procedure_oracle_agreement_beyond_corpus():
