@@ -226,16 +226,18 @@ def _per_n_report(check, n: int, **params):
 
 
 def _oracle_rows(terms: tuple[tuple[int, int, int], ...], L: int) -> tuple[tuple, ...]:
-    """(p, a_p, b_p, (t1, t2)) for each of the _concat_terms of n, L digits long:
-    x_p = v_p(repunit(k, L)) >= alpha exactly when t_alpha | k. At p in {2, 5},
-    x_p = 0 at every k and the row has no threshold. Otherwise d_p = ord_p(10**L),
-    the least divisor d of p - 1 with 10**(d*L) = 1 (mod p), comes from
-    factorize(p - 1) alone and x_d = repunit_valuation(p, d_p, L), reading no
-    entry order: the independent side of compare_procedure_oracle's check of
-    them. If d_p does not divide k, p does not divide 10**(kL) - 1, a multiple
-    of repunit(k, L), so x_p = 0; if it does, x_p = x_d + v_p(k) by lifting the
-    exponent (see the order module), and d_p | p - 1 is coprime to p, so
-    t_alpha = d_p * p**max(0, alpha - x_d). At d_p = 1, x_d = 0, so t1 = p.
+    """(p, f, (t1, t2)) for each of the _concat_terms (p, a_p, b_p) of n, L
+    digits long: x_p = v_p(repunit(k, L)) >= alpha exactly when t_alpha | k,
+    and f[x] = c(p, a_p + x) - c(p, b_p + x) is p's term of the sum at
+    min(x_p, 2) = x. At p in {2, 5}, x_p = 0 at every k and the row has no
+    threshold. Otherwise d_p = ord_p(10**L), the least divisor d of p - 1
+    with 10**(d*L) = 1 (mod p), comes from factorize(p - 1) alone and x_d =
+    repunit_valuation(p, d_p, L), reading no entry order: the independent
+    side of compare_procedure_oracle's check of them. If d_p does not divide
+    k, p does not divide 10**(kL) - 1, a multiple of repunit(k, L), so x_p =
+    0; if it does, x_p = x_d + v_p(k) by lifting the exponent (see the order
+    module), and d_p | p - 1 is coprime to p, so t_alpha = d_p *
+    p**max(0, alpha - x_d). At d_p = 1, x_d = 0, so t1 = p.
     """
     rows = []
     for p, a_p, b_p in terms:
@@ -245,18 +247,24 @@ def _oracle_rows(terms: tuple[tuple[int, int, int], ...], L: int) -> tuple[tuple
             for q, e in factorize(p - 1):
                 divisors = [d * q**i for d in divisors for i in range(e + 1)]
             d = min(d for d in divisors if pow(10, d * L, p) == 1)
-            x = repunit_valuation(p, d, L)
-            thresholds = (d * p ** max(0, 1 - x), d * p ** max(0, 2 - x))
-        rows.append((p, a_p, b_p, thresholds))
+            x_d = repunit_valuation(p, d, L)
+            thresholds = (d * p ** max(0, 1 - x_d), d * p ** max(0, 2 - x_d))
+        f = tuple(v_term(p, a_p + x) - v_term(p, b_p + x) for x in (0, 1, 2))
+        rows.append((p, f, thresholds))
     return tuple(rows)
 
 
 def _threshold_verdict(rows: tuple[tuple, ...], k: int) -> bool:
-    """_concat_verdict at k, with min(x_p, 2) counted as the thresholds of p that divide k."""
+    """_concat_verdict at k: min(x_p, 2) is the number of thresholds of p
+    that divide k (t1 | t2), and it picks p's term."""
     total = 0
-    for p, a_p, b_p, thresholds in rows:
-        x = sum(k % t == 0 for t in thresholds)
-        total += v_term(p, a_p + x) - v_term(p, b_p + x)
+    for _, f, thresholds in rows:
+        x = 0
+        for t in thresholds:
+            if k % t:
+                break
+            x += 1
+        total += f[x]
     return total == 0
 
 
@@ -281,7 +289,8 @@ def compare_procedure_oracle(n: int, budget: Budget | None = None) -> Verificati
       min(x_p, 2): once x_p >= 2, a_p + x_p and b_p + x_p are both >= 2 and
       the term is a_p - b_p. As t1 | t2, min(x_p, 2) is the number of p's
       thresholds that divide k, the same at k and at D'(k); _threshold_verdict
-      counts them at each m, with no modular power.
+      counts them at each m and adds the terms _oracle_rows computed for
+      those counts, with no modular power.
 
     The procedure's verdict is a signed sum that never reads the solution
     list, so the check also requires the type of each accepted m to be a

@@ -108,7 +108,8 @@ class CaseLabel(str, enum.Enum):
 # Each case is one such interval, and case vii is the empty one.
 _INTERVAL = {CaseLabel.I: (0, 0), CaseLabel.II: (1, 1), CaseLabel.III: (0, 1),
              CaseLabel.IV: (1, 2), CaseLabel.V: (2, 2), CaseLabel.VI: (0, 2)}
-_CASE = {interval: label for label, interval in _INTERVAL.items()}
+# A case read off where its entry holds: per x in {0, 1, 2}, whether it does.
+_CASE = {tuple(lo <= x <= hi for x in (0, 1, 2)): label for label, (lo, hi) in _INTERVAL.items()}
 
 
 @dataclass(frozen=True)
@@ -131,10 +132,8 @@ class ConstraintPair:
         return self.first_member() is None
 
     def first_member(self) -> int | None:
-        """Least positive member, or None: every member is a multiple of lcm(A),
-        so the least is lcm(A) itself unless some b in B divides it."""
-        base = math.lcm(*self.A)
-        return None if any(base % b == 0 for b in self.B) else base
+        """Least positive member, or None (see _first_member)."""
+        return _first_member(self.A, self.B)
 
     def pullback(self, k: int) -> "ConstraintPair":
         """{j : k*j in S(A, B)}: a | k*j iff a/gcd(a, k) | j, as a/g and k/g are coprime."""
@@ -158,9 +157,23 @@ class ConstraintPair:
         return a0, frozenset(x for x in c if not any(x % y == 0 and y != x for y in c))
 
 
-def _cell_pair(p: int, label: CaseLabel, h) -> ConstraintPair:
-    """The constraints of a cell of prime p in the given case, h(alpha) its
-    entry orders: called only for the alpha the case reads.
+def _first_member(A, B) -> int | None:
+    """The least positive integer divisible by every a in A and by no b in B,
+    or None: every such integer is a multiple of lcm(A), so the least is
+    lcm(A) itself unless some b in B divides it."""
+    base = math.lcm(*A)
+    return base if all(map(base.__mod__, B)) else None
+
+
+def _cell_label(increments: tuple[int, int, int], u: int) -> CaseLabel:
+    """The case of entry u, given the increments at x = 0, 1 and 2 (_shifted):
+    the interval of x where the increment is u, case vii when there is none."""
+    return _CASE.get(tuple(map(u.__eq__, increments)), CaseLabel.VII)
+
+
+def _cell_pair(p: int, label: CaseLabel, h) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The constraints (A, B) of a cell of prime p in the given case, h(alpha)
+    its entry orders: called only for the alpha the case reads.
 
     The case allows the x = v_p(R(k, L)) in its interval [lo, hi], and x >= alpha
     exactly when the entry order h(alpha) divides k: lo >= 1 asks h(lo) | k and
@@ -168,18 +181,18 @@ def _cell_pair(p: int, label: CaseLabel, h) -> ConstraintPair:
     so the cell accepts every k when lo == 0 and none otherwise.
     """
     if label is CaseLabel.VII:
-        return ConstraintPair((), (1,))
+        return (), (1,)
     lo, hi = _INTERVAL[label]
     if p in (2, 5):
-        return ConstraintPair((), () if lo == 0 else (1,))
-    return ConstraintPair((h(lo),) if lo else (), (h(hi + 1),) if hi < 2 else ())
+        return (), () if lo == 0 else (1,)
+    return (h(lo),) if lo else (), (h(hi + 1),) if hi < 2 else ()
 
 
 def constraint_entry(p: int, label: CaseLabel, digit_len: int) -> ConstraintPair:
     """Divisibility constraints contributed by prime p under the given case
     (see _cell_pair), with entry orders taken at the digit length L of the
     analyzed number."""
-    return _cell_pair(p, label, lambda alpha: repunit_order(p, alpha, digit_len))
+    return ConstraintPair(*_cell_pair(p, label, lambda alpha: repunit_order(p, alpha, digit_len)))
 
 
 @dataclass(frozen=True)
@@ -347,7 +360,10 @@ class ProcedureResult:
     distinct cells of each prime, with case and pair), ``case_table`` and
     ``constraint_table``, indexed [prime][solution], and the ``columns``
     (``columns[l]`` the union of column l's cells) are views built from the
-    table and the solutions when first read. Results are built by
+    table and the solutions when first read. ``to_json`` reads none of them:
+    it writes the document in one pass over the table and the solutions,
+    sharing with the views the helpers of each rule they have in common
+    (_cell_label, _cell_pair, _first_member). Results are built by
     ``tabulate``.
     """
 
@@ -397,9 +413,9 @@ class ProcedureResult:
         take, in order of first appearance.
 
         A cell's case is the interval of x where the increment v_increment(p,
-        |delta|, min(mu, 2) + x) equals its entry (case vii when there is none),
-        at p in {2, 5} too; its pair is read off the row's entry orders by the
-        function constraint_entry uses too.
+        |delta|, min(mu, 2) + x) equals its entry (_cell_label), at p in {2, 5}
+        too; its pair is read off the row's entry orders by the function
+        constraint_entry uses too (_cell_pair). to_json reads both helpers.
         """
         rows = []
         for cp, us, (h1, h2, _) in zip(self.crucial, self._entries, self.table):
@@ -407,9 +423,8 @@ class ProcedureResult:
             increments = _shifted(_increments_at(cp.p, abs(cp.a - cp.b)), min(cp.a, cp.b))
             row = []
             for u in dict.fromkeys(us):
-                xs = [x for x in (0, 1, 2) if increments[x] == u]
-                label = _CASE[xs[0], xs[-1]] if xs else CaseLabel.VII
-                row.append(Cell(u, label, _cell_pair(cp.p, label, h)))
+                label = _cell_label(increments, u)
+                row.append(Cell(u, label, ConstraintPair(*_cell_pair(cp.p, label, h))))
             rows.append(tuple(row))
         return tuple(rows)
 
@@ -472,14 +487,11 @@ class ProcedureResult:
             raise NotAVPalindrome(f"concatenation count {k} gives no v-palindrome")
         return tuple(abs(t[code >> 2 * i & 3]) for i, (_, _, t) in enumerate(self.table))
 
-    @cached_property
-    def _column_firsts(self) -> tuple[int | None, ...]:
-        """Per solution, the least k its column accepts, or None when it accepts none."""
-        return tuple(col.first_member() for col in self.columns)
-
     def first_member(self) -> int | None:
-        """Least accepted k (the onset c), or None when no k is ever accepted."""
-        return min((f for f in self._column_firsts if f is not None), default=None)
+        """Least accepted k (the onset c), or None when no k is ever accepted:
+        the least first member of a column."""
+        firsts = (col.first_member() for col in self.columns)
+        return min((f for f in firsts if f is not None), default=None)
 
     @cached_property
     def elements(self) -> frozenset[int]:
@@ -532,43 +544,67 @@ class ProcedureResult:
                 d //= b
         return d
 
-    @cached_property
-    def case_vii_count(self) -> int:
-        """Occurrences of the catch-all case in the table (expected never to accept)."""
-        return sum(us.count(cell.entry) for row, us in zip(self.rows, self._entries)
-                   for cell in row if cell.label is CaseLabel.VII)
-
     def to_dict(self) -> dict:
         """The document of docs/procedure-result.schema.json: the parse of to_json."""
         return json.loads(self.to_json())
 
     def to_json(self) -> str:
         """The text ``vpal procedure --json`` prints, json.dumps(to_dict(), indent=2)
-        byte for byte, written from the rows: per row each distinct cell's text
-        once, and each solution's list once."""
+        byte for byte, in one pass over the solutions that builds no view.
+
+        Each distinct cell's case text, pair text and constraints are written
+        once, by the helpers the rows view reads (_cell_label, _cell_pair). A
+        solution's case and pair entries are then looked up by its entry in
+        each row, its column's A and B are the unions of its cells'
+        constraints, and its first member is _first_member of those, the rule
+        of ConstraintPair.first_member. c is the least first member, and
+        case_vii_count counts the solutions' case vii cells.
+        """
         p1, p2, p3, p4 = _PAD[1:]
         sols = [_array(map(str, sol), p2) for sol in self.solutions]
         crucial = _array((f'{{{p3}"p": {cp.p},{p3}"a": {cp.a},{p3}"b": {cp.b},'
                           f'{p3}"delta": {cp.delta},{p3}"mu": {cp.mu}{p2}}}' for cp in self.crucial), p1)
-        label = lambda cell: f'"{cell.label.value}"'
-        pair = lambda cell: (f'{{{p4}"A": {_array(map(str, sorted(cell.pair.A)), p4)},'
-                             f'{p4}"B": {_array(map(str, sorted(cell.pair.B)), p4)}{p3}}}')
-        table = lambda of: _array((_array(row, p2) for row in self._spread(of)), p1)
-        firsts = self._column_firsts
-        # In a column a solution's list sits one level deeper: two more spaces per line.
-        columns = _array((f'{{{p3}"solution": {text.replace(_PAD[0], p1)},'
-                          f'{p3}"A": {_array(map(str, sorted(col.A)), p3)},'
-                          f'{p3}"B": {_array(map(str, sorted(col.B)), p3)},'
-                          f'{p3}"first_member": {_null_or(f)}{p2}}}'
-                          for text, col, f in zip(sols, self.columns, firsts)), p1)
+        # As[i] and Bs[i] map each entry of row i to its cell's A and B.
+        cases, pairs, As, Bs, vii = [], [], [], [], 0
+        for cp, us, (h1, h2, _) in zip(self.crucial, self._entries, self.table):
+            h = (None, h1, h2).__getitem__
+            increments = _shifted(_increments_at(cp.p, abs(cp.a - cp.b)), min(cp.a, cp.b))
+            case, pair, A_of, B_of = {}, {}, {}, {}
+            for u in dict.fromkeys(us):
+                label = _cell_label(increments, u)
+                A_of[u], B_of[u] = A, B = _cell_pair(cp.p, label, h)
+                case[u] = f'"{label.value}"'
+                pair[u] = f'{{{p4}"A": {_array(map(str, A), p4)},{p4}"B": {_array(map(str, B), p4)}{p3}}}'
+                if label is CaseLabel.VII:
+                    vii += us.count(u)
+            cases.append(_array(map(case.__getitem__, us), p2))
+            pairs.append(_array(map(pair.__getitem__, us), p2))
+            As.append(A_of)
+            Bs.append(B_of)
+        # Each section is joined once it is complete, which frees the pieces it
+        # was joined from before the next section is written.
+        cases, pairs = _array(cases, p1), _array(pairs, p1)
+        columns, firsts = [], []
+        for text, sol in zip(sols, self.solutions):
+            A = set(itertools.chain.from_iterable(map(dict.__getitem__, As, sol)))
+            B = set(itertools.chain.from_iterable(map(dict.__getitem__, Bs, sol)))
+            f = _first_member(A, B)
+            firsts.append(f)
+            # In a column a solution's list sits one level deeper: two more spaces per line.
+            columns.append(f'{{{p3}"solution": {text.replace(_PAD[0], p1)},'
+                           f'{p3}"A": {_array(map(str, sorted(A)), p3)},'
+                           f'{p3}"B": {_array(map(str, sorted(B)), p3)},'
+                           f'{p3}"first_member": {_null_or(f)}{p2}}}')
+        columns = _array(columns, p1)
+        nondegenerate = _array((t for t, f in zip(sols, firsts) if f is not None), p1)
+        c = min((f for f in firsts if f is not None), default=None)
         return (f'{{\n  "n": "{decimal_string(self.n)}",\n  "copies": {self.copies},'
                 f'\n  "digit_length": {self.digit_len},\n  "crucial_primes": {crucial},'
-                f'\n  "solutions": {_array(sols, p1)},\n  "case_table": {table(label)},'
-                f'\n  "constraint_table": {table(pair)},\n  "columns": {columns},'
+                f'\n  "solutions": {_array(sols, p1)},\n  "case_table": {cases},'
+                f'\n  "constraint_table": {pairs},\n  "columns": {columns},'
                 f'\n  "omega": {self.omega},\n  "omega0": {self.minimal_period()},'
-                f'\n  "c": {_null_or(self.first_member())},'
-                f'\n  "nondegenerate": {_array((t for t, f in zip(sols, firsts) if f is not None), p1)},'
-                f'\n  "case_vii_count": {self.case_vii_count}\n}}')
+                f'\n  "c": {_null_or(c)},\n  "nondegenerate": {nondegenerate},'
+                f'\n  "case_vii_count": {vii}\n}}')
 
 
 def lcm_closure(elements) -> frozenset[int]:
@@ -580,27 +616,37 @@ def lcm_closure(elements) -> frozenset[int]:
 
 
 def _coprime_base(xs) -> set[int]:
-    """Pairwise coprime integers > 1 over which every x in xs factors, by gcd refinement."""
-    base = {x for x in xs if x > 1}
-    pairs = lambda: ((a, b) for a, b in itertools.combinations(base, 2) if math.gcd(a, b) > 1)
-    while pair := next(pairs(), None):
-        a, b = pair
-        g = math.gcd(a, b)
-        base = base - {a, b} | {g, a // g, b // g} - {1}
+    """Pairwise coprime integers > 1 over which every x in xs factors, by gcd
+    refinement: each x is refined against the base built so far. When x meets
+    an element b with g = gcd(x, b) > 1, b leaves the base and g, x/g and b/g
+    wait to be refined in their turn; the product of the base and the waiting
+    numbers falls at each split, so the refinement ends."""
+    base, waiting = set(), [x for x in xs if x > 1]
+    while waiting:
+        x = waiting.pop()
+        for b in base:
+            if (g := math.gcd(x, b)) > 1:
+                base.remove(b)
+                waiting += [y for y in (g, x // g, b // g) if y > 1]
+                break
+        else:
+            base.add(x)
     return base
 
 
 # What json.dumps(..., indent=2) writes before an item at each depth: a newline
 # and two spaces per level.
 _PAD = tuple("\n" + "  " * depth for depth in range(5))
+# Per pad, the text of a non-empty list at its depth before, between and after its items.
+_BRACKETS = {pad: ("[" + pad + "  ", "," + pad + "  ", pad + "]") for pad in _PAD}
 
 
 def _array(items, pad: str) -> str:
     """The indent-2 text of a list of items already written, the list itself at
     the depth of pad; as no item's text is empty, an empty join is an empty list."""
-    inner = pad + "  "
-    body = ("," + inner).join(items)
-    return "[" + inner + body + pad + "]" if body else "[]"
+    start, sep, end = _BRACKETS[pad]
+    body = sep.join(items)
+    return start + body + end if body else "[]"
 
 
 def _null_or(x: int | None) -> str:

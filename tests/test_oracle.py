@@ -169,7 +169,7 @@ def test_oracle_elements_match_a_scan_of_powers_of_ten():
                 ks += (k,)
             expected[p] = ks
         assert set().union(*expected.values()) == thresholds, n
-        assert {p: ts for p, _, _, ts in _oracle_rows(n)} == expected, n
+        assert {p: ts for p, _, ts in _oracle_rows(n)} == expected, n
 
 
 def test_the_threshold_verdict_is_the_literal_verdict():

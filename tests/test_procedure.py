@@ -420,6 +420,39 @@ def test_minimal_period_skips_an_empty_cell():
     assert run_procedure(1461).minimal_period() == 243 * 49777
 
 
+def _reference_coprime_base(xs) -> set[int]:
+    """Pairwise coprime integers > 1 over which every x in xs factors: split
+    any two elements with a common factor g > 1 into g, a/g and b/g, and scan
+    all pairs again after each split."""
+    base = {x for x in xs if x > 1}
+    pairs = lambda: ((a, b) for a, b in itertools.combinations(base, 2) if math.gcd(a, b) > 1)
+    while pair := next(pairs(), None):
+        a, b = pair
+        g = math.gcd(a, b)
+        base = base - {a, b} | {g, a // g, b // g} - {1}
+    return base
+
+
+# Products of a few small primes share factors often, so the refinement splits.
+_smooth = st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), max_size=6).map(math.prod)
+
+
+@given(st.lists(_smooth | st.integers(1, 10**6), max_size=8))
+@settings(max_examples=150, deadline=None)
+@example([12, 18, 8])
+@example([4, 2, 2, 1])
+def test_coprime_base_is_the_reference_refinement(xs):
+    base = procedure._coprime_base(xs)
+    assert base == _reference_coprime_base(xs)
+    assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(base, 2))
+    assert min(base, default=2) > 1
+    for x in xs:
+        for b in base:
+            while x % b == 0:
+                x //= b
+        assert x == 1
+
+
 def _scan_minimal_period(r: ProcedureResult) -> int:
     # least d | omega under which the pattern over [1, 2*omega] repeats
     w = r.omega
@@ -760,6 +793,43 @@ def test_to_json_bytes_at_12_to_16_digits():
     for n, copies in _WIDE_ITEMS:
         digest.update(run_procedure(n, copies=copies).to_json().encode() + b"\n")
     assert digest.hexdigest() == "31bda5ce3a69ef71e7cc67f51636d8f513de381b20016454d856d5ab3ce68da6"
+
+
+def _view_document(r: ProcedureResult) -> dict:
+    """The keys of the document that the views also give, as the views give them."""
+    return {
+        "case_table": [[label.value for label in row] for row in r.case_table],
+        "constraint_table": [[{"A": sorted(pair.A), "B": sorted(pair.B)} for pair in row]
+                             for row in r.constraint_table],
+        "columns": [{"solution": list(sol), "A": sorted(col.A), "B": sorted(col.B),
+                     "first_member": col.first_member()} for sol, col in zip(r.solutions, r.columns)],
+        "c": r.first_member(),
+        "nondegenerate": [list(sol) for sol in _nondegenerate(r)],
+        "case_vii_count": sum(row.count(CaseLabel.VII) for row in r.case_table),
+    }
+
+
+def test_the_document_agrees_with_the_views():
+    # to_json writes these keys from the table and the solutions, never
+    # through the views that the harnesses read.
+    items = [(n, copies) for n in corpus(2000) for copies in (1, 2, 3)] + _WIDE_ITEMS
+    assert len(items) == 5_066
+    for n, copies in items:
+        r = run_procedure(n, copies=copies)
+        views, document = _view_document(r), r.to_dict()
+        assert {key: document[key] for key in views} == views, (n, copies)
+
+
+def _no_pair(*args, **kwargs):
+    raise AssertionError("built a ConstraintPair")
+
+
+def test_to_json_builds_no_view(monkeypatch):
+    monkeypatch.setattr(ConstraintPair, "__init__", _no_pair)
+    for n, copies in _WIDE_ITEMS + [(13, 1), (1461, 1), (49, 2)]:
+        r = run_procedure(n, copies=copies)
+        r.to_json()
+        assert not {"rows", "case_table", "constraint_table", "columns"} & r.__dict__.keys(), (n, copies)
 
 
 def test_accepts_reads_the_rows_without_building_the_tables():
