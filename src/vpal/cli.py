@@ -10,7 +10,9 @@ factorization budget in seconds, per command and per n in a sweep, is
 number written in ASCII decimal digits, with an optional fraction and
 exponent, is a usage error. `verify oracle` and `verify disjointness` decide
 every k on a finite set of k (see oracle.compare_procedure_oracle and
-oracle.verify_disjointness), so they take no k bound.
+oracle.verify_disjointness), so they take no k bound. `verify invariance`
+decides every j on a finite set of j at each k <= --kmax (see
+oracle.verify_invariance); its k bound limits the bases n(k), not j.
 """
 
 from __future__ import annotations

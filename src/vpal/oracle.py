@@ -11,6 +11,7 @@ factorization misses under the budget are recorded as skips, never guessed.
 from __future__ import annotations
 
 import inspect
+import math
 import os
 import time
 from contextlib import contextmanager
@@ -270,43 +271,61 @@ def _threshold_verdict(rows: tuple[tuple, ...], k: int) -> bool:
 
 @_labelled("procedure vs oracle: n{n}, every k")
 @metered
-def compare_procedure_oracle(n: int, budget: Budget | None = None) -> VerificationReport:
-    """Procedure verdicts against the concatenation oracle, for every k at once.
+def compare_procedure_oracle(n: int, copies: int = 1, budget: Budget | None = None) -> VerificationReport:
+    """Procedure verdicts from base n(copies) against the concatenation
+    oracle, and the paper's theorem, for every k at once.
 
-    Both are compared at each m of M', the lcm-closure of 1, the constraint
-    elements E of n and the oracle's thresholds (two per crucial prime outside
-    {2, 5}; see _oracle_rows). With E' the union of the two element sets, both
-    verdicts at any k >= 1 equal their verdicts at D'(k) = lcm{e in E' : e | k},
-    which lies in M', so the checks decide every k:
+    With c = copies, r_1 = run_procedure(n) and r_c = run_procedure(n,
+    copies=c): n(c) concatenated k times is n(c*k), so r_c must accept k
+    exactly when the oracle accepts n at c*k, and, by the theorem, with the
+    type r_1 gives at c*k. Both are checked at each m of M_c, the lcm-closure
+    of 1, the constraint elements E(r_c) and e/gcd(e, c) for each e in E(r_1)
+    or in the oracle's thresholds T (two per crucial prime outside {2, 5};
+    see _oracle_rows). With E' the elements M_c is closed over, each check at
+    any k >= 1 equals the check at D'(k) = lcm{e in E' : e | k}, which lies
+    in M_c, so the checks decide every k:
 
     - e | k iff e | D'(k) for each e in E', since e | k puts e among the lcm's
       arguments and D'(k) | k.
-    - The procedure's verdict depends on k only through which of its entry
-      orders divide k (the h1 | h2 of ProcedureResult.table, each 1 or in
-      E), so it is the same at k and at D'(k).
-    - The oracle's verdict, whether c(p, a_p + x_p) - c(p, b_p + x_p) sums to 0
-      over the crucial primes p (see oracle_is_vpal_concat), reads only
-      min(x_p, 2): once x_p >= 2, a_p + x_p and b_p + x_p are both >= 2 and
-      the term is a_p - b_p. As t1 | t2, min(x_p, 2) is the number of p's
-      thresholds that divide k, the same at k and at D'(k); _threshold_verdict
-      counts them at each m and adds the terms _oracle_rows computed for
-      those counts, with no modular power.
+    - e | c*k iff e/gcd(e, c) | k, as e/gcd(e, c) and c/gcd(e, c) are
+      coprime. So each e in E(r_1) or T divides c*k exactly when it divides
+      c*D'(k).
+    - A procedure's verdict and type depend on k only through which of its
+      entry orders divide k (the h1 | h2 of ProcedureResult.table, each 1 or
+      in E), so r_c is the same at k and at D'(k), and r_1 at c*k and at
+      c*D'(k).
+    - The oracle's verdict at c*k, whether c(p, a_p + x_p) - c(p, b_p + x_p)
+      sums to 0 over the crucial primes p (see oracle_is_vpal_concat), reads
+      only min(x_p, 2): once x_p >= 2, a_p + x_p and b_p + x_p are both >= 2
+      and the term is a_p - b_p. As t1 | t2, min(x_p, 2) is the number of p's
+      thresholds that divide c*k, the same at k and at D'(k);
+      _threshold_verdict counts them and adds the terms _oracle_rows computed
+      for those counts, with no modular power.
 
-    The procedure's verdict is a signed sum that never reads the solution
-    list, so the check also requires the type of each accepted m to be a
-    listed solution. It factors n and r(n) once, for both sides.
+    The verdict is a signed sum that never reads the solution list, so the
+    type of an accepted m must also be a listed solution. Each record has
+    kind "every j", the copies c and k = m. n and r(n) are factored once.
     """
     with _per_n_report(compare_procedure_oracle, n) as report:
-        result = run_procedure(n)
+        base = run_procedure(n)
+        result = base if copies == 1 else run_procedure(n, copies=copies)
         rows = _oracle_rows(_concat_terms(n), digit_count(n))
-        for m in sorted(lcm_closure(result.elements.union(*(ts for *_, ts in rows)))):
+        pulled = {e // math.gcd(e, copies) for e in base.elements.union(*(ts for *_, ts in rows))}
+        for m in sorted(lcm_closure(result.elements | pulled)):
             predicted = result.accepts(m)
-            actual = _threshold_verdict(rows, m)
-            listed = not predicted or result.type_of(m) in result.solutions
-            inputs = {"n": n, "k": m, "predicted": predicted, "actual": actual}
+            actual = _threshold_verdict(rows, copies * m)
+            inputs = {"n": n, "k": m, "kind": "every j", "copies": copies,
+                      "predicted": predicted, "actual": actual}
+            typed = listed = True
+            if predicted:
+                found = result.type_of(m)
+                typed = base.accepts(copies * m) and found == base.type_of(copies * m)
+                listed = found in result.solutions
+            if not typed:
+                inputs["same_type"] = False
             if not listed:
                 inputs["listed"] = False
-            report.record(predicted == actual and listed, **inputs)
+            report.record(predicted == actual and typed and listed, **inputs)
     return report
 
 
@@ -319,18 +338,19 @@ def verify_invariance(
 ) -> VerificationReport:
     """The type of n(k*j) is the same from base n as from base n(k), for every j.
 
-    For each k, the shift-parametrized result run_procedure(n, copies=k) and
-    the from-scratch classification of the integer n(k) are built once.
+    For each k <= kmax, two kinds of record:
 
-    "shift tables": both have the crucial primes and deltas of n, mu shifted by
-    the valuation of the materialized repunit, identical tables and identical
-    solutions.
+    "shift tables": the shift-parametrized result run_procedure(n, copies=k)
+    and the from-scratch classification of the integer n(k) have the crucial
+    primes and deltas of n, mu shifted by the valuation of the materialized
+    repunit, identical tables and identical solutions. A budget run-out while
+    factoring n(k) is the skip of (n, k).
 
-    "pullback", one per column l of n: the paper's theorem says n and n(k)
-    share their solutions and column l of n(k) accepts j exactly when column
-    l of n accepts k*j, that is, equals col_l(n).pullback(k) as a set. Both
-    sides are compared in canonical form, which decides the type of n(k*j)
-    for every j at once. A budget run-out at k is the skip of (n, k).
+    "every j": compare_procedure_oracle(n, copies=k), which decides on a
+    finite set of j that run_procedure(n, copies=k) accepts j exactly when
+    the oracle accepts n(k*j), with the type run_procedure(n) gives at k*j.
+    It factors nothing but n, r(n) and p - 1 for their crucial primes p, so
+    it runs at every k, also where n(k) does not factor.
     """
     with _per_n_report(verify_invariance, n, kmax=kmax) as report:
         base = run_procedure(n)
@@ -354,11 +374,7 @@ def verify_invariance(
                     same_primes=same_primes, same_delta=same_delta,
                     mu_shift_ok=mu_shift_ok, tables_equal=tables_equal,
                 )
-                same_solutions = scratch.solutions == base.solutions
-                for l, col in enumerate(base.columns):
-                    pulled = col.pullback(k).canonical()
-                    agree = same_solutions and pulled == scratch.columns[l].canonical()
-                    report.record(agree, n=n, k=k, column=l, kind="pullback")
+            report.merge(compare_procedure_oracle(n, copies=k))
     return report
 
 

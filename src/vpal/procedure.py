@@ -135,27 +135,6 @@ class ConstraintPair:
         """Least positive member, or None (see _first_member)."""
         return _first_member(self.A, self.B)
 
-    def pullback(self, k: int) -> "ConstraintPair":
-        """{j : k*j in S(A, B)}: a | k*j iff a/gcd(a, k) | j, as a/g and k/g are coprime."""
-        return ConstraintPair((a // math.gcd(a, k) for a in self.A),
-                              (b // math.gcd(b, k) for b in self.B))
-
-    def canonical(self) -> tuple[int, frozenset[int]] | None:
-        """A form that depends only on the accepted set: None when it is empty,
-        else (a0, B') with a0 = lcm(A) and B' the divisibility-minimal elements
-        of {lcm(a0, b) : b in B}.
-
-        Every member is a multiple of a0 and a0 is a member, so a0 = min S. The
-        multiples of a0 outside S are the multiples of some lcm(a0, b); that set
-        depends only on S, and so do its minimal elements under divisibility,
-        which are B'. Conversely S = S({a0}, B'), so equal forms give equal sets.
-        """
-        a0 = self.first_member()
-        if a0 is None:
-            return None
-        c = {math.lcm(a0, b) for b in self.B}
-        return a0, frozenset(x for x in c if not any(x % y == 0 and y != x for y in c))
-
 
 def _first_member(A, B) -> int | None:
     """The least positive integer divisible by every a in A and by no b in B,

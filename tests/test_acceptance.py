@@ -2,9 +2,10 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 Every criterion demands zero failures and zero skips. The every-k oracle
-check factors only n, its reversal and p - 1 for their primes p (criteria 2
-and 7 also factor n(k)), so a harness skip could come only from one of those
-failing to factor under the budget (recorded, never guessed).
+check, which criterion 2 runs at each base n(k), factors only n, its
+reversal and p - 1 for their primes p (criterion 7 also factors n(k)), so a
+harness skip could come only from one of those failing to factor under the
+budget (recorded, never guessed).
 """
 
 import functools
@@ -98,17 +99,17 @@ def _split_by_kind(run):
 @functools.cache
 def _invariance_sweep():
     """One sweep of verify_invariance at n <= 500, k <= 6, shared by criteria 2
-    and 7, split by kind."""
+    (its every-j records) and 7 (its shift tables), split by kind."""
     return _split_by_kind(lambda: sweep(verify_invariance, 500, kmax=6))
 
 
 def test_criterion_2_type_invariance():
     rep, by_kind = _invariance_sweep()
-    pullback = by_kind["pullback"]
-    ok = _report_line(2, "type of n(kj) from bases n and n(k), every j, n<=500 k<=6", pullback)
-    assert ok, pullback.failures[:5]
+    every_j = by_kind["every j"]
+    ok = _report_line(2, "type of n(kj) from bases n and n(k), every j, n<=500 k<=6", every_j)
+    assert ok, every_j.failures[:5]
     assert rep.skipped == 0, rep.skips[:5]
-    assert pullback.checked == 3726
+    assert every_j.checked == 22_637  # one check per point of M_k for each n and k
 
 
 @functools.cache

@@ -1,6 +1,5 @@
 import functools
 import importlib.resources
-import math
 import multiprocessing
 import os
 import random
@@ -136,11 +135,12 @@ def test_harness_skips_when_n_does_not_factor(harness):
 
 # run_procedure(n) spends 13,948 rho iterations on n and r(n); a harness
 # that factored them again would overrun 14,500. verify_invariance runs at
-# kmax 1, where n(1) = n needs no new factoring; omega = 1 for this n, so
+# kmax 1, where n(1) = n needs no new factoring: one shift-tables check and
+# the 171 every-j points of copies 1; omega = 1 for this n, so
 # verify_periodicity makes one comparison.
 @pytest.mark.parametrize("harness, params, counts", [
     (compare_procedure_oracle, {}, (171, 0, 0)),
-    (verify_invariance, {"kmax": 1}, (1, 0, 0)),
+    (verify_invariance, {"kmax": 1}, (172, 0, 0)),
     (verify_periodicity, {}, (1, 0, 0)),
 ], ids=["compare_procedure_oracle", "verify_invariance", "verify_periodicity"])
 def test_harness_factors_n_and_its_reversal_once(harness, params, counts):
@@ -189,38 +189,6 @@ def test_the_threshold_verdict_is_the_literal_verdict():
     assert (compared, disagree) == (59_912, [])
 
 
-def _copies_failures(nmax, copies):
-    """(n, c, m) for each eligible n <= nmax, c in copies and m in M_c where
-    r_c = run_procedure(n, copies=c) disagrees with the oracle at c*m, or,
-    accepting m, gives a type other than r_1 = run_procedure(n) at c*m; and
-    the number of points scanned."""
-    failures, points = [], 0
-    for n in corpus(nmax):
-        r1, rows = run_procedure(n), _oracle_rows(n)
-        base = r1.elements | _thresholds(rows)
-        for c in copies:
-            rc = run_procedure(n, copies=c)
-            for m in lcm_closure(rc.elements | {e // math.gcd(e, c) for e in base}):
-                points += 1
-                accepted = rc.accepts(m)
-                if (accepted != oracle._threshold_verdict(rows, c * m)
-                        or accepted and (not r1.accepts(c * m) or rc.type_of(m) != r1.type_of(c * m))):
-                    failures.append((n, c, m))
-    return failures, points
-
-
-def test_the_copies_result_agrees_with_the_oracle_for_every_j(monkeypatch):
-    # e | c*m iff e/gcd(e, c) | m, so r_c at m, and the oracle and r_1 at c*m,
-    # depend on m only through which e of E(r_c) and of the e/gcd(e, c) for e
-    # in E(r_1) and the thresholds divide m; the lcm of those, a point of their
-    # lcm-closure M_c, has the same verdicts and types, so M_c decides every m.
-    assert _copies_failures(500, (2, 3)) == ([], 7564)
-    # the mu-shift mutant of test_verify_invariance_catches_each_mutant fails here too
-    monkeypatch.setattr(procedure, "repunit_valuation", lambda p, k, L: 0)
-    failures, _ = _copies_failures(500, (2, 3))
-    assert (len(failures), len({n for n, _, _ in failures})) == (195, 69)
-
-
 def test_procedure_oracle_agreement_beyond_corpus():
     # seeded sample of five-digit bases, outside the acceptance corpus
     import random
@@ -238,35 +206,58 @@ def _kinds(rep):
 
 
 def test_verify_invariance_examples():
-    # per k: one shift-tables check plus one pullback check per column of n
+    # per k: one shift-tables check plus one every-j check per point of M_k
     # 12: its one column is empty, so no k is ever accepted
-    for n, kmax, columns in ((18, 3, 1), (12, 3, 1), (13, 5, 2)):
+    for n, kmax, points in ((18, 3, [3, 3, 2]), (12, 3, [3, 3, 2]), (13, 5, [7, 7, 6, 7, 5])):
         rep = verify_invariance(n, kmax)
-        assert len(run_procedure(n).columns) == columns
-        assert (rep.checked, rep.failed, rep.skipped) == (kmax * (1 + columns), 0, 0), n
+        assert [compare_procedure_oracle(n, copies=k).checked for k in range(1, kmax + 1)] == points
+        assert (rep.checked, rep.failed, rep.skipped) == (kmax + sum(points), 0, 0), n
 
 
 def test_verify_shift_parametrization():
-    for n in (18, 12, 13, 132):
+    # five shift-tables checks, and the every-j points of copies 1 to 5
+    for n, points in ((18, 14), (12, 14), (13, 32), (132, 13)):
         rep = verify_invariance(n, 5)
         assert rep.failed == 0, rep.failures[:3]
-        assert rep.passed == 5 * (1 + len(run_procedure(n).columns))
+        assert rep.passed == 5 + points
 
 
 def test_verify_invariance_catches_each_mutant(monkeypatch):
     # The two kinds are complementary: dropping the mu shift leaves n and n(k)
-    # classified alike from scratch, and rescaling off keeps the shifted and
-    # from-scratch tables of n(k) identical.
+    # classified alike from scratch, so the shift tables see it, and so does
+    # the every-j scan at copies > 1; rescaling off keeps the shifted and
+    # from-scratch tables of n(k) identical, and only the every-j scan sees it.
     monkeypatch.setattr(procedure, "repunit_valuation", lambda p, k, L: 0)
     rep = sweep(verify_invariance, 200, kmax=4)
-    assert (rep.failed, _kinds(rep)) == (113, ["shift tables"])
+    assert (rep.failed, _kinds(rep)) == (239, ["every j", "shift tables"])
+    assert {f["copies"] for f in rep.failures if f["kind"] == "every j"} == {2, 3, 4}
     monkeypatch.undo()
 
     order_at = procedure.repunit_order
     monkeypatch.setattr(procedure, "repunit_order",
                         lambda p, alpha, L: order_at(p, alpha, 1))
     rep = sweep(verify_invariance, 200, kmax=4)
-    assert (rep.failed, _kinds(rep)) == (234, ["pullback"])
+    assert (rep.failed, _kinds(rep)) == (642, ["every j"])
+
+
+def test_a_run_out_on_n_k_skips_only_its_shift_tables(monkeypatch):
+    # 20,000 rho iterations factor 13 and 31 and p - 1 for their crucial
+    # primes, but not 13(k) for k = 14 and every k from 16 to 30. The every-j
+    # scan at copies k factors nothing new, so it runs at each of the 30 k.
+    kinds = []
+    record = VerificationReport.record
+
+    def tally(self, passed, **inputs):
+        record(self, passed, **inputs)
+        kinds.append((inputs["kind"], inputs.get("copies", inputs["k"])))
+
+    monkeypatch.setattr(VerificationReport, "record", tally)
+    rep = verify_invariance(13, 30, budget=Budget(seconds=1e9, iterations=20_000))
+    skipped = [s["k"] for s in rep.skips]
+    assert skipped == [14, *range(16, 31)]
+    assert {k for kind, k in kinds if kind == "every j"} == set(range(1, 31))
+    assert {k for kind, k in kinds if kind == "shift tables"} == set(range(1, 31)) - set(skipped)
+    assert (rep.checked, rep.failed, rep.skipped) == (212, 0, 16)
 
 
 def test_compare_procedure_oracle_catches_the_lift_mutant(monkeypatch):
@@ -391,10 +382,10 @@ MUTANTS = {
         _case_ii_allows_x_0, verify_disjointness, 13, [(1, "lattice scan"), (3, "lattice scan")]),
     "the signed sum skips its last row": (
         _signed_sum_skips_last_row, compare_procedure_oracle, 1461,
-        [(12095811, None)]),
+        [(12095811, "every j")]),
     # At 255 the row of 23 loses its taken entry 23, so its h1 = 22 goes unread.
     "the sum walk drops a row's largest entry": (
-        _sum_walk_drops_largest_entry, compare_procedure_oracle, 255, [(16, None)]),
+        _sum_walk_drops_largest_entry, compare_procedure_oracle, 255, [(16, "every j")]),
 }
 
 

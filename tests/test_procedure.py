@@ -156,62 +156,6 @@ def test_constraint_pair_exact_counts():
     assert empty.is_empty() and empty.first_member() is None
 
 
-def test_pullback_and_canonical_examples():
-    assert ConstraintPair((6,), (4, 9)).pullback(2) == ConstraintPair((3,), (2, 9))
-    assert ConstraintPair((2, 3), (4, 12, 9)).canonical() == (6, frozenset({12, 18}))
-    assert ConstraintPair((3,), (3,)).canonical() is None
-    assert ConstraintPair((), (4,)).pullback(4).canonical() is None
-
-
-# Every element divides 720, so the membership windows below stay at most 1440.
-_DIVISORS_720 = [d for d in range(1, 721) if 720 % d == 0]
-_pairs = st.builds(
-    ConstraintPair,
-    st.sets(st.sampled_from(_DIVISORS_720), max_size=3),
-    st.sets(st.sampled_from(_DIVISORS_720), max_size=3),
-)
-
-
-@st.composite
-def _pair_pairs(draw):
-    """Two pairs; half the time the second is a syntactic variant of the same set."""
-    first = draw(_pairs)
-    if draw(st.booleans()):
-        return first, draw(_pairs)
-    a0 = math.lcm(*first.A)
-    divisors = [d for d in _DIVISORS_720 if a0 % d == 0]
-    A = first.A | draw(st.sets(st.sampled_from(divisors), max_size=2))
-    B = {math.lcm(a0, b) if draw(st.booleans()) else b for b in first.B}
-    for b in first.B:
-        B |= draw(st.sets(st.sampled_from([m for m in _DIVISORS_720 if m % b == 0]), max_size=1))
-    return first, ConstraintPair(A, B)
-
-
-def _members(pair, window):
-    return frozenset(x for x in range(1, window + 1) if pair.accepts(x))
-
-
-@given(_pair_pairs())
-@settings(max_examples=300, deadline=None)
-def test_canonical_form_decides_set_equality(pairs):
-    # both sets have period dividing the lcm of all elements, so the window decides
-    p, q = pairs
-    window = 2 * math.lcm(*(p.A | p.B | q.A | q.B))
-    assert (p.canonical() == q.canonical()) == (_members(p, window) == _members(q, window))
-    members = sorted(_members(p, window))
-    assert (p.canonical() is None) == (not members)
-    assert p.canonical() is None or p.canonical()[0] == members[0]
-
-
-@given(_pairs, st.integers(1, 1000))
-@settings(max_examples=300, deadline=None)
-def test_pullback_accepts_j_exactly_when_pair_accepts_kj(pair, k):
-    # the pullback's elements divide the pair's, so j over two periods covers every j
-    back = pair.pullback(k)
-    window = 2 * math.lcm(*(pair.A | pair.B))
-    assert all(back.accepts(j) == pair.accepts(k * j) for j in range(1, window + 1))
-
-
 def test_constraint_entries_by_case():
     # away from 2 and 5 the entries use the two entry orders
     assert constraint_entry(13, CaseLabel.II, 2) == ConstraintPair((3,), (39,))
