@@ -245,7 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handlers[args.command](args, budget)
     except BudgetExhausted as exc:
-        print(f"vpal: factorization budget exhausted (composite cofactor {exc.cofactor})",
+        print(f"vpal: factorization budget exhausted (unfactored cofactor {exc.cofactor})",
               file=sys.stderr)
         return EXIT_BUDGET
     except (InvalidInput, ValueError) as exc:

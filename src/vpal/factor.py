@@ -9,8 +9,11 @@ Factorization pipeline: trial division by the primes below 10**4 (one at a
 time through the first 32 primes, then one gcd with the product of the rest,
 whose primes alone are divided out), the primality test
 (Miller-Rabin with the first t prime bases below psi_t, joined by a strong
-Lucas test above psi_13), then Pollard-Brent rho with deterministic parameter
-restarts under a wall-clock plus iteration budget.
+Lucas test above psi_13), the perfect-power scan, then Pollard-Brent rho
+with deterministic parameter restarts under a wall-clock plus iteration
+budget. Only rho spends iterations; the deadline is also read before each
+Miller-Rabin base, before the Lucas test and before each root of the scan, so
+a call overshoots it by at most one of these steps or one batch of rho steps.
 
 One budget bounds all the factoring of a call: a public entry point decorated
 with ``metered`` starts one meter for its ``budget`` argument, and every
@@ -101,13 +104,14 @@ _PSI = (
 class BudgetExhausted(Exception):
     """Raised when a factorization budget runs out.
 
-    ``cofactor`` is the composite left unfactored; callers that scan corpora
-    should record a skip rather than guess.
+    ``cofactor`` is the cofactor left unfactored: a composite, or one whose
+    primality test the deadline cut short. Callers that scan corpora should
+    record a skip rather than guess.
     """
 
     def __init__(self, cofactor: int, message: str | None = None):
         self.cofactor = cofactor
-        super().__init__(message or f"budget exhausted on composite cofactor {cofactor}")
+        super().__init__(message or f"budget exhausted on unfactored cofactor {cofactor}")
 
 
 @dataclass(frozen=True)
@@ -139,6 +143,11 @@ class _Clock:
         if self.remaining <= 0 or time.monotonic() > self.deadline:
             raise BudgetExhausted(cofactor)
 
+    def check(self, cofactor: int) -> None:
+        """Raise BudgetExhausted past the deadline, spending no iteration."""
+        if time.monotonic() > self.deadline:
+            raise BudgetExhausted(cofactor)
+
 
 # The meter of the running entry point; None outside every metered call.
 _METER: ContextVar[_Clock | None] = ContextVar("vpal_meter", default=None)
@@ -167,13 +176,14 @@ def metered(fn):
     return call
 
 
-def is_probable_prime(n: int) -> bool:
+def is_probable_prime(n: int, clock: _Clock | None = None) -> bool:
     """Miller-Rabin with the first t prime bases for the least t with n < psi_t
     (for example 2..17 below psi_7 ~ 3.4e14, 2..41 up to psi_13 ~ 3.3e24), then
     Baillie-PSW: bases 2..41 and a strong Lucas test.
 
     A proof of primality below psi_13; BPSW-probable above it, where no
-    composite that passes is known.
+    composite that passes is known. With a clock, its deadline is checked
+    before each base and before the Lucas test.
     """
     if n < 2:
         return False
@@ -186,6 +196,8 @@ def is_probable_prime(n: int) -> bool:
         d //= 2
         s += 1
     for a in _MR_BASES[: bisect_right(_PSI, n) + 1]:
+        if clock:
+            clock.check(n)
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -195,7 +207,11 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return n < _PSI[-1] or _strong_lucas_prp(n)
+    if n < _PSI[-1]:
+        return True
+    if clock:
+        clock.check(n)
+    return _strong_lucas_prp(n)
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -260,14 +276,16 @@ def _iroot(n: int, k: int) -> int:
         r = nr
 
 
-def _perfect_power(n: int) -> tuple[int, int] | None:
-    """(root, exponent>=2) if n is a perfect power, else None.
+def _perfect_power(n: int, clock: _Clock) -> tuple[int, int] | None:
+    """(root, exponent>=2) if n is a perfect power, else None; the clock's
+    deadline is checked before each root.
 
     n must have no prime factor below 10**4, as every cofactor left after
     trial division has: then a root r of n = r**k exceeds 10**4 > 2**13, so
     n.bit_length() > 13*k and no exponent above n.bit_length() // 13 is tried.
     """
     for k in range(2, n.bit_length() // 13 + 1):
+        clock.check(n)
         r = _iroot(n, k)
         if r**k == n:
             return r, k
@@ -413,7 +431,7 @@ def factorize(n: int, budget: Budget | None = None) -> Factorization:
                 known = clock.factored.get(m)
                 # Every piece divides the cofactor of trial division, so one
                 # below 10**8 is prime as that cofactor would be, untested.
-                if known is None and (m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_probable_prime(m)):
+                if known is None and (m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_probable_prime(m, clock)):
                     # A proved prime is kept as its own factorization.
                     known = clock.factored[m] = Factorization._trusted(((m, 1),))
                 if known is not None:
@@ -421,7 +439,7 @@ def factorize(n: int, budget: Budget | None = None) -> Factorization:
                     for p, e in known:
                         counts[p] = counts.get(p, 0) + e
                     continue
-                power = _perfect_power(m)
+                power = _perfect_power(m, clock)
                 if power is not None:
                     root, exp = power
                     stack.extend([root] * exp)

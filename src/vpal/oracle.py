@@ -31,7 +31,7 @@ from .factor import (
     valuation,
 )
 from .order import repunit_order, repunit_order_rescaled, repunit_valuation
-from .procedure import lcm_closure, run_procedure
+from .procedure import ProcedureResult, lcm_closure, run_procedure
 
 # Corpus defaults: small enough that worst-case factorizations stay tractable,
 # large enough to exercise nontrivial entry orders.
@@ -269,6 +269,28 @@ def _threshold_verdict(rows: tuple[tuple, ...], k: int) -> bool:
     return total == 0
 
 
+def _record_every_j(report: VerificationReport, n: int, base: ProcedureResult,
+                    result: ProcedureResult, rows: tuple[tuple, ...], copies: int) -> None:
+    """Record into report the checks of compare_procedure_oracle at copies c:
+    base is r_1, result is r_c and rows are the _oracle_rows of n."""
+    pulled = {e // math.gcd(e, copies) for e in base.elements.union(*(ts for *_, ts in rows))}
+    for m in sorted(lcm_closure(result.elements | pulled)):
+        predicted = result.accepts(m)
+        actual = _threshold_verdict(rows, copies * m)
+        inputs = {"n": n, "k": m, "kind": "every j", "copies": copies,
+                  "predicted": predicted, "actual": actual}
+        typed = listed = True
+        if predicted:
+            found = result.type_of(m)
+            typed = base.accepts(copies * m) and found == base.type_of(copies * m)
+            listed = found in result.solutions
+        if not typed:
+            inputs["same_type"] = False
+        if not listed:
+            inputs["listed"] = False
+        report.record(predicted == actual and typed and listed, **inputs)
+
+
 @_labelled("procedure vs oracle: n{n}, every k")
 @metered
 def compare_procedure_oracle(n: int, copies: int = 1, budget: Budget | None = None) -> VerificationReport:
@@ -309,23 +331,7 @@ def compare_procedure_oracle(n: int, copies: int = 1, budget: Budget | None = No
     with _per_n_report(compare_procedure_oracle, n) as report:
         base = run_procedure(n)
         result = base if copies == 1 else run_procedure(n, copies=copies)
-        rows = _oracle_rows(_concat_terms(n), digit_count(n))
-        pulled = {e // math.gcd(e, copies) for e in base.elements.union(*(ts for *_, ts in rows))}
-        for m in sorted(lcm_closure(result.elements | pulled)):
-            predicted = result.accepts(m)
-            actual = _threshold_verdict(rows, copies * m)
-            inputs = {"n": n, "k": m, "kind": "every j", "copies": copies,
-                      "predicted": predicted, "actual": actual}
-            typed = listed = True
-            if predicted:
-                found = result.type_of(m)
-                typed = base.accepts(copies * m) and found == base.type_of(copies * m)
-                listed = found in result.solutions
-            if not typed:
-                inputs["same_type"] = False
-            if not listed:
-                inputs["listed"] = False
-            report.record(predicted == actual and typed and listed, **inputs)
+        _record_every_j(report, n, base, result, _oracle_rows(_concat_terms(n), digit_count(n)), copies)
     return report
 
 
@@ -346,22 +352,22 @@ def verify_invariance(
     repunit, identical tables and identical solutions. A budget run-out while
     factoring n(k) is the skip of (n, k).
 
-    "every j": compare_procedure_oracle(n, copies=k), which decides on a
-    finite set of j that run_procedure(n, copies=k) accepts j exactly when
-    the oracle accepts n(k*j), with the type run_procedure(n) gives at k*j.
-    It factors nothing but n, r(n) and p - 1 for their crucial primes p, so
-    it runs at every k, also where n(k) does not factor.
+    "every j": the checks of compare_procedure_oracle(n, copies=k), on
+    run_procedure(n) and the oracle's rows, built once per n, and the shift
+    tables' run_procedure(n, copies=k). They factor nothing but n, r(n) and
+    p - 1 for their crucial primes p, so they run at every k, also where n(k)
+    does not factor; a run-out while building them is the skip of n.
     """
     with _per_n_report(verify_invariance, n, kmax=kmax) as report:
         base = run_procedure(n)
-        block = digit_count(n)
+        rows = _oracle_rows(_concat_terms(n), digit_count(n))
         for k in range(1, kmax + 1):
+            shifted = base if k == 1 else run_procedure(n, copies=k)
             with _budget_skip(report, n=n, k=k):
-                shifted = run_procedure(n, copies=k)
                 scratch = run_procedure(repeat_concat(n, k))
                 same_primes = [cp.p for cp in scratch.crucial] == [cp.p for cp in base.crucial]
                 same_delta = [cp.delta for cp in scratch.crucial] == [cp.delta for cp in base.crucial]
-                rho = repunit(k, block)
+                rho = repunit(k, digit_count(n))
                 mu_shift_ok = same_primes and all(
                     sc.mu == bc.mu + valuation(bc.p, rho) for sc, bc in zip(scratch.crucial, base.crucial)
                 )
@@ -374,7 +380,7 @@ def verify_invariance(
                     same_primes=same_primes, same_delta=same_delta,
                     mu_shift_ok=mu_shift_ok, tables_equal=tables_equal,
                 )
-            report.merge(compare_procedure_oracle(n, copies=k))
+            _record_every_j(report, n, base, shifted, rows, k)
     return report
 
 

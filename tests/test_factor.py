@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -183,6 +185,25 @@ def test_budget_exhaustion_names_composite_cofactor():
     assert not is_probable_prime(cofactor)
 
 
+@pytest.mark.parametrize("n, on_time, powers", [(10**9 + 7, 1, 0), (1_000_003**2, 2, 1)],
+                         ids=["primality_test", "perfect_power_scan"])
+def test_the_deadline_bounds_more_than_rho(monkeypatch, n, on_time, powers):
+    # The clock reads 0 on_time times, the first setting the deadline at 1,
+    # then 2. Trial division reads no clock, so the prime 10**9 + 7 runs out
+    # before its first Miller-Rabin base, and 1_000_003**2, which base 2 shows
+    # composite, before the perfect-power scan takes its first root.
+    readings = iter([0.0] * on_time)
+    monkeypatch.setattr(factor, "time", SimpleNamespace(monotonic=lambda: next(readings, 2.0)))
+    calls = Counter()
+    real_iroot = factor._iroot
+    monkeypatch.setattr(factor, "pow", lambda *a: calls.update(["pow"]) or pow(*a), raising=False)
+    monkeypatch.setattr(factor, "_iroot", lambda *a: calls.update(["root"]) or real_iroot(*a))
+    with pytest.raises(BudgetExhausted) as exc:
+        factorize(n, Budget(seconds=1))
+    assert exc.value.cofactor == n
+    assert calls == Counter(pow=powers)
+
+
 @pytest.mark.parametrize("cap", [{"seconds": math.nan}, {"iterations": math.nan},
                                  {"seconds": 0}, {"iterations": -1}],
                          ids=["nan_seconds", "nan_iterations", "zero_seconds", "negative_iterations"])
@@ -239,7 +260,8 @@ def test_a_rho_piece_below_10_to_the_8_is_prime_untested(monkeypatch):
     # Only the cofactor 10007 * 99991 is tested: the pieces rho splits off are
     # below 10**8 and free of the primes below 10**4, so prime.
     tested, real_test = [], factor.is_probable_prime
-    monkeypatch.setattr(factor, "is_probable_prime", lambda m: tested.append(m) or real_test(m))
+    monkeypatch.setattr(factor, "is_probable_prime",
+                        lambda m, clock=None: tested.append(m) or real_test(m, clock))
     assert factorize(10007 * 99991).entries == ((10007, 1), (99991, 1))
     assert tested == [10007 * 99991]
 

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -258,6 +259,24 @@ def test_a_run_out_on_n_k_skips_only_its_shift_tables(monkeypatch):
     assert {k for kind, k in kinds if kind == "every j"} == set(range(1, 31))
     assert {k for kind, k in kinds if kind == "shift tables"} == set(range(1, 31)) - set(skipped)
     assert (rep.checked, rep.failed, rep.skipped) == (212, 0, 16)
+
+
+def test_verify_invariance_builds_each_input_once(monkeypatch):
+    # run_procedure(n) and the oracle's rows once per n, run_procedure(n,
+    # copies=k) once per k > 1 and the from-scratch n(k) once per k: 1 + 5 + 6
+    # = 12 results at kmax 6, and no nested harness report to merge.
+    calls = Counter()
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: calls.update([name]) or fn(*args, **kwargs)
+
+    for name in ("run_procedure", "_oracle_rows", "compare_procedure_oracle"):
+        monkeypatch.setattr(oracle, name, counted(name, getattr(oracle, name)))
+    monkeypatch.setattr(VerificationReport, "merge", counted("merge", VerificationReport.merge))
+    rep = verify_invariance(13, 6)
+    assert rep.failed == 0 and rep.skipped == 0
+    assert calls["run_procedure"] <= 13
+    assert calls == Counter(run_procedure=calls["run_procedure"], _oracle_rows=1)
 
 
 def test_compare_procedure_oracle_catches_the_lift_mutant(monkeypatch):

@@ -117,9 +117,9 @@ def test_repunit_order_rejects_a_composite_its_meter_has_factored():
 def test_a_metered_call_tests_each_integer_for_primality_once(monkeypatch, n, copies, proved):
     calls = Counter()
 
-    def counted(m, _real=factor.is_probable_prime):
+    def counted(m, clock=None, _real=factor.is_probable_prime):
         calls[m] += 1
-        return _real(m)
+        return _real(m, clock)
 
     monkeypatch.setattr(factor, "is_probable_prime", counted)
     repunit_order.cache_clear()
