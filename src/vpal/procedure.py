@@ -32,9 +32,10 @@ n(k) is a v-palindrome, by pure divisibility arithmetic:
    constraints S(A, B) = {x : every a in A divides x, no b in B divides x}.
    A solution's column, the union of its cells, accepts the k every cell
    accepts, as S(A ∪ A', B ∪ B') = S(A, B) ∩ S(A', B'). The solutions
-   themselves, listed by a walk that extends a prefix only while R_i can
-   cancel it (O(m * #solutions)), the cells, the case and constraint tables
-   and the columns are views built only when asked for.
+   themselves are listed only when asked for, by a walk that extends a prefix
+   only while R_i can cancel it (O(m * #solutions)). One producer writes each
+   prime's distinct cells and one pass over the solutions their columns; the
+   document, the columns and the onset all read those two.
 
 run_procedure(n, copies=k) produces the same tables for the base number n(k)
 without ever factoring n(k): crucial primes and deltas carry over, mu shifts
@@ -44,13 +45,10 @@ by the repunit valuation, and entry orders are taken at digit length L*k.
 from __future__ import annotations
 
 import enum
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter
-from typing import NamedTuple
 
 from .digits import decimal_string, digit_count, reverse_digits
 from .factor import Budget, factorize, metered
@@ -312,15 +310,6 @@ def solve_characteristic(crucial: tuple[CrucialPrime, ...]) -> tuple[Solution, .
     return _list_solutions(levels, _suffix_sums(levels))
 
 
-class Cell(NamedTuple):
-    """One distinct cell of a table row: the entry u that solutions take at the
-    row's prime, with its case and constraints."""
-
-    entry: int
-    label: CaseLabel
-    pair: ConstraintPair
-
-
 @dataclass(frozen=True)
 class ProcedureResult:
     """Everything the classification produces for one analyzed number.
@@ -335,14 +324,11 @@ class ProcedureResult:
 
     ``solutions`` lists every solution, in lexicographic order, on first read:
     the pruned walk over the reachable suffix sums that ``tabulate`` built and
-    the result keeps, so the table never waits for the list. ``rows`` (the
-    distinct cells of each prime, with case and pair), ``case_table`` and
-    ``constraint_table``, indexed [prime][solution], and the ``columns``
-    (``columns[l]`` the union of column l's cells) are views built from the
-    table and the solutions when first read. ``to_json`` reads none of them:
-    it writes the document in one pass over the table and the solutions,
-    sharing with the views the helpers of each rule they have in common
-    (_cell_label, _cell_pair, _first_member). Results are built by
+    the result keeps, so the table never waits for the list. The cells come
+    from _cells alone and the columns from _columns alone: ``to_json`` writes
+    the document from them, ``columns`` (``columns[l]`` the union of column
+    l's cells) holds them as ConstraintPairs when first read, and
+    ``first_member`` reads their first members. Results are built by
     ``tabulate``.
     """
 
@@ -387,55 +373,43 @@ class ProcedureResult:
         return _list_solutions(*self._sums)
 
     @cached_property
-    def rows(self) -> tuple[tuple[Cell, ...], ...]:
-        """Per crucial prime, its distinct cells: the entries its solutions
-        take, in order of first appearance.
-
-        A cell's case is the interval of x where the increment v_increment(p,
-        |delta|, min(mu, 2) + x) equals its entry (_cell_label), at p in {2, 5}
-        too; its pair is read off the row's entry orders by the function
-        constraint_entry uses too (_cell_pair). to_json reads both helpers.
-        """
-        rows = []
-        for cp, us, (h1, h2, _) in zip(self.crucial, self._entries, self.table):
-            h = (None, h1, h2).__getitem__
-            increments = _shifted(_increments_at(cp.p, abs(cp.a - cp.b)), min(cp.a, cp.b))
-            row = []
-            for u in dict.fromkeys(us):
-                label = _cell_label(increments, u)
-                row.append(Cell(u, label, ConstraintPair(*_cell_pair(cp.p, label, h))))
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    @cached_property
     def _entries(self) -> tuple[tuple[int, ...], ...]:
         """Per crucial prime, the entries the solutions take there, in order."""
         return tuple(zip(*self.solutions)) if self.solutions else ((),) * len(self.crucial)
 
-    def _spread(self, of) -> tuple[tuple, ...]:
-        # Per row, of(cell) for each solution's cell, looked up by its entry:
-        # of runs once per distinct cell.
-        return tuple(
-            tuple(map({cell.entry: of(cell) for cell in row}.__getitem__, us))
-            for row, us in zip(self.rows, self._entries)
-        )
+    def _cells(self) -> list[dict[int, tuple[CaseLabel, tuple[int, ...], tuple[int, ...]]]]:
+        """Per crucial prime, its distinct cells: each entry its solutions take,
+        in order of first appearance, with the cell's case and constraints (A, B).
 
-    @cached_property
-    def case_table(self) -> tuple[tuple[CaseLabel, ...], ...]:
-        return self._spread(attrgetter("label"))
+        A cell's case is the interval of x where the increment v_increment(p,
+        |delta|, min(mu, 2) + x) equals its entry (_cell_label), at p in {2, 5}
+        too; its constraints are read off the row's entry orders by the
+        function constraint_entry uses too (_cell_pair).
+        """
+        cells = []
+        for cp, us, (h1, h2, _) in zip(self.crucial, self._entries, self.table):
+            h = (None, h1, h2).__getitem__
+            increments = _shifted(_increments_at(cp.p, abs(cp.a - cp.b)), min(cp.a, cp.b))
+            row = {}
+            for u in dict.fromkeys(us):
+                label = _cell_label(increments, u)
+                row[u] = (label, *_cell_pair(cp.p, label, h))
+            cells.append(row)
+        return cells
 
-    @cached_property
-    def constraint_table(self) -> tuple[tuple[ConstraintPair, ...], ...]:
-        return self._spread(attrgetter("pair"))
+    def _columns(self, cells):
+        """Per solution, its column's A and B, the unions of its cells'
+        constraints, as sets of integers, and its first member (_first_member)."""
+        for sol in self.solutions:
+            picked = list(map(dict.__getitem__, cells, sol))
+            A = set().union(*(a for _, a, _ in picked))
+            B = set().union(*(b for _, _, b in picked))
+            yield A, B, _first_member(A, B)
 
     @cached_property
     def columns(self) -> tuple[ConstraintPair, ...]:
-        """Per solution, the union of its cells down the constraint table."""
-        return tuple(
-            ConstraintPair(frozenset().union(*(pair.A for pair in column)),
-                           frozenset().union(*(pair.B for pair in column)))
-            for column in zip(*self.constraint_table)
-        )
+        """Per solution, the union of its cells' constraints: the columns the document prints."""
+        return tuple(ConstraintPair(A, B) for A, B, _ in self._columns(self._cells()))
 
     def _decide(self, k: int) -> tuple[int, int]:
         """k's code and the sum of the signed entries that hold at k.
@@ -469,8 +443,7 @@ class ProcedureResult:
     def first_member(self) -> int | None:
         """Least accepted k (the onset c), or None when no k is ever accepted:
         the least first member of a column."""
-        firsts = (col.first_member() for col in self.columns)
-        return min((f for f in firsts if f is not None), default=None)
+        return min((f for _, _, f in self._columns(self._cells()) if f is not None), default=None)
 
     @cached_property
     def elements(self) -> frozenset[int]:
@@ -529,45 +502,34 @@ class ProcedureResult:
 
     def to_json(self) -> str:
         """The text ``vpal procedure --json`` prints, json.dumps(to_dict(), indent=2)
-        byte for byte, in one pass over the solutions that builds no view.
+        byte for byte, in one pass over the solutions that builds no ConstraintPair.
 
-        Each distinct cell's case text, pair text and constraints are written
-        once, by the helpers the rows view reads (_cell_label, _cell_pair). A
-        solution's case and pair entries are then looked up by its entry in
-        each row, its column's A and B are the unions of its cells'
-        constraints, and its first member is _first_member of those, the rule
-        of ConstraintPair.first_member. c is the least first member, and
-        case_vii_count counts the solutions' case vii cells.
+        Each distinct cell's case text and pair text are written once, from
+        _cells. A solution's case and pair entries are then looked up by its
+        entry in each row, and its column's A, B and first member are those
+        _columns yields. c is the least first member, and case_vii_count
+        counts the solutions' case vii cells.
         """
         p1, p2, p3, p4 = _PAD[1:]
         sols = [_array(map(str, sol), p2) for sol in self.solutions]
         crucial = _array((f'{{{p3}"p": {cp.p},{p3}"a": {cp.a},{p3}"b": {cp.b},'
                           f'{p3}"delta": {cp.delta},{p3}"mu": {cp.mu}{p2}}}' for cp in self.crucial), p1)
-        # As[i] and Bs[i] map each entry of row i to its cell's A and B.
-        cases, pairs, As, Bs, vii = [], [], [], [], 0
-        for cp, us, (h1, h2, _) in zip(self.crucial, self._entries, self.table):
-            h = (None, h1, h2).__getitem__
-            increments = _shifted(_increments_at(cp.p, abs(cp.a - cp.b)), min(cp.a, cp.b))
-            case, pair, A_of, B_of = {}, {}, {}, {}
-            for u in dict.fromkeys(us):
-                label = _cell_label(increments, u)
-                A_of[u], B_of[u] = A, B = _cell_pair(cp.p, label, h)
+        cells = self._cells()
+        cases, pairs, vii = [], [], 0
+        for row, us in zip(cells, self._entries):
+            case, pair = {}, {}
+            for u, (label, A, B) in row.items():
                 case[u] = f'"{label.value}"'
                 pair[u] = f'{{{p4}"A": {_array(map(str, A), p4)},{p4}"B": {_array(map(str, B), p4)}{p3}}}'
                 if label is CaseLabel.VII:
                     vii += us.count(u)
             cases.append(_array(map(case.__getitem__, us), p2))
             pairs.append(_array(map(pair.__getitem__, us), p2))
-            As.append(A_of)
-            Bs.append(B_of)
         # Each section is joined once it is complete, which frees the pieces it
         # was joined from before the next section is written.
         cases, pairs = _array(cases, p1), _array(pairs, p1)
         columns, firsts = [], []
-        for text, sol in zip(sols, self.solutions):
-            A = set(itertools.chain.from_iterable(map(dict.__getitem__, As, sol)))
-            B = set(itertools.chain.from_iterable(map(dict.__getitem__, Bs, sol)))
-            f = _first_member(A, B)
+        for text, (A, B, f) in zip(sols, self._columns(cells)):
             firsts.append(f)
             # In a column a solution's list sits one level deeper: two more spaces per line.
             columns.append(f'{{{p3}"solution": {text.replace(_PAD[0], p1)},'

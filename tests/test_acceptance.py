@@ -30,7 +30,7 @@ from vpal.oracle import (
     verify_lemmas,
 )
 from vpal.order import repunit_valuation
-from vpal.procedure import CaseLabel, run_procedure
+from vpal.procedure import run_procedure
 
 GOLDEN_TRACES = json.loads(
     (Path(__file__).parent / "data" / "golden_procedures.json").read_text()
@@ -165,7 +165,7 @@ def test_criterion_6_golden_traces():
 
     r18 = run_procedure(18)
     assert r18.solutions == ((2, 2),)
-    assert r18.case_table == ((CaseLabel.III,), (CaseLabel.VI,))
+    assert r18.to_dict()["case_table"] == [["iii"], ["vi"]]
     for k in range(1, 9):
         nk = repeat_concat(18, k)
         rk = reverse_digits(nk)

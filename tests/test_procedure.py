@@ -183,12 +183,13 @@ def test_each_cell_accepts_exactly_the_k_its_entry_holds_at():
     for n in corpus(500):
         for copies in (1, 2):
             r = run_procedure(n, copies=copies)
-            for cp, row in zip(r.crucial, r.rows):
-                for cell in row:
+            for cp, row in zip(r.crucial, r._cells()):
+                for u, (_, A, B) in row.items():
+                    pair = ConstraintPair(A, B)
                     for k in range(1, 61):
                         x = repunit_valuation(cp.p, k, r.digit_len)
-                        held = v_increment(cp.p, abs(cp.delta), cp.mu + x) == cell.entry
-                        assert cell.pair.accepts(k) == held, (n, copies, cp.p, cell, k)
+                        held = v_increment(cp.p, abs(cp.delta), cp.mu + x) == u
+                        assert pair.accepts(k) == held, (n, copies, cp.p, u, k)
                         checks += 1
     assert checks == 146_160
 
@@ -309,7 +310,7 @@ def test_run_procedure_matches_golden_trace(n):
 def test_run_procedure_18():
     r = run_procedure(18)
     assert r.solutions == ((2, 2),)
-    assert r.case_table == ((CaseLabel.III,), (CaseLabel.VI,))
+    assert r.to_dict()["case_table"] == [["iii"], ["vi"]]
     assert r.columns == (ConstraintPair(),)
     assert r.omega == 1 and r.first_member() == 1 and r.minimal_period() == 1
     assert all(r.accepts(k) for k in range(1, 30))
@@ -319,7 +320,7 @@ def test_run_procedure_18():
 def test_run_procedure_12():
     r = run_procedure(12)
     assert r.solutions == ((2, 2),)
-    assert r.case_table == ((CaseLabel.V,), (CaseLabel.II,))
+    assert r.to_dict()["case_table"] == [["v"], ["ii"]]
     assert r.first_member() is None
     assert not any(r.accepts(k) for k in range(1, 50))
     with pytest.raises(NotAVPalindrome):
@@ -533,7 +534,7 @@ def test_entry_orders_spend_the_callers_budget():
     assert (n - 1) % exc.value.cofactor == 0
     # The failure is not cached: a larger budget finds h(1) = n - 1, h(2) = n * (n - 1).
     result = run_procedure(n, budget=Budget(seconds=1e9, iterations=10**6))
-    assert result.constraint_table[-1][1] == ConstraintPair((n - 1,), (n * (n - 1),))
+    assert result.to_dict()["constraint_table"][-1][1] == {"A": [n - 1], "B": [n * (n - 1)]}
 
 
 def test_a_budget_bounds_the_sum_of_a_calls_factorizations():
@@ -586,9 +587,25 @@ def _per_cell_tables(r: ProcedureResult):
 
 
 def _assert_tables_match_per_cell(n: int, copies: int, budget: Budget | None = None):
+    # The document's tables, columns, omega, c and counts, and the result's
+    # columns, omega and onset, as the per-cell reference gives them.
     r = run_procedure(n, copies=copies, budget=budget)
-    expected = _per_cell_tables(r)
-    assert (r.case_table, r.constraint_table, r.columns, r.omega) == expected, (n, copies)
+    case_table, constraint_table, columns, omega = _per_cell_tables(r)
+    firsts = [col.first_member() for col in columns]
+    expected = {
+        "case_table": [[label.value for label in row] for row in case_table],
+        "constraint_table": [[{"A": sorted(pair.A), "B": sorted(pair.B)} for pair in row]
+                             for row in constraint_table],
+        "columns": [{"solution": list(sol), "A": sorted(col.A), "B": sorted(col.B), "first_member": f}
+                    for sol, col, f in zip(r.solutions, columns, firsts)],
+        "omega": omega,
+        "c": min((f for f in firsts if f is not None), default=None),
+        "nondegenerate": [list(sol) for sol, f in zip(r.solutions, firsts) if f is not None],
+        "case_vii_count": sum(row.count(CaseLabel.VII) for row in case_table),
+    }
+    document = r.to_dict()
+    assert {key: document[key] for key in expected} == expected, (n, copies)
+    assert (r.columns, r.omega, r.first_member()) == (columns, omega, expected["c"]), (n, copies)
 
 
 @pytest.mark.parametrize(
@@ -699,9 +716,9 @@ def test_to_dict_round_trips():
             r = run_procedure(n, copies=copies)
             text = r.to_json()
             assert text == json.dumps(r.to_dict(), indent=2), (n, copies)
-            for i, (cp, row) in enumerate(zip(r.crucial, r.rows)):
+            for i, (cp, row) in enumerate(zip(r.crucial, r._cells())):
                 us = [sol[i] for sol in r.solutions]
-                assert [cell.entry for cell in row] == list(dict.fromkeys(us)), (n, copies, i)
+                assert list(row) == list(dict.fromkeys(us)), (n, copies, i)
                 # The row's code thresholds: the entry order h(alpha) where a
                 # cell reads it (A holds h(lo), B holds h(hi + 1); case vii and
                 # p in {2, 5} read none), else 1 for h1 and h1 for h2. So
@@ -709,8 +726,8 @@ def test_to_dict_round_trips():
                 # lookup needs.
                 reads = set()
                 if cp.p not in (2, 5):
-                    for cell in row:
-                        lo, hi = _INTERVAL.get(cell.label, (0, 2))
+                    for label, _, _ in row.values():
+                        lo, hi = _INTERVAL.get(label, (0, 2))
                         reads |= {lo, hi + 1} & {1, 2}
                 h = {alpha: repunit_order(cp.p, alpha, r.digit_len) for alpha in reads}
                 h1, h2, _ = r.table[i]
@@ -739,29 +756,13 @@ def test_to_json_bytes_at_12_to_16_digits():
     assert digest.hexdigest() == "31bda5ce3a69ef71e7cc67f51636d8f513de381b20016454d856d5ab3ce68da6"
 
 
-def _view_document(r: ProcedureResult) -> dict:
-    """The keys of the document that the views also give, as the views give them."""
-    return {
-        "case_table": [[label.value for label in row] for row in r.case_table],
-        "constraint_table": [[{"A": sorted(pair.A), "B": sorted(pair.B)} for pair in row]
-                             for row in r.constraint_table],
-        "columns": [{"solution": list(sol), "A": sorted(col.A), "B": sorted(col.B),
-                     "first_member": col.first_member()} for sol, col in zip(r.solutions, r.columns)],
-        "c": r.first_member(),
-        "nondegenerate": [list(sol) for sol in _nondegenerate(r)],
-        "case_vii_count": sum(row.count(CaseLabel.VII) for row in r.case_table),
-    }
-
-
-def test_the_document_agrees_with_the_views():
-    # to_json writes these keys from the table and the solutions, never
-    # through the views that the harnesses read.
+def test_the_document_matches_the_per_cell_reference():
+    # to_json writes these keys from the table and the solutions; the
+    # reference builds them one cell at a time from the definition.
     items = [(n, copies) for n in corpus(2000) for copies in (1, 2, 3)] + _WIDE_ITEMS
     assert len(items) == 5_066
     for n, copies in items:
-        r = run_procedure(n, copies=copies)
-        views, document = _view_document(r), r.to_dict()
-        assert {key: document[key] for key in views} == views, (n, copies)
+        _assert_tables_match_per_cell(n, copies)
 
 
 def _no_pair(*args, **kwargs):
@@ -782,15 +783,15 @@ def test_accepts_reads_the_rows_without_building_the_tables():
         r.accepts(k)
     assert r.omega % r.minimal_period() == 0
     assert not {"rows", "case_table", "constraint_table", "columns"} & r.__dict__.keys()
-    assert len(r.solutions) == 20 and all(len(row) <= 3 for row in r.rows)
+    assert len(r.solutions) == 20 and all(len(row) <= 3 for row in r._cells())
 
 
 def test_rows_hold_each_entry_once_with_its_solution_mask():
     r = run_procedure(49)
     assert r.solutions == ((1, 2, 1), (1, 3, 2), (2, 3, 1))
-    assert [(cell.entry, cell.label) for cell in r.rows[0]] == [(1, CaseLabel.V), (2, CaseLabel.III)]
+    assert [(u, label) for u, (label, _, _) in r._cells()[0].items()] == [(1, CaseLabel.V), (2, CaseLabel.III)]
     # solutions 0 and 1 take the cell of entry 1, solution 2 that of entry 2
-    assert r.case_table[0] == (CaseLabel.V, CaseLabel.V, CaseLabel.III)
+    assert r.to_dict()["case_table"][0] == ["v", "v", "iii"]
 
 
 def test_json_matches_shipped_schema():
