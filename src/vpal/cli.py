@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 factorization budget
-exhausted, 64 usage error (including options that leave a verification
-harness nothing to check), 141 (128 + SIGPIPE) when the reader of standard
-output closes it early, as `vpal procedure N --json | head -1` does. Numbers
+exhausted or memory run out, 64 usage error (including an n outside the
+domain and options that leave a verification harness nothing to check), 141
+(128 + SIGPIPE) when the reader of standard output closes it early, as
+`vpal procedure N --json | head -1` does. Numbers
 are accepted as decimal strings of ASCII digits, of unbounded length. The
 factorization budget in seconds, per command and per n in a sweep, is
 --budget, else VPAL_BUDGET, else 10; a value that is not a positive finite
@@ -39,7 +40,7 @@ from .oracle import (
     verify_invariance,
     verify_lemmas,
 )
-from .procedure import InvalidInput, NotAVPalindrome, ProcedureResult, run_procedure
+from .procedure import NotAVPalindrome, ProcedureResult, run_procedure
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -248,7 +249,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"vpal: factorization budget exhausted (unfactored cofactor {exc.cofactor})",
               file=sys.stderr)
         return EXIT_BUDGET
-    except (InvalidInput, ValueError) as exc:
+    except MemoryError:
+        print(f"vpal: out of memory in {args.command}", file=sys.stderr)
+        return EXIT_BUDGET
+    except ValueError as exc:  # InvalidInput too: n outside the domain
         print(f"vpal: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

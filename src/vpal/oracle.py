@@ -31,7 +31,7 @@ from .factor import (
     valuation,
 )
 from .order import repunit_order, repunit_order_rescaled, repunit_valuation
-from .procedure import ProcedureResult, lcm_closure, run_procedure
+from .procedure import ProcedureResult, _outside_domain, lcm_closure, run_procedure
 
 # Corpus defaults: small enough that worst-case factorizations stay tractable,
 # large enough to exercise nontrivial entry orders.
@@ -104,13 +104,6 @@ class VerificationReport:
         if len(self.failures) > 50:
             lines.append(f"  ... and {len(self.failures) - 50} more failures")
         return "\n".join(lines)
-
-
-def _outside_domain(n: int, r: int) -> str | None:
-    """The domain rule of the literal test: why n, with reversal r, is outside it, or None."""
-    if n % 10 == 0:
-        return "divisible by 10"
-    return "equals its own reversal" if n == r else None
 
 
 def eligible(n: int) -> bool:
@@ -201,18 +194,14 @@ def _labelled(template: str):
     return attach
 
 
-def _record_budget_skip(report: VerificationReport, exc: BudgetExhausted, **inputs) -> None:
-    """The one writer of a budget skip record: inputs, the reason and the cofactor."""
-    report.record_skip(**inputs, reason="budget", cofactor=str(exc.cofactor))
-
-
 @contextmanager
 def _budget_skip(report: VerificationReport, **inputs):
-    """Record a BudgetExhausted that escapes the block as the skip of inputs."""
+    """The one writer of a budget skip record: a BudgetExhausted that escapes
+    the block is the skip of inputs, with the reason and the cofactor."""
     try:
         yield
     except BudgetExhausted as exc:
-        _record_budget_skip(report, exc, **inputs)
+        report.record_skip(**inputs, reason="budget", cofactor=str(exc.cofactor))
 
 
 @contextmanager
@@ -510,11 +499,9 @@ def verify_enumeration(limit: int, budget: Budget | None = None) -> tuple[list[i
     report = VerificationReport(corpus=f"enumeration vs golden file: limit {limit}")
     values = []
     for n in range(1, limit + 1):
-        try:
+        with _budget_skip(report, n=n):
             if oracle_is_vpal(n, budget):
                 values.append(n)
-        except BudgetExhausted as exc:
-            _record_budget_skip(report, exc, n=n)
     golden = map(int, resources.files("vpal").joinpath("data/vpalindromes_1e4.txt").read_text().split())
     expected = [g for g in golden if g <= limit]
     got = [x for x in values if x <= GOLDEN_LIMIT]

@@ -34,8 +34,9 @@ n(k) is a v-palindrome, by pure divisibility arithmetic:
    accepts, as S(A ∪ A', B ∪ B') = S(A, B) ∩ S(A', B'). The solutions
    themselves are listed only when asked for, by a walk that extends a prefix
    only while R_i can cancel it (O(m * #solutions)). One producer writes each
-   prime's distinct cells and one pass over the solutions their columns; the
-   document, the columns and the onset all read those two.
+   prime's distinct cells, from the entries of step 2, and one pass over the
+   solutions their columns; the document, the columns and the onset all read
+   those two.
 
 run_procedure(n, copies=k) produces the same tables for the base number n(k)
 without ever factoring n(k): crucial primes and deltas carry over, mu shifts
@@ -197,15 +198,18 @@ class CrucialPrime:
         return CrucialPrime(self.p, self.a + x, self.b + x)
 
 
+def _outside_domain(n: int, r: int) -> str | None:
+    """The domain rule: why n, with reversal r, is outside the domain, or None."""
+    if n % 10 == 0:
+        return "divisible by 10"
+    return "equals its own reversal" if n == r else None
+
+
 def crucial_primes(n: int) -> tuple[CrucialPrime, ...]:
     """Primes dividing n and its reversal to different powers, ascending."""
-    if n < 1:
-        raise ValueError(f"expected a positive integer, got {n}")
-    if n % 10 == 0:
-        raise InvalidInput(f"{n} is divisible by 10")
-    r = reverse_digits(n)
-    if n == r:
-        raise InvalidInput(f"{n} equals its own digit reversal")
+    r = reverse_digits(n)  # a ValueError unless n >= 1
+    if reason := _outside_domain(n, r):
+        raise InvalidInput(f"{n}: {reason}")
     fn = factorize(n)
     fr = factorize(r)
     out = []
@@ -325,11 +329,11 @@ class ProcedureResult:
     ``solutions`` lists every solution, in lexicographic order, on first read:
     the pruned walk over the reachable suffix sums that ``tabulate`` built and
     the result keeps, so the table never waits for the list. The cells come
-    from _cells alone and the columns from _columns alone: ``to_json`` writes
-    the document from them, ``columns`` (``columns[l]`` the union of column
-    l's cells) holds them as ConstraintPairs when first read, and
-    ``first_member`` reads their first members. Results are built by
-    ``tabulate``.
+    from _cells alone, which lists no solution, and the columns from _columns
+    alone: ``to_json`` writes the document from them, ``columns``
+    (``columns[l]`` the union of column l's cells) holds them as
+    ConstraintPairs when first read, and ``first_member`` reads their first
+    members. Results are built by ``tabulate``.
     """
 
     n: int
@@ -337,9 +341,10 @@ class ProcedureResult:
     digit_len: int
     crucial: tuple[CrucialPrime, ...]
     table: tuple[tuple[int, int, tuple[int, int, None, int]], ...]
-    # The levels and the reachable suffix sums R_1, ..., R_m the lister reads;
-    # they follow from the crucial primes.
-    _sums: tuple[tuple[Level, ...], list[set[int]]] = field(repr=False, compare=False)
+    # The levels and the reachable suffix sums R_1, ..., R_m the lister reads,
+    # and the taken entries of each row the cells read; all follow from the
+    # crucial primes.
+    _sums: tuple[tuple[Level, ...], list[set[int]], list[set[int]]] = field(repr=False, compare=False)
 
     @classmethod
     def tabulate(cls, n: int, copies: int, digit_len: int, crucial: tuple[CrucialPrime, ...],
@@ -356,30 +361,26 @@ class ProcedureResult:
         increments = [_increments_at(cp.p, abs(cp.a - cp.b)) for cp in crucial]
         levels = tuple(map(_level, crucial, increments))
         reach = _suffix_sums(levels)
+        taken = _taken_entries(levels, reach)
         table = []
-        rows = zip(crucial, increments, levels, _taken_entries(levels, reach))
-        for i, (cp, inc, (s, _), taken) in enumerate(rows):
+        for i, (cp, inc, (s, _), kept) in enumerate(zip(crucial, increments, levels, taken)):
             e0, e1, e2 = _shifted(inc, min(cp.a, cp.b))
             if cp.p in (2, 5):
                 e1 = e2 = e0
-            h1 = order(i, 1) if e0 != e1 and (e0 in taken or e1 in taken) else 1
-            h2 = order(i, 2) if e1 != e2 and (e1 in taken or e2 in taken) else h1
+            h1 = order(i, 1) if e0 != e1 and (e0 in kept or e1 in kept) else 1
+            h2 = order(i, 2) if e1 != e2 and (e1 in kept or e2 in kept) else h1
             table.append((h1, h2, (s * e0, s * e1, None, s * e2)))
-        return cls(n, copies, digit_len, crucial, tuple(table), (levels, reach))
+        return cls(n, copies, digit_len, crucial, tuple(table), (levels, reach, taken))
 
     @cached_property
     def solutions(self) -> tuple[Solution, ...]:
         """Every solution, in lexicographic order, listed on first read."""
-        return _list_solutions(*self._sums)
-
-    @cached_property
-    def _entries(self) -> tuple[tuple[int, ...], ...]:
-        """Per crucial prime, the entries the solutions take there, in order."""
-        return tuple(zip(*self.solutions)) if self.solutions else ((),) * len(self.crucial)
+        return _list_solutions(*self._sums[:2])
 
     def _cells(self) -> list[dict[int, tuple[CaseLabel, tuple[int, ...], tuple[int, ...]]]]:
         """Per crucial prime, its distinct cells: each entry its solutions take,
-        in order of first appearance, with the cell's case and constraints (A, B).
+        ascending, as tabulate found them from sums alone (_taken_entries), with
+        the cell's case and constraints (A, B).
 
         A cell's case is the interval of x where the increment v_increment(p,
         |delta|, min(mu, 2) + x) equals its entry (_cell_label), at p in {2, 5}
@@ -387,11 +388,11 @@ class ProcedureResult:
         function constraint_entry uses too (_cell_pair).
         """
         cells = []
-        for cp, us, (h1, h2, _) in zip(self.crucial, self._entries, self.table):
+        for cp, kept, (h1, h2, _) in zip(self.crucial, self._sums[2], self.table):
             h = (None, h1, h2).__getitem__
             increments = _shifted(_increments_at(cp.p, abs(cp.a - cp.b)), min(cp.a, cp.b))
             row = {}
-            for u in dict.fromkeys(us):
+            for u in sorted(kept):
                 label = _cell_label(increments, u)
                 row[u] = (label, *_cell_pair(cp.p, label, h))
             cells.append(row)
@@ -515,8 +516,9 @@ class ProcedureResult:
         crucial = _array((f'{{{p3}"p": {cp.p},{p3}"a": {cp.a},{p3}"b": {cp.b},'
                           f'{p3}"delta": {cp.delta},{p3}"mu": {cp.mu}{p2}}}' for cp in self.crucial), p1)
         cells = self._cells()
+        entries = tuple(zip(*self.solutions)) if self.solutions else ((),) * len(self.crucial)
         cases, pairs, vii = [], [], 0
-        for row, us in zip(cells, self._entries):
+        for row, us in zip(cells, entries):
             case, pair = {}, {}
             for u, (label, A, B) in row.items():
                 case[u] = f'"{label.value}"'

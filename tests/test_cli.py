@@ -15,6 +15,7 @@ from vpal.cli import (
     EXIT_VERIFICATION_FAILED,
     main,
 )
+from vpal import procedure
 from vpal.oracle import VerificationReport
 from vpal.procedure import run_procedure
 
@@ -143,6 +144,11 @@ def test_usage_errors_exit_64(capsys):
 
 
 def test_domain_errors_exit_64(capsys):
+    # one reason text, the literal test's, whichever command meets the n
+    for n in ("7", "20"):
+        reason = json.loads(run(capsys, "check", n, "--json")[1])["reason"]
+        for argv in (["procedure", n], ["type", n, "3"]):
+            assert run(capsys, *argv) == (EXIT_USAGE, "", f"vpal: {n}: {reason}\n"), argv
     code, _, err = run(capsys, "procedure", "20")
     assert code == EXIT_USAGE and "divisible by 10" in err
     with pytest.raises(SystemExit) as exc:  # rejected by the parser, with the usage line
@@ -194,6 +200,17 @@ def test_budget_exhaustion_exit_2(capsys, n, seconds):
     code, _, err = run(capsys, "--budget", seconds, "v", str(n))
     assert code == EXIT_BUDGET
     assert "budget" in err
+
+
+def _out_of_memory(*args):
+    raise MemoryError
+
+
+def test_running_out_of_memory_exits_2_with_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(procedure, "lcm_closure", _out_of_memory)
+    code, out, err = run(capsys, "procedure", "13")
+    assert (code, out, err) == (EXIT_BUDGET, "", "vpal: out of memory in procedure\n")
+    assert "Traceback" not in err
 
 
 def test_verify_lemmas_cli(capsys):
