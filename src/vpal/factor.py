@@ -15,15 +15,15 @@ budget. Only rho spends iterations; the deadline is also read before each
 Miller-Rabin base, before the Lucas test and before each root of the scan, so
 a call overshoots it by at most one of these steps or one batch of rho steps.
 
-One budget bounds all the factoring of a call: a public entry point decorated
-with ``metered`` starts one meter for its ``budget`` argument, and every
-factorize() below it spends from that meter. The meter keeps each
-factorization it completes, so a metered call factors each integer once, also
-where it comes back as the cofactor of a later input. It also keeps each
-prime that rho split off, that the primality test proved, or that trial
-division left as a cofactor from 131**2 to 10**8 under it, as that prime's
-own factorization, so a metered call tests each integer at most once and a
-later factorize() of that prime is a lookup.
+One budget bounds all the factoring of a call: ``metered``, the one place a
+budget becomes a meter, starts one for the ``budget`` argument of a public
+entry point (factorize() among them), and every factorize() below it spends
+from it. The meter keeps each factorization it completes, so a metered call
+factors each integer once, also where it comes back as the cofactor of a later
+input. It also keeps each prime that rho split off, that the primality test
+proved, or that trial division left as a cofactor from 131**2 to 10**8 under
+it, as that prime's own factorization, so a metered call tests each integer at
+most once and a later factorize() of that prime is a lookup.
 This module alone decides what a budget covers; the layers in between take
 no budget.
 """
@@ -156,9 +156,9 @@ _METER: ContextVar[_Clock | None] = ContextVar("vpal_meter", default=None)
 def metered(fn):
     """Make fn an entry point whose ``budget`` argument bounds all its factoring.
 
-    A call with an explicit budget starts a new meter that every factorize()
-    below it spends from. With budget None it joins the meter already
-    running, or starts a default one if none is.
+    The one place a budget becomes a meter. An explicit budget starts a new
+    meter that every factorize() below it spends from; budget None joins the
+    meter already running, or starts a default one if none is.
     """
     position = list(inspect.signature(fn).parameters).index("budget")
 
@@ -373,19 +373,17 @@ class Factorization:
         return " * ".join(f"{p}^{e}" if e > 1 else f"{p}" for p, e in self.entries)
 
 
+@metered
 def factorize(n: int, budget: Budget | None = None) -> Factorization:
     """Complete factorization of n >= 1, or BudgetExhausted; its primes are
     proven below psi_13 and BPSW-probable above.
 
-    An explicit budget bounds this call alone; with None it spends from the
-    running meter (see metered), or from a default budget if none is running.
+    Metered: an explicit budget bounds this call alone, on a meter of its own;
+    with None it spends from the running meter, or a default one if none is.
     """
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
-    # Inlined rather than metered: nothing below factorize() factors.
-    clock = _METER.get() if budget is None else None
-    if clock is None:
-        clock = _Clock(budget or DEFAULT_BUDGET)
+    clock = _METER.get()
     if n in clock.factored:
         return clock.factored[n]
     counts: dict[int, int] = {}
@@ -483,11 +481,10 @@ def v_value(n: int, budget: Budget | None = None) -> int:
     return v_of_factorization(factorize(n, budget))
 
 
-@metered
 def factor_repunit(k: int, block_len: int = 1, budget: Budget | None = None) -> Factorization:
     """Factorization of repunit(k, block_len), factored directly: a test
     reference, since the procedure and the oracle read only its p-adic
     valuations (order.repunit_valuation)."""
     if k < 1 or block_len < 1:
         raise ValueError(f"expected k, block_len >= 1, got k={k}, block_len={block_len}")
-    return factorize(repunit(k, block_len))
+    return factorize(repunit(k, block_len), budget)

@@ -42,39 +42,41 @@ GOLDEN_LIMIT = 10_000  # data/vpalindromes_1e4.txt lists every v-palindrome up t
 
 @dataclass
 class VerificationReport:
-    """Counts plus exact reproduction inputs for every failure and skip."""
+    """Passes counted, and exact reproduction inputs for every failure and skip."""
 
     corpus: str
-    checked: int = 0
     passed: int = 0
-    failed: int = 0
-    skipped: int = 0
     failures: list[dict] = field(default_factory=list)
     skips: list[dict] = field(default_factory=list)
     elapsed: float = 0.0
+
+    @property
+    def failed(self) -> int:
+        return len(self.failures)
+
+    @property
+    def skipped(self) -> int:
+        return len(self.skips)
+
+    @property
+    def checked(self) -> int:
+        return self.passed + self.failed + self.skipped
 
     @property
     def ok(self) -> bool:
         return self.failed == 0
 
     def record(self, passed: bool, **inputs) -> None:
-        self.checked += 1
         if passed:
             self.passed += 1
         else:
-            self.failed += 1
             self.failures.append(inputs)
 
     def record_skip(self, **inputs) -> None:
-        self.checked += 1
-        self.skipped += 1
         self.skips.append(inputs)
 
     def merge(self, other: "VerificationReport") -> "VerificationReport":
-        self.checked += other.checked
         self.passed += other.passed
-        self.failed += other.failed
-        self.skipped += other.skipped
         self.failures.extend(other.failures)
         self.skips.extend(other.skips)
         self.elapsed += other.elapsed
@@ -101,8 +103,8 @@ class VerificationReport:
         ]
         for f in self.failures[:50]:
             lines.append(f"  FAIL {f}")
-        if len(self.failures) > 50:
-            lines.append(f"  ... and {len(self.failures) - 50} more failures")
+        if self.failed > 50:
+            lines.append(f"  ... and {self.failed - 50} more failures")
         return "\n".join(lines)
 
 

@@ -231,6 +231,26 @@ def test_a_metered_call_factors_each_integer_once():
     assert twice(budget=Budget(seconds=1e9, iterations=13_500))[0] is not first
 
 
+def test_an_explicit_budget_is_its_own_meter():
+    # The outer meter keeps the factorization of n, but factorize with an
+    # explicit budget starts a meter of its own, which reads none of it and
+    # runs out at its one rho iteration; the outer meter is then running again,
+    # keeping what it kept.
+    n = 860334011495401
+
+    @factor.metered
+    def outer(budget=None):
+        clock = factor._METER.get()
+        first = factorize(n)
+        kept = dict(clock.factored)
+        with pytest.raises(BudgetExhausted):
+            factorize(n, Budget(seconds=1e9, iterations=1))
+        assert factor._METER.get() is clock
+        assert clock.factored == kept and clock.factored[n] is first and first.value == n
+
+    outer()
+
+
 def test_a_metered_call_reads_a_kept_composite_cofactor(monkeypatch):
     # Trial division leaves 2 * n with the cofactor n, whose factorization the
     # meter kept from the first call: the second call spends no rho iteration.

@@ -1,0 +1,70 @@
+"""Named mutants of the procedure core, each pinned by the check that kills
+it: at its witness n the check passes, and under the mutant's patch it
+reports exactly the listed failures."""
+
+from dataclasses import replace
+
+import pytest
+
+from vpal import procedure
+from vpal.oracle import compare_procedure_oracle, verify_disjointness
+from vpal.procedure import CaseLabel
+
+
+def _case_ii_allows_x_0(monkeypatch):
+    # set after _CASE is built, so only the cells' pairs, and the columns, change
+    monkeypatch.setitem(procedure._INTERVAL, CaseLabel.II, (0, 1))
+
+
+def _signed_sum_skips_last_row(monkeypatch):
+    decide = procedure.ProcedureResult._decide
+    monkeypatch.setattr(procedure.ProcedureResult, "_decide",
+                        lambda self, k: decide(replace(self, table=self.table[:-1]), k))
+
+
+def _sum_walk_drops_largest_entry(monkeypatch):
+    taken = procedure._taken_entries
+    monkeypatch.setattr(procedure, "_taken_entries",
+                        lambda levels, reach: taken(tuple((s, us[:-1]) for s, us in levels), reach))
+
+
+def _lift_ignores_wieferich_primes(monkeypatch):
+    # h(2) = h(1) * p, wrong where p**2 divides repunit(h(1), L), as 487**2
+    # divides 10**486 - 1
+    order_at = procedure.repunit_order
+    monkeypatch.setattr(procedure, "repunit_order",
+                        lambda p, alpha, L: order_at(p, 1, L) * p if alpha == 2 else order_at(p, alpha, L))
+
+
+def _lister_drops_last_solution(monkeypatch):
+    listed = procedure._list_solutions
+    monkeypatch.setattr(procedure, "_list_solutions", lambda levels, reach: listed(levels, reach)[:-1])
+
+
+# Mutants of the procedure core: per name, the patch, the check that kills it,
+# a witness n, and the (k, kind) of each failure the check reports there.
+MUTANTS = {
+    "case ii allows x in [0, 1]": (
+        _case_ii_allows_x_0, verify_disjointness, 13, [(1, "lattice scan"), (3, "lattice scan")]),
+    "the signed sum skips its last row": (
+        _signed_sum_skips_last_row, compare_procedure_oracle, 1461,
+        [(12095811, "every j")]),
+    # At 255 the row of 23 loses its taken entry 23, so its h1 = 22 goes unread.
+    "the sum walk drops a row's largest entry": (
+        _sum_walk_drops_largest_entry, compare_procedure_oracle, 255, [(16, "every j")]),
+    # 1461 = 3 * 487: the lift moves 487's h2 off the oracle's t2.
+    "h(2) = h(1) * p (the Wieferich lift)": (
+        _lift_ignores_wieferich_primes, compare_procedure_oracle, 1461,
+        [(22113, "every j"), (12095811, "every j")]),
+    # At 13 the dropped solution is the type the table gives at k = 15.
+    "the lister drops its last solution": (
+        _lister_drops_last_solution, compare_procedure_oracle, 13, [(15, "every j")]),
+}
+
+
+@pytest.mark.parametrize("mutant", MUTANTS)
+def test_each_mutant_fails_its_check_at_its_witness(monkeypatch, mutant):
+    patch, check, n, failures = MUTANTS[mutant]
+    assert check(n).failed == 0
+    patch(monkeypatch)
+    assert [(f["k"], f.get("kind")) for f in check(n).failures] == failures

@@ -1,12 +1,12 @@
 import functools
 import importlib.resources
+import json
 import multiprocessing
 import os
 import random
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -31,7 +31,7 @@ from vpal.oracle import (
     verify_lemmas,
     verify_periodicity,
 )
-from vpal.procedure import CaseLabel, ConstraintPair, lcm_closure, run_procedure
+from vpal.procedure import ConstraintPair, lcm_closure, run_procedure
 
 
 def _is_vpal_reference(n):
@@ -377,45 +377,6 @@ def test_verify_disjointness_scans_the_columns_own_elements(monkeypatch, table_r
     assert verify_disjointness(13).failures == [{"n": 13, "k": 4200, "hits": 2, "kind": "lattice scan"}]
 
 
-def _case_ii_allows_x_0(monkeypatch):
-    # set after _CASE is built, so only the cells' pairs, and the columns, change
-    monkeypatch.setitem(procedure._INTERVAL, CaseLabel.II, (0, 1))
-
-
-def _signed_sum_skips_last_row(monkeypatch):
-    decide = procedure.ProcedureResult._decide
-    monkeypatch.setattr(procedure.ProcedureResult, "_decide",
-                        lambda self, k: decide(replace(self, table=self.table[:-1]), k))
-
-
-def _sum_walk_drops_largest_entry(monkeypatch):
-    taken = procedure._taken_entries
-    monkeypatch.setattr(procedure, "_taken_entries",
-                        lambda levels, reach: taken(tuple((s, us[:-1]) for s, us in levels), reach))
-
-
-# Mutants of the procedure core: per name, the patch, the check that kills it,
-# a witness n, and the (k, kind) of each failure the check reports there.
-MUTANTS = {
-    "case ii allows x in [0, 1]": (
-        _case_ii_allows_x_0, verify_disjointness, 13, [(1, "lattice scan"), (3, "lattice scan")]),
-    "the signed sum skips its last row": (
-        _signed_sum_skips_last_row, compare_procedure_oracle, 1461,
-        [(12095811, "every j")]),
-    # At 255 the row of 23 loses its taken entry 23, so its h1 = 22 goes unread.
-    "the sum walk drops a row's largest entry": (
-        _sum_walk_drops_largest_entry, compare_procedure_oracle, 255, [(16, "every j")]),
-}
-
-
-@pytest.mark.parametrize("mutant", MUTANTS)
-def test_each_mutant_fails_its_check_at_its_witness(monkeypatch, mutant):
-    patch, check, n, failures = MUTANTS[mutant]
-    assert check(n).failed == 0
-    patch(monkeypatch)
-    assert [(f["k"], f.get("kind")) for f in check(n).failures] == failures
-
-
 def test_verify_lemmas_small_grid():
     rep = verify_lemmas(p_max=20, alpha_max=2, k_max=10, L_max=2)
     assert rep.failed == 0
@@ -491,6 +452,44 @@ def test_report_invariant_and_merge():
     b.record(True, x=4)
     a.merge(b)
     assert (a.checked, a.passed, a.failed, a.skipped) == (4, 2, 1, 1)
+
+
+def test_a_reports_counts_are_read_from_its_records():
+    # failed and skipped are the lengths of the failures and skips, checked
+    # adds the passes to them, in each report and in their merge; no count
+    # can be set apart from the records it counts.
+    a = VerificationReport(corpus="a", elapsed=0.25)
+    a.record(True, n=13, k=1)
+    a.record(False, n=13, k=2)
+    a.record_skip(n=17, reason="budget", cofactor="1001")
+    b = VerificationReport(corpus="b", elapsed=0.5)
+    for k in (1, 2, 3):
+        b.record(k != 2, n=19, k=k)
+    b.record_skip(n=23, reason="omega_cap", omega=6045)
+    b.record_skip(n=29, reason="budget", cofactor="91")
+    merged = VerificationReport(corpus="n<=29").merge(a).merge(b)
+    for rep, counts in ((a, (3, 1, 1, 1)), (b, (5, 2, 1, 2)), (merged, (8, 3, 2, 3))):
+        assert (rep.checked, rep.passed, rep.failed, rep.skipped) == counts
+        assert rep.checked == rep.passed + rep.failed + rep.skipped
+        assert (rep.failed, rep.skipped) == (len(rep.failures), len(rep.skips))
+        assert not rep.ok
+        with pytest.raises(AttributeError):
+            rep.failed = 0
+    schema = json.loads((Path(__file__).parent.parent / "docs" / "verification-report.schema.json").read_text())
+    d = merged.to_dict()
+    assert list(d) == list(schema["properties"])
+    assert d == {
+        "corpus": "n<=29", "checked": 8, "passed": 3, "failed": 2, "skipped": 3,
+        "failures": [{"n": 13, "k": 2}, {"n": 19, "k": 2}],
+        "skips": [{"n": 17, "reason": "budget", "cofactor": "1001"},
+                  {"n": 23, "reason": "omega_cap", "omega": 6045},
+                  {"n": 29, "reason": "budget", "cofactor": "91"}],
+        "elapsed_seconds": 0.75,
+    }
+    assert merged.to_text().splitlines()[1] == "checked 8: 3 passed, 2 failed, 3 skipped (0.8s)"
+    for k in range(50):
+        merged.record(False, n=31, k=k)
+    assert merged.to_text().splitlines()[-2:] == ["  FAIL {'n': 31, 'k': 47}", "  ... and 2 more failures"]
 
 
 def test_report_serialization():
