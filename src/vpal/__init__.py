@@ -54,7 +54,6 @@ from .oracle import (
     compare_procedure_oracle,
     corpus,
     eligible,
-    enumerate_vpals,
     literal_test,
     oracle_is_vpal,
     oracle_is_vpal_concat,

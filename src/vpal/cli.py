@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 1 verification failure, 2 factorization budget
 exhausted or memory run out, 64 usage error (including an n outside the
-domain and options that leave a verification harness nothing to check), 141
-(128 + SIGPIPE) when the reader of standard output closes it early, as
-`vpal procedure N --json | head -1` does. Numbers
-are accepted as decimal strings of ASCII digits, of unbounded length. The
+domain, options that leave a verification harness nothing to check, and
+`verify --json enumerate --print`), 141 (128 + SIGPIPE) when the reader of
+standard output closes it early, as `vpal procedure N --json | head -1` does.
+Numbers are accepted as decimal strings of ASCII digits, of unbounded length. The
 factorization budget in seconds, per command and per n in a sweep, is
 --budget, else VPAL_BUDGET, else 10; a value that is not a positive finite
 number written in ASCII decimal digits, with an optional fraction and
@@ -215,6 +215,10 @@ def _cmd_verify(args, budget: Budget) -> int:
     elif args.what == "disjointness":
         report = sweep(verify_disjointness, args.nmax, args.jobs, budget=budget)
     else:  # enumerate
+        if args.json and args.print_values:
+            print("vpal: error: --json cannot go with enumerate --print, whose values are not JSON",
+                  file=sys.stderr)
+            return EXIT_USAGE
         values, report = verify_enumeration(args.limit, budget)
         if args.print_values:
             for x in values:

@@ -348,13 +348,6 @@ class Factorization:
         object.__setattr__(f, "entries", entries)
         return f
 
-    @property
-    def value(self) -> int:
-        out = 1
-        for p, e in self.entries:
-            out *= p**e
-        return out
-
     def exponent(self, p: int) -> int:
         for q, e in self.entries:
             if q == p:

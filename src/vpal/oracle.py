@@ -207,14 +207,21 @@ def _budget_skip(report: VerificationReport, **inputs):
 
 
 @contextmanager
+def _report(corpus: str):
+    """The one builder of a VerificationReport: the report of corpus, whose
+    elapsed time is the wall time of the block."""
+    t0 = time.monotonic()
+    report = VerificationReport(corpus=corpus)
+    yield report
+    report.elapsed = time.monotonic() - t0
+
+
+@contextmanager
 def _per_n_report(check, n: int, **params):
     """The report of one per-n harness check at n, labelled from check.label
-    with params, timed, and recording a budget run-out in the block as n's skip."""
-    t0 = time.monotonic()
-    report = VerificationReport(corpus=check.label.format(n=f"={n}", **params))
-    with _budget_skip(report, n=n):
+    with params, recording a budget run-out in the block as n's skip."""
+    with _report(check.label.format(n=f"={n}", **params)) as report, _budget_skip(report, n=n):
         yield report
-    report.elapsed = time.monotonic() - t0
 
 
 def _oracle_rows(terms: tuple[tuple[int, int, int], ...], L: int) -> tuple[tuple, ...]:
@@ -452,63 +459,51 @@ def verify_lemmas(
     rescale: the block-length rescaling identity against the direct order at
     block length L*k.
     """
-    t0 = time.monotonic()
-    report = VerificationReport(
-        corpus=f"entry orders: p<={p_max}, alpha<={alpha_max}, k<={k_max}, L<={L_max}"
-    )
-    for p in primes_up_to(p_max):
-        if p in (2, 5):
-            continue
-        for alpha in range(1, alpha_max + 1):
-            for L in range(1, L_max + 1):
-                h = repunit_order(p, alpha, L)
-                report.record(h >= 2, p=p, alpha=alpha, L=L, h=h, kind="h lower bound")
-                m = p**alpha
-                t = pow(10, L, m)
-                acc = 0
-                for k in range(1, k_max + 1):
-                    acc = (acc * t + 1) % m
-                    divides = acc == 0
-                    report.record(
-                        divides == (k % h == 0),
-                        p=p, alpha=alpha, L=L, k=k, h=h, kind="divisibility",
-                    )
-                    lhs = repunit_order_rescaled(p, alpha, k, L)
-                    rhs = repunit_order(p, alpha, L * k)
-                    report.record(
-                        lhs == rhs, p=p, alpha=alpha, L=L, k=k, lhs=lhs, rhs=rhs, kind="rescale",
-                    )
-    report.elapsed = time.monotonic() - t0
+    with _report(f"entry orders: p<={p_max}, alpha<={alpha_max}, k<={k_max}, L<={L_max}") as report:
+        for p in primes_up_to(p_max):
+            if p in (2, 5):
+                continue
+            for alpha in range(1, alpha_max + 1):
+                for L in range(1, L_max + 1):
+                    h = repunit_order(p, alpha, L)
+                    report.record(h >= 2, p=p, alpha=alpha, L=L, h=h, kind="h lower bound")
+                    m = p**alpha
+                    t = pow(10, L, m)
+                    acc = 0
+                    for k in range(1, k_max + 1):
+                        acc = (acc * t + 1) % m
+                        divides = acc == 0
+                        report.record(
+                            divides == (k % h == 0),
+                            p=p, alpha=alpha, L=L, k=k, h=h, kind="divisibility",
+                        )
+                        lhs = repunit_order_rescaled(p, alpha, k, L)
+                        rhs = repunit_order(p, alpha, L * k)
+                        report.record(
+                            lhs == rhs, p=p, alpha=alpha, L=L, k=k, lhs=lhs, rhs=rhs, kind="rescale",
+                        )
     return report
 
 
-def enumerate_vpals(limit: int, budget: Budget | None = None) -> list[int]:
-    """All v-palindromes up to limit, ascending, by the literal oracle."""
-    if limit < 1:
-        raise ValueError(f"expected limit >= 1, got {limit}")
-    return [n for n in range(1, limit + 1) if oracle_is_vpal(n, budget)]
-
-
 def verify_enumeration(limit: int, budget: Budget | None = None) -> tuple[list[int], VerificationReport]:
-    """enumerate_vpals(limit), with a budget run-out at an n recorded as that
-    n's skip, and the report of one check: the values up to GOLDEN_LIMIT are
-    the shipped golden list's. Larger values go unchecked."""
+    """All v-palindromes up to limit, ascending, by the literal oracle, with a
+    budget run-out at an n recorded as that n's skip, and the report of one
+    check: the values up to GOLDEN_LIMIT are the shipped golden list's.
+    Larger values go unchecked."""
     from importlib import resources  # imported here: no other code reads the golden list
 
     if limit < 1:
         raise ValueError(f"expected limit >= 1, got {limit}")
-    t0 = time.monotonic()
-    report = VerificationReport(corpus=f"enumeration vs golden file: limit {limit}")
-    values = []
-    for n in range(1, limit + 1):
-        with _budget_skip(report, n=n):
-            if oracle_is_vpal(n, budget):
-                values.append(n)
-    golden = map(int, resources.files("vpal").joinpath("data/vpalindromes_1e4.txt").read_text().split())
-    expected = [g for g in golden if g <= limit]
-    got = [x for x in values if x <= GOLDEN_LIMIT]
-    report.record(got == expected, limit=limit, expected_count=len(expected), got_count=len(got))
-    report.elapsed = time.monotonic() - t0
+    with _report(f"enumeration vs golden file: limit {limit}") as report:
+        values = []
+        for n in range(1, limit + 1):
+            with _budget_skip(report, n=n):
+                if oracle_is_vpal(n, budget):
+                    values.append(n)
+        golden = map(int, resources.files("vpal").joinpath("data/vpalindromes_1e4.txt").read_text().split())
+        expected = [g for g in golden if g <= limit]
+        got = [x for x in values if x <= GOLDEN_LIMIT]
+        report.record(got == expected, limit=limit, expected_count=len(expected), got_count=len(got))
     return values, report
 
 
@@ -519,20 +514,18 @@ def sweep(check, nmax: int, jobs: int = 1, **params) -> VerificationReport:
     harness's label with n<=nmax, and its elapsed time is wall time. With
     jobs > 1 the corpus is spread over at most os.cpu_count() worker processes.
     """
-    t0 = time.monotonic()
     args = inspect.signature(check).bind(0, **params)
     args.apply_defaults()
-    merged = VerificationReport(corpus=check.label.format(**{**args.arguments, "n": f"<={nmax}"}))
     item = partial(check, **params)
     workers = min(jobs, os.cpu_count() or 1)
-    if workers > 1:
-        from multiprocessing import Pool  # imported here: a serial run never needs it
+    with _report(check.label.format(**{**args.arguments, "n": f"<={nmax}"})) as merged:
+        if workers > 1:
+            from multiprocessing import Pool  # imported here: a serial run never needs it
 
-        with Pool(workers) as pool:
-            for rep in pool.imap(item, corpus(nmax), chunksize=8):
-                merged.merge(rep)
-    else:
-        for n in corpus(nmax):
-            merged.merge(item(n))
-    merged.elapsed = time.monotonic() - t0
+            with Pool(workers) as pool:
+                for rep in pool.imap(item, corpus(nmax), chunksize=8):
+                    merged.merge(rep)
+        else:
+            for n in corpus(nmax):
+                merged.merge(item(n))
     return merged

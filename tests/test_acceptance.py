@@ -21,11 +21,11 @@ from vpal.oracle import (
     VerificationReport,
     compare_procedure_oracle,
     corpus,
-    enumerate_vpals,
     oracle_is_vpal,
     oracle_is_vpal_concat,
     sweep,
     verify_disjointness,
+    verify_enumeration,
     verify_invariance,
     verify_lemmas,
 )
@@ -251,7 +251,7 @@ def test_enumeration_golden_file():
         int(line)
         for line in resources.files("vpal").joinpath("data/vpalindromes_1e4.txt").read_text().split()
     ]
-    fresh = enumerate_vpals(10_000)
+    fresh = verify_enumeration(10_000)[0]
     assert fresh == golden
     assert fresh[:3] == [18, 81, 198]
     print(f"\nACCEPTANCE + (enumeration golden, limit 10^4): PASS - {len(fresh)} values")

@@ -283,6 +283,13 @@ def test_verify_enumerate_reports_its_elapsed_time(capsys):
     assert json.loads(out)["elapsed_seconds"] > 0
 
 
+def test_verify_json_enumerate_print_is_a_usage_error(capsys):
+    # the printed values would come before the report and break the JSON
+    code, out, err = run(capsys, "verify", "--json", "enumerate", "--limit", "100", "--print")
+    assert code == EXIT_USAGE and out == ""
+    assert err.count("\n") == 1 and "--json" in err and "--print" in err
+
+
 def test_procedure_json_of_a_wide_table_matches_golden_bytes(capsys):
     # 20 solutions over 6 crucial primes at copies 3, cases i, ii, iv and v
     golden = Path(__file__).parent / "data" / "golden_procedure_396871711257_copies3.json"

@@ -69,14 +69,14 @@ def test_factorize_matches_sympy(n):
 @settings(max_examples=100)
 def test_factorize_products_reconstruct(a, b):
     f = factorize(a * b)
-    assert f.value == a * b
+    assert math.prod(p**e for p, e in f) == a * b
     assert all(is_probable_prime(p) for p, _ in f)
 
 
 def test_factorize_large_smooth_and_semiprime():
     # 25 digits, all small factors
     n = 2**10 * 3**7 * 7**5 * 11**4 * 101**3 * 9901
-    assert factorize(n).value == n
+    assert math.prod(p**e for p, e in factorize(n)) == n
     # 20-digit semiprime with 10-digit factors: within Brent range
     p, q = 9999999967, 9999999943
     assert factorize(p * q).entries == ((q, 1), (p, 1))
@@ -226,7 +226,7 @@ def test_a_metered_call_factors_each_integer_once():
         return factorize(n), factorize(n)
 
     first, second = twice(budget=Budget(seconds=1e9, iterations=13_500))
-    assert first is second and first.value == n
+    assert first is second and math.prod(p**e for p, e in first) == n
     # The kept factorization goes with the meter: a new call factors afresh.
     assert twice(budget=Budget(seconds=1e9, iterations=13_500))[0] is not first
 
@@ -246,7 +246,7 @@ def test_an_explicit_budget_is_its_own_meter():
         with pytest.raises(BudgetExhausted):
             factorize(n, Budget(seconds=1e9, iterations=1))
         assert factor._METER.get() is clock
-        assert clock.factored == kept and clock.factored[n] is first and first.value == n
+        assert clock.factored == kept and clock.factored[n] is first and math.prod(p**e for p, e in first) == n
 
     outer()
 

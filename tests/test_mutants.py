@@ -3,6 +3,7 @@ it: at its witness n the check passes, and under the mutant's patch it
 reports exactly the listed failures."""
 
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -41,6 +42,22 @@ def _lister_drops_last_solution(monkeypatch):
     monkeypatch.setattr(procedure, "_list_solutions", lambda levels, reach: listed(levels, reach)[:-1])
 
 
+def _increment_1_1_is_1(monkeypatch):
+    # v_increment(p, 1, 1) = 1, where v of p**1 -> p**2 grows by 2
+    increments = procedure._increments_at
+    monkeypatch.setattr(procedure, "_increments_at",
+                        lambda p, delta: (p, 1, 1) if delta == 1 else increments(p, delta))
+
+
+def _orders_at_digit_length_1(monkeypatch):
+    order_at = procedure.repunit_order
+    monkeypatch.setattr(procedure, "repunit_order", lambda p, alpha, L: order_at(p, alpha, 1))
+
+
+def _copies_shift_mu_by_0(monkeypatch):
+    monkeypatch.setattr(procedure, "repunit_valuation", lambda p, k, L: 0)
+
+
 # Mutants of the procedure core: per name, the patch, the check that kills it,
 # a witness n, and the (k, kind) of each failure the check reports there.
 MUTANTS = {
@@ -59,6 +76,13 @@ MUTANTS = {
     # At 13 the dropped solution is the type the table gives at k = 15.
     "the lister drops its last solution": (
         _lister_drops_last_solution, compare_procedure_oracle, 13, [(15, "every j")]),
+    "v_increment(p, 1, 1) = 1": (
+        _increment_1_1_is_1, compare_procedure_oracle, 13, [(195, "every j"), (465, "every j")]),
+    "entry orders taken at digit length 1": (
+        _orders_at_digit_length_1, compare_procedure_oracle, 13, [(15, "every j"), (6045, "every j")]),
+    # Only a concatenated base shifts mu, so the check runs at copies 2.
+    "copies shift mu by 0": (
+        _copies_shift_mu_by_0, partial(compare_procedure_oracle, copies=2), 103, [(5117, "every j")]),
 }
 
 

@@ -22,7 +22,6 @@ from vpal.oracle import (
     compare_procedure_oracle,
     corpus,
     eligible,
-    enumerate_vpals,
     oracle_is_vpal,
     oracle_is_vpal_concat,
     sweep,
@@ -381,18 +380,20 @@ def test_verify_lemmas_small_grid():
     rep = verify_lemmas(p_max=20, alpha_max=2, k_max=10, L_max=2)
     assert rep.failed == 0
     assert rep.checked > 0 and rep.skipped == 0
+    assert rep.elapsed > 0
 
 
 def test_enumerate_examples():
-    assert enumerate_vpals(17) == []
-    assert enumerate_vpals(18) == [18]
-    assert enumerate_vpals(100) == [18, 81]
+    assert oracle.verify_enumeration(17)[0] == []
+    assert oracle.verify_enumeration(18)[0] == [18]
+    assert oracle.verify_enumeration(100)[0] == [18, 81]
 
 
 def test_enumerate_is_budget_insensitive():
-    generous = enumerate_vpals(2000)
-    tight = enumerate_vpals(2000, Budget(seconds=5.0))
+    generous, generous_report = oracle.verify_enumeration(2000)
+    tight, tight_report = oracle.verify_enumeration(2000, Budget(seconds=5.0))
     assert generous == tight
+    assert generous_report.skipped == tight_report.skipped == 0
 
 
 @pytest.mark.parametrize("at, values, failures", [
@@ -413,8 +414,6 @@ def test_a_budget_run_out_in_the_enumeration_is_that_ns_skip(monkeypatch, at, va
     assert report.skips == [{"n": at, "reason": "budget", "cofactor": "1001"}]
     assert report.failures == failures
     assert (report.checked, report.skipped) == (2, 1)
-    with pytest.raises(BudgetExhausted):  # the bare enumeration records nothing
-        enumerate_vpals(100)
 
 
 def test_a_doctored_golden_list_fails_the_enumeration(monkeypatch, tmp_path):
@@ -532,6 +531,7 @@ def test_sweep_parallel_matches_serial_and_keeps_labels(check, nmax, params, lab
     parallel = sweep(check, nmax, jobs=2, **params)
     assert serial.corpus == parallel.corpus == label
     assert check(13, **params).corpus == label_13
+    assert serial.elapsed > 0 and check(13, **params).elapsed > 0
     assert serial.checked > 0 and serial.failed == 0
     assert serial.checked == sum(check(n, **params).checked for n in corpus(nmax))
     for key in ("checked", "passed", "failed", "skipped", "failures", "skips"):
