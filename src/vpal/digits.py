@@ -62,7 +62,8 @@ def reverse_digits(n: int) -> int:
     """Digit reversal of ``n``; trailing zeros of ``n`` collapse (100 -> 1)."""
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
-    return parse_decimal(decimal_string(n)[::-1])
+    # ASCII digits, read by int() under the cap decimal_string lifted if n needed it
+    return int(decimal_string(n)[::-1])
 
 
 def repunit(k: int, block_len: int = 1) -> int:

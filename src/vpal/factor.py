@@ -348,22 +348,8 @@ class Factorization:
         object.__setattr__(f, "entries", entries)
         return f
 
-    def exponent(self, p: int) -> int:
-        for q, e in self.entries:
-            if q == p:
-                return e
-        return 0
-
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.entries)
-
     def __iter__(self):
         return iter(self.entries)
-
-    def __str__(self) -> str:
-        if not self.entries:
-            return "1"
-        return " * ".join(f"{p}^{e}" if e > 1 else f"{p}" for p, e in self.entries)
 
 
 @metered

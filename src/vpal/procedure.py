@@ -4,9 +4,9 @@ Given an eligible n (not divisible by 10, not equal to its digit reversal),
 the classification decides for every k >= 1 whether the k-fold concatenation
 n(k) is a v-palindrome, by pure divisibility arithmetic:
 
-1. factor n and its reversal; the primes whose exponents differ are the
-   crucial primes, each carrying delta (exponent difference) and mu (shared
-   exponent part);
+1. factor n and its reversal and merge the two exponent maps once; the
+   primes whose exponents differ are the crucial primes, each carrying delta
+   (exponent difference) and mu (shared exponent part);
 2. solve the signed-sum equation over the per-prime ranges of possible
    v-increments; each solution is one way the v values can balance. A
    backward pass builds R_i, the signed sums the primes from i on can reach
@@ -34,9 +34,9 @@ n(k) is a v-palindrome, by pure divisibility arithmetic:
    accepts, as S(A ∪ A', B ∪ B') = S(A, B) ∩ S(A', B'). The solutions
    themselves are listed only when asked for, by a walk that extends a prefix
    only while R_i can cancel it (O(m * #solutions)). One producer writes each
-   prime's distinct cells, from the entries of step 2, and one pass over the
-   solutions their columns; the document, the columns and the onset all read
-   those two.
+   prime's distinct cells, from the entries of step 2 and the row's entries
+   per x that step 3 computed, and one pass over the solutions their columns;
+   the document, the columns and the onset all read those two.
 
 run_procedure(n, copies=k) produces the same tables for the base number n(k)
 without ever factoring n(k): crucial primes and deltas carry over, mu shifts
@@ -210,14 +210,9 @@ def crucial_primes(n: int) -> tuple[CrucialPrime, ...]:
     r = reverse_digits(n)  # a ValueError unless n >= 1
     if reason := _outside_domain(n, r):
         raise InvalidInput(f"{n}: {reason}")
-    fn = factorize(n)
-    fr = factorize(r)
-    out = []
-    for p in sorted(set(fn.primes()) | set(fr.primes())):
-        a, b = fn.exponent(p), fr.exponent(p)
-        if a != b:
-            out.append(CrucialPrime(p, a, b))
-    return tuple(out)
+    a, b = dict(factorize(n).entries), dict(factorize(r).entries)
+    return tuple(CrucialPrime(p, a.get(p, 0), b.get(p, 0))
+                 for p in sorted(a.keys() | b.keys()) if a.get(p, 0) != b.get(p, 0))
 
 
 # A level of the signed-sum equation: the sign s_i of delta_i and the ascending
@@ -342,9 +337,11 @@ class ProcedureResult:
     crucial: tuple[CrucialPrime, ...]
     table: tuple[tuple[int, int, tuple[int, int, None, int]], ...]
     # The levels and the reachable suffix sums R_1, ..., R_m the lister reads,
-    # and the taken entries of each row the cells read; all follow from the
-    # crucial primes.
-    _sums: tuple[tuple[Level, ...], list[set[int]], list[set[int]]] = field(repr=False, compare=False)
+    # and each row's taken entries and its entries at x = 0, 1, 2 (_shifted,
+    # without the table's override at p in {2, 5}) the cells read; all follow
+    # from the crucial primes.
+    _sums: tuple[tuple[Level, ...], list[set[int]], list[set[int]],
+                 list[tuple[int, int, int]]] = field(repr=False, compare=False)
 
     @classmethod
     def tabulate(cls, n: int, copies: int, digit_len: int, crucial: tuple[CrucialPrime, ...],
@@ -362,15 +359,15 @@ class ProcedureResult:
         levels = tuple(map(_level, crucial, increments))
         reach = _suffix_sums(levels)
         taken = _taken_entries(levels, reach)
+        entries = [_shifted(inc, min(cp.a, cp.b)) for cp, inc in zip(crucial, increments)]
         table = []
-        for i, (cp, inc, (s, _), kept) in enumerate(zip(crucial, increments, levels, taken)):
-            e0, e1, e2 = _shifted(inc, min(cp.a, cp.b))
+        for i, (cp, (e0, e1, e2), (s, _), kept) in enumerate(zip(crucial, entries, levels, taken)):
             if cp.p in (2, 5):
                 e1 = e2 = e0
             h1 = order(i, 1) if e0 != e1 and (e0 in kept or e1 in kept) else 1
             h2 = order(i, 2) if e1 != e2 and (e1 in kept or e2 in kept) else h1
             table.append((h1, h2, (s * e0, s * e1, None, s * e2)))
-        return cls(n, copies, digit_len, crucial, tuple(table), (levels, reach, taken))
+        return cls(n, copies, digit_len, crucial, tuple(table), (levels, reach, taken, entries))
 
     @cached_property
     def solutions(self) -> tuple[Solution, ...]:
@@ -383,14 +380,14 @@ class ProcedureResult:
         the cell's case and constraints (A, B).
 
         A cell's case is the interval of x where the increment v_increment(p,
-        |delta|, min(mu, 2) + x) equals its entry (_cell_label), at p in {2, 5}
-        too; its constraints are read off the row's entry orders by the
-        function constraint_entry uses too (_cell_pair).
+        |delta|, min(mu, 2) + x), which tabulate kept for x = 0, 1, 2, equals
+        its entry (_cell_label), at p in {2, 5} too; its constraints are read
+        off the row's entry orders by the function constraint_entry uses too
+        (_cell_pair).
         """
         cells = []
-        for cp, kept, (h1, h2, _) in zip(self.crucial, self._sums[2], self.table):
+        for cp, kept, increments, (h1, h2, _) in zip(self.crucial, *self._sums[2:], self.table):
             h = (None, h1, h2).__getitem__
-            increments = _shifted(_increments_at(cp.p, abs(cp.a - cp.b)), min(cp.a, cp.b))
             row = {}
             for u in sorted(kept):
                 label = _cell_label(increments, u)

@@ -1,13 +1,13 @@
-"""Named mutants of the procedure core, each pinned by the check that kills
-it: at its witness n the check passes, and under the mutant's patch it
-reports exactly the listed failures."""
+"""Named mutants of the procedure core and of the oracle's rows, each pinned
+by the check that kills it: at its witness n the check passes, and under the
+mutant's patch it reports exactly the listed failures."""
 
 from dataclasses import replace
 from functools import partial
 
 import pytest
 
-from vpal import procedure
+from vpal import oracle, procedure
 from vpal.oracle import compare_procedure_oracle, verify_disjointness
 from vpal.procedure import CaseLabel
 
@@ -58,8 +58,21 @@ def _copies_shift_mu_by_0(monkeypatch):
     monkeypatch.setattr(procedure, "repunit_valuation", lambda p, k, L: 0)
 
 
-# Mutants of the procedure core: per name, the patch, the check that kills it,
-# a witness n, and the (k, kind) of each failure the check reports there.
+def _merge_drops_primes_only_the_reversal_has(monkeypatch):
+    crucial = procedure.crucial_primes
+    monkeypatch.setattr(procedure, "crucial_primes", lambda n: tuple(cp for cp in crucial(n) if cp.a > 0))
+
+
+def _oracle_t2_is_t1_times_p(monkeypatch):
+    # x_d dropped from t2, wrong where p**2 divides repunit(t1, L)
+    rows = oracle._oracle_rows
+    monkeypatch.setattr(oracle, "_oracle_rows", lambda terms, L: tuple(
+        (p, f, (t[0], t[0] * p) if t else t) for p, f, t in rows(terms, L)))
+
+
+# Mutants of the procedure core and of the oracle's rows: per name, the patch,
+# the check that kills it, a witness n, and the (k, kind) of each failure the
+# check reports there.
 MUTANTS = {
     "case ii allows x in [0, 1]": (
         _case_ii_allows_x_0, verify_disjointness, 13, [(1, "lattice scan"), (3, "lattice scan")]),
@@ -83,6 +96,13 @@ MUTANTS = {
     # Only a concatenated base shifts mu, so the check runs at copies 2.
     "copies shift mu by 0": (
         _copies_shift_mu_by_0, partial(compare_procedure_oracle, copies=2), 103, [(5117, "every j")]),
+    # 48 = 2**4 * 3 and 84 = 2**2 * 3 * 7, so the row of 7 goes.
+    "the merge drops the primes only r(n) has": (
+        _merge_drops_primes_only_the_reversal_has, compare_procedure_oracle, 48, [(3, "every j")]),
+    # 1461 = 3 * 487: the oracle's t2 of 487 moves off the procedure's h2.
+    "the oracle's t2 = t1 * p": (
+        _oracle_t2_is_t1_times_p, compare_procedure_oracle, 1461,
+        [(22113, "every j"), (12095811, "every j")]),
 }
 
 
