@@ -20,7 +20,6 @@ from .digits import (
 from .factor import (
     Budget,
     BudgetExhausted,
-    Factorization,
     factor_repunit,
     factorize,
     is_probable_prime,

@@ -21,9 +21,9 @@ entry point (factorize() among them), and every factorize() below it spends
 from it. The meter keeps each factorization it completes, so a metered call
 factors each integer once, also where it comes back as the cofactor of a later
 input. It also keeps each prime that rho split off, that the primality test
-proved, or that trial division left as a cofactor from 131**2 to 10**8 under
-it, as that prime's own factorization, so a metered call tests each integer at
-most once and a later factorize() of that prime is a lookup.
+proved, or that trial division left as a cofactor below 10**8 under it, as
+that prime's own factorization, so a metered call tests each integer at most
+once and a later factorize() of that prime is a lookup.
 This module alone decides what a budget covers; the layers in between take
 no budget.
 """
@@ -134,9 +134,9 @@ class _Clock:
     def __init__(self, budget: Budget):
         self.deadline = time.monotonic() + budget.seconds
         self.remaining = budget.iterations
-        # Every factorization completed, and each prime the primality test
-        # proved as its own; dies with the meter.
-        self.factored: dict[int, Factorization] = {}
+        # Every factorization completed, and each prime found on the way as
+        # its own; dies with the meter.
+        self.factored: dict[int, tuple[tuple[int, int], ...]] = {}
 
     def spend(self, cost: int, cofactor: int) -> None:
         self.remaining -= cost
@@ -327,35 +327,11 @@ def _pollard_brent(n: int, c: int, clock: _Clock) -> int | None:
     return g if g != n else None
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization: ((p1, e1), ...) with primes ascending."""
-
-    entries: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        primes = [p for p, _ in self.entries]
-        if primes != sorted(set(primes)):
-            raise ValueError("primes must be strictly increasing")
-        if any(e < 1 for _, e in self.entries):
-            raise ValueError("exponents must be >= 1")
-
-    @classmethod
-    def _trusted(cls, entries: tuple[tuple[int, int], ...]) -> "Factorization":
-        """The factorization with these entries, which the caller built sorted
-        with exponents >= 1: the checks of the constructor are skipped."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "entries", entries)
-        return f
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
 @metered
-def factorize(n: int, budget: Budget | None = None) -> Factorization:
-    """Complete factorization of n >= 1, or BudgetExhausted; its primes are
-    proven below psi_13 and BPSW-probable above.
+def factorize(n: int, budget: Budget | None = None) -> tuple[tuple[int, int], ...]:
+    """Complete factorization of n >= 1 as its (prime, exponent) pairs, primes
+    ascending, or BudgetExhausted; its primes are proven below psi_13 and
+    BPSW-probable above.
 
     Metered: an explicit budget bounds this call alone, on a meter of its own;
     with None it spends from the running meter, or a default one if none is.
@@ -393,42 +369,34 @@ def factorize(n: int, budget: Budget | None = None) -> Factorization:
             while m % p == 0:
                 counts[p] = counts.get(p, 0) + 1
                 m //= p
-    if m > 1:
-        if m < _TRIAL_LIMIT * _TRIAL_LIMIT:
-            # Survived trial division past sqrt(m), hence prime. Where finding
-            # that again would take the gcd with _TRIAL_PRODUCT, m is kept as
-            # its own factorization: a later factorize(m) in the call is a lookup.
-            if m >= _FIRST_BLOCK[-1] ** 2:
-                clock.factored.setdefault(m, Factorization._trusted(((m, 1),)))
-            counts[m] = counts.get(m, 0) + 1
-        else:
-            stack = [m]
-            while stack:
-                m = stack.pop()
-                known = clock.factored.get(m)
-                # Every piece divides the cofactor of trial division, so one
-                # below 10**8 is prime as that cofactor would be, untested.
-                if known is None and (m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_probable_prime(m, clock)):
-                    # A proved prime is kept as its own factorization.
-                    known = clock.factored[m] = Factorization._trusted(((m, 1),))
-                if known is not None:
-                    # A kept factorization, a composite's too, is read, not redone.
-                    for p, e in known:
-                        counts[p] = counts.get(p, 0) + e
-                    continue
-                power = _perfect_power(m, clock)
-                if power is not None:
-                    root, exp = power
-                    stack.extend([root] * exp)
-                    continue
-                d = None
-                c = 1
-                while d is None:
-                    d = _pollard_brent(m, c, clock)  # raises BudgetExhausted
-                    c += 1
-                stack.append(d)
-                stack.append(m // d)
-    return clock.factored.setdefault(n, Factorization._trusted(tuple(sorted(counts.items()))))
+    stack = [m] if m > 1 else []
+    while stack:
+        m = stack.pop()
+        known = clock.factored.get(m)
+        # The cofactor of trial division is a prime below 131**2 or free of
+        # every prime below 10**4, as each piece of it is: one below 10**8 is
+        # prime, untested.
+        if known is None and (m < _TRIAL_LIMIT * _TRIAL_LIMIT or is_probable_prime(m, clock)):
+            # A prime is kept as its own factorization.
+            known = clock.factored[m] = ((m, 1),)
+        if known is not None:
+            # A kept factorization, a composite's too, is read, not redone.
+            for p, e in known:
+                counts[p] = counts.get(p, 0) + e
+            continue
+        power = _perfect_power(m, clock)
+        if power is not None:
+            root, exp = power
+            stack.extend([root] * exp)
+            continue
+        d = None
+        c = 1
+        while d is None:
+            d = _pollard_brent(m, c, clock)  # raises BudgetExhausted
+            c += 1
+        stack.append(d)
+        stack.append(m // d)
+    return clock.factored.setdefault(n, tuple(sorted(counts.items())))
 
 
 def valuation(p: int, n: int) -> int:
@@ -450,9 +418,9 @@ def v_term(p: int, e: int) -> int:
     return p + e if e >= 2 else p if e else 0
 
 
-def v_of_factorization(f: Factorization) -> int:
-    """v of the factored integer: the sum of v_term over its entries."""
-    return sum(starmap(v_term, f.entries))
+def v_of_factorization(f: tuple[tuple[int, int], ...]) -> int:
+    """v of the integer factored as the (prime, exponent) pairs f: the sum of v_term over them."""
+    return sum(starmap(v_term, f))
 
 
 def v_value(n: int, budget: Budget | None = None) -> int:
@@ -460,7 +428,7 @@ def v_value(n: int, budget: Budget | None = None) -> int:
     return v_of_factorization(factorize(n, budget))
 
 
-def factor_repunit(k: int, block_len: int = 1, budget: Budget | None = None) -> Factorization:
+def factor_repunit(k: int, block_len: int = 1, budget: Budget | None = None) -> tuple[tuple[int, int], ...]:
     """Factorization of repunit(k, block_len), factored directly: a test
     reference, since the procedure and the oracle read only its p-adic
     valuations (order.repunit_valuation)."""

@@ -172,7 +172,7 @@ def _concat_terms(n: int) -> tuple[tuple[int, int, int], ...]:
     """(p, a_p, b_p) for each prime of n*r(n) with a_p != b_p, from factorize
     of n and of r(n): the primes whose terms of the sum in oracle_is_vpal_concat
     can be nonzero. They depend on n alone, not on k."""
-    a, b = dict(factorize(n).entries), dict(factorize(reverse_digits(n)).entries)
+    a, b = dict(factorize(n)), dict(factorize(reverse_digits(n)))
     exponents = ((p, a.get(p, 0), b.get(p, 0)) for p in a.keys() | b.keys())
     return tuple(t for t in exponents if t[1] != t[2])
 

@@ -100,7 +100,7 @@ def repunit_order(p: int, alpha: int, L: int) -> int:
         h = repunit_order(p, 1, L)
         x = 1 if h == p else _ten_power_valuation(p, h * L, 1)
         return h * p ** max(0, alpha - x)
-    if factorize(p).entries != ((p, 1),):
+    if factorize(p) != ((p, 1),):
         raise ValueError(f"expected a prime, got {p}")
     t = _order_dividing(10, p, p - 1)
     d = t // math.gcd(L, t)

@@ -210,7 +210,7 @@ def crucial_primes(n: int) -> tuple[CrucialPrime, ...]:
     r = reverse_digits(n)  # a ValueError unless n >= 1
     if reason := _outside_domain(n, r):
         raise InvalidInput(f"{n}: {reason}")
-    a, b = dict(factorize(n).entries), dict(factorize(r).entries)
+    a, b = dict(factorize(n)), dict(factorize(r))
     return tuple(CrucialPrime(p, a.get(p, 0), b.get(p, 0))
                  for p in sorted(a.keys() | b.keys()) if a.get(p, 0) != b.get(p, 0))
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from unittest import mock
 
 from vpal.digits import digit_count, repeat_concat, repunit, reverse_digits
-from vpal.factor import Factorization, factor_repunit, factorize, v_of_factorization, v_value, valuation
+from vpal.factor import factor_repunit, factorize, v_of_factorization, v_value, valuation
 from vpal.oracle import (
     VerificationReport,
     compare_procedure_oracle,
@@ -209,8 +209,8 @@ def test_criterion_8_disjointness():
 
 def _product(f, g):
     """The factorization of the product of two factorizations: exponents add."""
-    counts = Counter(dict(f.entries)) + Counter(dict(g.entries))
-    return Factorization(tuple(sorted(counts.items())))
+    counts = Counter(dict(f)) + Counter(dict(g))
+    return tuple(sorted(counts.items()))
 
 
 def test_criterion_9_cancellation_equals_full_product():
@@ -231,7 +231,7 @@ def test_criterion_9_cancellation_equals_full_product():
             checked += 1
             mismatched += oracle_is_vpal_concat(n, k) != full
             R = repunit(k, L)
-            for p in dict(fn.entries).keys() | dict(fr.entries).keys():
+            for p in dict(fn).keys() | dict(fr).keys():
                 valuations += 1
                 mismatched += repunit_valuation(p, k, L) != valuation(p, R)
     status = "PASS" if mismatched == 0 else "FAIL"

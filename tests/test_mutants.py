@@ -1,6 +1,7 @@
 """Named mutants of the procedure core and of the oracle's rows, each pinned
 by the check that kills it: at its witness n the check passes, and under the
-mutant's patch it reports exactly the listed failures."""
+mutant's patch it reports exactly the listed failures. The mirror check, which
+needs no oracle, is pinned here too."""
 
 from dataclasses import replace
 from functools import partial
@@ -8,8 +9,9 @@ from functools import partial
 import pytest
 
 from vpal import oracle, procedure
-from vpal.oracle import compare_procedure_oracle, verify_disjointness
-from vpal.procedure import CaseLabel
+from vpal.digits import reverse_digits
+from vpal.oracle import compare_procedure_oracle, corpus, verify_disjointness
+from vpal.procedure import CaseLabel, run_procedure
 
 
 def _case_ii_allows_x_0(monkeypatch):
@@ -112,3 +114,31 @@ def test_each_mutant_fails_its_check_at_its_witness(monkeypatch, mutant):
     assert check(n).failed == 0
     patch(monkeypatch)
     assert [(f["k"], f.get("kind")) for f in check(n).failures] == failures
+
+
+def _facts(res, sign=1):
+    """The crucial primes' (p, a, b), with a and b swapped and each t negated
+    at sign -1, the rows' (h1, h2, t), the solutions and the digit length."""
+    return ([(cp.p, *(cp.a, cp.b)[::sign]) for cp in res.crucial],
+            [(h1, h2, tuple(None if e is None else sign * e for e in t)) for h1, h2, t in res.table],
+            res.solutions, res.digit_len)
+
+
+def _mirror_failures(ns, copies=(1, 2, 3)):
+    """The (n, c) at which run_procedure(r(n), copies=c) is not run_procedure(n,
+    copies=c) mirrored: each crucial prime's a and b swapped, each row's h1 and
+    h2 kept and its t negated, the same solutions and digit length. This holds
+    because r(n)(k) = r(n(k))."""
+    return [(n, c) for n in ns for c in copies
+            if _facts(run_procedure(n, copies=c), -1) != _facts(run_procedure(reverse_digits(n), copies=c))]
+
+
+def test_the_reversal_mirrors_the_procedure():
+    assert _mirror_failures(corpus(2000)) == []
+
+
+def test_the_mirror_check_kills_the_merge_mutant(monkeypatch):
+    # 48 = 2**4 * 3 loses the row of 7 that 84 = 2**2 * 3 * 7 keeps.
+    assert _mirror_failures([48]) == []
+    _merge_drops_primes_only_the_reversal_has(monkeypatch)
+    assert _mirror_failures([48]) == [(48, 1), (48, 2), (48, 3)]
