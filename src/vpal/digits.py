@@ -1,7 +1,8 @@
 """Exact base-10 digit manipulation: reversal, generalized repunits, repeated concatenation.
 
 All values are arbitrary-precision ints; digit strings are derived views,
-never the source of truth.
+never the source of truth. Importing this module lifts CPython's int/str
+conversion cap, so str() and int() serve every length.
 """
 
 from __future__ import annotations
@@ -9,23 +10,18 @@ from __future__ import annotations
 import re
 import sys
 
+# CPython >= 3.10.7 caps int<->str conversions at 4,300 digits (CVE-2020-10735).
+# n(k), its cofactors and the messages that name them run past it, also outside
+# this module, so the cap is lifted once, at import, for the whole process.
+if hasattr(sys, "set_int_max_str_digits"):
+    sys.set_int_max_str_digits(0)
+
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
-def _lift_str_digit_limit() -> None:
-    # CPython >= 3.10.7 caps int<->str conversions; this package works with
-    # concatenations whose decimal length exceeds the default cap.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-
-
 def decimal_string(n: int) -> str:
-    """Decimal representation of ``n``, regardless of interpreter digit caps."""
-    try:
-        return str(n)
-    except ValueError:
-        _lift_str_digit_limit()
-        return str(n)
+    """Decimal representation of ``n``, of any length."""
+    return str(n)
 
 
 def parse_decimal(s: str) -> int:
@@ -37,11 +33,7 @@ def parse_decimal(s: str) -> int:
     s = s.strip()
     if not _DECIMAL.fullmatch(s):
         raise ValueError(f"not a decimal integer: {s!r}")
-    try:
-        return int(s)
-    except ValueError:  # longer than the interpreter's int/str conversion cap
-        _lift_str_digit_limit()
-        return int(s)
+    return int(s)
 
 
 def digit_count(n: int) -> int:
@@ -62,7 +54,6 @@ def reverse_digits(n: int) -> int:
     """Digit reversal of ``n``; trailing zeros of ``n`` collapse (100 -> 1)."""
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
-    # ASCII digits, read by int() under the cap decimal_string lifted if n needed it
     return int(decimal_string(n)[::-1])
 
 

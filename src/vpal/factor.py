@@ -6,8 +6,8 @@ returns, the product reconstructs the input exactly and each recorded prime
 passes is_probable_prime: a proof below psi_13 ~ 3.3e24, BPSW-probable above.
 
 Factorization pipeline: trial division by the primes below 10**4 (one at a
-time through the first 32 primes, then one gcd with the product of the rest,
-whose primes alone are divided out), the primality test
+time through the first 32 primes, all an input below 137**2 needs, then one
+gcd with the product of the rest, split by one walk), the primality test
 (Miller-Rabin with the first t prime bases below psi_t, joined by a strong
 Lucas test above psi_13), the perfect-power scan, then Pollard-Brent rho
 with deterministic parameter restarts under a wall-clock plus iteration
@@ -55,19 +55,14 @@ def _sieve(limit: int) -> list[int]:
 
 _SMALL_PRIMES = _sieve(_TRIAL_LIMIT)
 
-# Trial division walks the first _BLOCK primes one at a time. A cofactor below
-# the square of the next prime is 1 or prime, so inputs below 137**2 = 18769
-# stop there. A larger cofactor takes one gcd with _TRIAL_PRODUCT, the product
-# of the primes from 137 to 9973, and the rest of the primes, as (first prime,
-# primes, their product) for runs of _BLOCK primes, serve only to split that
-# gcd into its primes.
+# Trial division walks the first _BLOCK primes one at a time; a cofactor below
+# the square of the next, 137**2 = 18769, is then 1 or prime and stops there.
+# A larger one takes one gcd with _TRIAL_PRODUCT, the product of _TRIAL_PRIMES
+# (137 to 9973), which one walk over those primes splits into its primes.
 _BLOCK = 32
 _FIRST_BLOCK = _SMALL_PRIMES[:_BLOCK]
-_TRIAL_BLOCKS = tuple(
-    (block[0], block, math.prod(block))
-    for block in (_SMALL_PRIMES[i : i + _BLOCK] for i in range(_BLOCK, len(_SMALL_PRIMES), _BLOCK))
-)
-_TRIAL_PRODUCT = math.prod(product for _, _, product in _TRIAL_BLOCKS)
+_TRIAL_PRIMES = _SMALL_PRIMES[_BLOCK:]
+_TRIAL_PRODUCT = math.prod(_TRIAL_PRIMES)
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -349,20 +344,18 @@ def factorize(n: int, budget: Budget | None = None) -> tuple[tuple[int, int], ..
         while m % p == 0:
             counts[p] = counts.get(p, 0) + 1
             m //= p
-    else:
-        # g is the product of the primes from 137 to 9973 dividing m. A block
-        # starts with g free of every prime below it, so g below the square of
-        # its first prime is 1 or a prime, and the blocks left are skipped.
+    if m >= 137**2:
+        # g is the product of the primes from 137 to 9973 dividing m. The walk
+        # divides out each prime of g in turn, so g below the square of the
+        # next prime is 1 or a prime, and the primes left are skipped.
         g = math.gcd(m, _TRIAL_PRODUCT)
         found = []
-        for first, primes, product in _TRIAL_BLOCKS:
-            if g < first * first:
+        for p in _TRIAL_PRIMES:
+            if g < p * p:
                 break
-            if math.gcd(g, product) > 1:
-                for p in primes:
-                    if g % p == 0:
-                        found.append(p)
-                        g //= p
+            if g % p == 0:
+                found.append(p)
+                g //= p
         if g > 1:
             found.append(g)
         for p in found:

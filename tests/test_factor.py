@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -33,9 +37,9 @@ def test_factorize_rejects_nonpositive():
         factorize(0)
 
 
-# The primes on both sides of each trial-division block boundary.
-_BOUNDARY_PRIMES = sorted({factor._FIRST_BLOCK[-1]}
-                          | {p for _, primes, _ in factor._TRIAL_BLOCKS for p in (primes[0], primes[-1])})
+# The last prime divided one at a time, the first two of the gcd's walk and
+# the last two below 10**4.
+_BOUNDARY_PRIMES = [131, 137, 139, 9967, 9973]
 
 
 def _prime_above(low, high):
@@ -49,19 +53,54 @@ def _prime_above(low, high):
               st.lists(st.sampled_from(_BOUNDARY_PRIMES), min_size=1, max_size=4),
               st.integers(1, 10**4)),
     st.just(9973**2 * 10007),
+    st.builds(lambda q: 9967 * 9973 * q, _prime_above(10**4, 10**9)),  # the walk's far end
     st.integers(1, 5).flatmap(  # k = 5 draws only 10007**5, of 21 digits
         lambda k: _prime_above(10**4, max(10**4, 10 ** (20 // k) // 2)).map(lambda q: q**k)),
     st.builds(lambda p, q: p * q, _prime_above(10**4, 10**9), _prime_above(10**4, 10**9)),
 ))
 @settings(max_examples=300, deadline=None)
 def test_factorize_matches_sympy(n):
-    # 1 to 20 digits; the special draws cross every block boundary, reach
-    # the perfect-power test with roots above 10**4, and split by rho.
+    # 1 to 20 digits; the special draws cross both ends of the gcd's walk,
+    # reach the perfect-power test with roots above 10**4, and split by rho.
     entries = factorize(n)
     assert dict(entries) == factorint(n)
     # the pairs are returned as factorize builds them, with no check after
     assert all(p < q for (p, _), (q, _) in zip(entries, entries[1:]))
     assert all(e >= 1 for _, e in entries)
+
+
+@pytest.mark.parametrize("n, calls", [(17159, 0), (17167, 0), (137 * 139, 1), (9967 * 9973 * 1000000007, 1)])
+def test_trial_division_takes_at_most_one_gcd(monkeypatch, n, calls):
+    # The primes 17159 < 131**2 and 17167 < 137**2 stop after the first 32
+    # primes; a larger cofactor takes one gcd, which one walk splits.
+    counted, real_gcd = [], math.gcd
+    monkeypatch.setattr(factor.math, "gcd", lambda *a: counted.append(a) or real_gcd(*a))
+    entries = factorize(n)
+    assert len(counted) == calls
+    monkeypatch.undo()
+    assert dict(entries) == factorint(n)
+
+
+def test_an_exhausted_budget_on_an_input_past_the_int_str_cap():
+    # A fresh interpreter: an earlier test may have lifted the cap in this one.
+    # The message of BudgetExhausted names a cofactor of over 5,000 digits.
+    code = """
+import sys
+import vpal
+from vpal.factor import Budget, BudgetExhausted, factorize, v_value
+assert sys.get_int_max_str_digits() == 0
+n = 7**6000 * 11 + 2
+for f in (factorize, v_value):
+    try:
+        f(n, Budget(seconds=1e-9))
+    except BudgetExhausted as exc:
+        assert n % exc.cofactor == 0, f
+    else:
+        raise AssertionError(f)
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(factor.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @given(st.integers(2, 10**9), st.integers(2, 10**9))
