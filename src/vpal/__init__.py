@@ -20,7 +20,6 @@ from .digits import (
 from .factor import (
     Budget,
     BudgetExhausted,
-    factor_repunit,
     factorize,
     is_probable_prime,
     primes_up_to,
@@ -29,7 +28,6 @@ from .factor import (
     valuation,
 )
 from .order import (
-    multiplicative_order,
     repunit_order,
     repunit_order_rescaled,
     repunit_valuation,
@@ -42,10 +40,8 @@ from .procedure import (
     InvalidInput,
     NotAVPalindrome,
     ProcedureResult,
-    constraint_entry,
     crucial_primes,
     run_procedure,
-    solve_characteristic,
     v_increment,
 )
 from .oracle import (
@@ -61,7 +57,6 @@ from .oracle import (
     verify_enumeration,
     verify_invariance,
     verify_lemmas,
-    verify_periodicity,
 )
 
 __version__ = "0.1.0"

@@ -104,9 +104,9 @@ class BudgetExhausted(Exception):
     record a skip rather than guess.
     """
 
-    def __init__(self, cofactor: int, message: str | None = None):
+    def __init__(self, cofactor: int):
         self.cofactor = cofactor
-        super().__init__(message or f"budget exhausted on unfactored cofactor {cofactor}")
+        super().__init__(f"budget exhausted on unfactored cofactor {cofactor}")
 
 
 @dataclass(frozen=True)

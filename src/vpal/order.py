@@ -14,8 +14,8 @@ p divides repunit(k, L) only if d | k. For such k, lifting the exponent
 as p does not divide d | p - 1. So h(alpha) = d * p**max(0, alpha - x_d)
 with x_d = v_p(repunit(d, L)). If d > 1, p divides 10**(dL) - 1 but not
 10**L - 1, so x_d = v_p(10**(dL) - 1) >= 1 and h(1) = d. If d = 1,
-x_d = 0, h(1) = p and v_p(repunit(p, L)) = 1. Either way, with
-x = v_p(repunit(h(1), L)),
+x_d = 0, h(1) = p and v_p(repunit(p, L)) = 1 by the same lift. Either way,
+with x = v_p(repunit(h(1), L)) = repunit_valuation(p, h(1), L),
 
     h(alpha) = h(1) * p**max(0, alpha - x).
 
@@ -89,7 +89,7 @@ def repunit_order(p: int, alpha: int, L: int) -> int:
 
     At alpha = 1, factorize(p) checks that p is prime and factorize(p - 1)
     gives ord_p(10). For alpha >= 2 it reads h(1) through this cache, and x
-    is 1 or v_p(10**(h(1) L) - 1) as above. The oracle's rows (oracle._oracle_rows)
+    from repunit_valuation as above. The oracle's rows (oracle._oracle_rows)
     hold h(1) and h(2) of each crucial prime, found by its own scan of the
     divisors of p - 1: the independent side of the check that compares them.
     """
@@ -98,8 +98,7 @@ def repunit_order(p: int, alpha: int, L: int) -> int:
         raise ValueError(f"expected alpha, L >= 1, got alpha={alpha}, L={L}")
     if alpha > 1:
         h = repunit_order(p, 1, L)
-        x = 1 if h == p else _ten_power_valuation(p, h * L, 1)
-        return h * p ** max(0, alpha - x)
+        return h * p ** max(0, alpha - repunit_valuation(p, h, L))
     if factorize(p) != ((p, 1),):
         raise ValueError(f"expected a prime, got {p}")
     t = _order_dividing(10, p, p - 1)

@@ -127,9 +127,6 @@ class ConstraintPair:
     def accepts(self, x: int) -> bool:
         return all(x % a == 0 for a in self.A) and all(x % b != 0 for b in self.B)
 
-    def is_empty(self) -> bool:
-        return self.first_member() is None
-
     def first_member(self) -> int | None:
         """Least positive member, or None (see _first_member)."""
         return _first_member(self.A, self.B)

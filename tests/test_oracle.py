@@ -231,6 +231,9 @@ def test_verify_invariance_catches_each_mutant(monkeypatch):
     rep = sweep(verify_invariance, 200, kmax=4)
     assert (rep.failed, _kinds(rep)) == (239, ["every j", "shift tables"])
     assert {f["copies"] for f in rep.failures if f["kind"] == "every j"} == {2, 3, 4}
+    # A shift-tables record is one equality of results, so its failure keeps
+    # only the inputs that reproduce it.
+    assert {tuple(f) for f in rep.failures if f["kind"] == "shift tables"} == {("n", "k", "kind")}
     monkeypatch.undo()
 
     order_at = procedure.repunit_order

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import itertools
 import json
 import math
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from vpal import procedure
+import vpal
+from vpal import factor, oracle, order, procedure
 from vpal.digits import repunit, reverse_digits
 from vpal.factor import Budget, BudgetExhausted, factorize, valuation
 from vpal.oracle import corpus, oracle_is_vpal_concat
@@ -153,7 +155,7 @@ def test_constraint_pair_exact_counts():
     scan = [x for x in range(1, math.lcm(6, 4, 9) + 1) if pair.accepts(x)]
     assert pair.first_member() == scan[0]
     empty = ConstraintPair((3,), (3,))
-    assert empty.is_empty() and empty.first_member() is None
+    assert empty.first_member() is None
 
 
 def test_constraint_entries_by_case():
@@ -339,7 +341,7 @@ def test_run_procedure_13():
 
 def _nondegenerate(result):
     """The solutions whose column accepts some k."""
-    return tuple(sol for sol, col in zip(result.solutions, result.columns) if not col.is_empty())
+    return tuple(sol for sol, col in zip(result.solutions, result.columns) if col.first_member() is not None)
 
 
 def test_nondegenerate_examples():
@@ -698,6 +700,29 @@ def test_table_reads_the_entries_the_listed_solutions_take():
     for n, copies in items:
         r = run_procedure(n, copies=copies)
         assert r.table == _table_from_listed_solutions(r), (n, copies)
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps():
+    # The benchmark's tracer wraps functions by module, so a module that loses
+    # a name it lists fails here as well as in a traced benchmark run. The test
+    # references among them are module attributes, not package exports.
+    spec = importlib.util.spec_from_file_location("tracing", _BIGN.parents[1] / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        procedure.run_procedure(13)
+    finally:
+        tracer.uninstall()
+    assert "procedure.run_procedure" in {span[tracing.NAME] for span in tracer.spans}
+    assert procedure.run_procedure is run_procedure
+    assert order.repunit_order.cache_info().currsize > 0
+    references = {"solve_characteristic": procedure, "constraint_entry": procedure,
+                  "factor_repunit": factor, "multiplicative_order": order,
+                  "verify_periodicity": oracle}
+    for name, module in references.items():
+        assert callable(getattr(module, name)) and not hasattr(vpal, name), name
 
 
 def test_case_vii_never_accepts():
