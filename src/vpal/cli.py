@@ -5,15 +5,15 @@ exhausted or memory run out, 64 usage error (including an n outside the
 domain, options that leave a verification harness nothing to check, and
 `verify --json enumerate --print`), 141 (128 + SIGPIPE) when the reader of
 standard output closes it early, as `vpal procedure N --json | head -1` does.
-Numbers are accepted as decimal strings of ASCII digits, of unbounded length. The
-factorization budget in seconds, per command and per n in a sweep, is
---budget, else VPAL_BUDGET, else 10; a value that is not a positive finite
-number written in ASCII decimal digits, with an optional fraction and
-exponent, is a usage error. `verify oracle` and `verify disjointness` decide
-every k on a finite set of k (see oracle.compare_procedure_oracle and
-oracle.verify_disjointness), so they take no k bound. `verify invariance`
-decides every j on a finite set of j at each k <= --kmax (see
-oracle.verify_invariance); its k bound limits the bases n(k), not j.
+Numbers are accepted as decimal strings of ASCII digits, of unbounded length.
+The factorization budget in seconds, per command and per n in a sweep (`verify
+lemmas` takes none), is --budget, else VPAL_BUDGET, else 10; a value that is not
+a positive finite number written in ASCII decimal digits, with an optional
+fraction and exponent, is a usage error. `verify oracle` and `verify
+disjointness` decide every k on a finite set of k (see
+oracle.compare_procedure_oracle and oracle.verify_disjointness), so they take no
+k bound. `verify invariance` decides every j on a finite set of j at each k <=
+--kmax (see oracle.verify_invariance); its k bound limits the bases n(k), not j.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--nmax", type=_decimal, default=DEFAULT_NMAX)
     q.add_argument("--kmax", type=_decimal, default=6)
 
-    q = what.add_parser("lemmas", help="entry-order divisibility and rescaling identities")
+    q = what.add_parser("lemmas", help="entry-order divisibility and rescaling identities; takes no budget")
     q.add_argument("--pmax", type=_decimal, default=100)
     q.add_argument("--alphamax", type=_decimal, default=3)
     q.add_argument("--kmax", type=_decimal, default=60)

@@ -10,11 +10,12 @@ n(k) is a v-palindrome, by pure divisibility arithmetic:
 2. solve the signed-sum equation over the per-prime ranges of possible
    v-increments; each solution is one way the v values can balance. A
    backward pass builds R_i, the signed sums the primes from i on can reach
-   that a prefix can still cancel; a forward pass over the sums that the
-   prefixes of solutions reach then gives, per prime, the entries some
-   solution takes there. Both passes handle sets of integers, not vectors:
-   the cost follows the number of reachable sums, neither 3^m for m crucial
-   primes nor the number of solutions;
+   that a prefix can still cancel; a forward pass keeps G_i, the negated
+   sums of the solutions' prefixes, and per prime the entries some solution
+   takes there. The solutions are the paths through the G_i (_SumGraph),
+   counted without listing. Both passes handle sets of integers, not
+   vectors: the cost follows the number of reachable sums, neither 3^m for
+   m crucial primes nor the number of solutions;
 3. write each crucial prime's row: x = min(v_p(R(k, L)), 2), R(k, L) the
    repunit of k blocks of length L, is fixed by which of the entry orders
    h(1) | h(2) divide k (x >= alpha iff h(alpha) | k), and at each x one
@@ -32,11 +33,11 @@ n(k) is a v-palindrome, by pure divisibility arithmetic:
    constraints S(A, B) = {x : every a in A divides x, no b in B divides x}.
    A solution's column, the union of its cells, accepts the k every cell
    accepts, as S(A ∪ A', B ∪ B') = S(A, B) ∩ S(A', B'). The solutions
-   themselves are listed only when asked for, by a walk that extends a prefix
-   only while R_i can cancel it (O(m * #solutions)). One producer writes each
-   prime's distinct cells, from the entries of step 2 and the row's entries
-   per x that step 3 computed, and one pass over the solutions their columns;
-   the document, the columns and the onset all read those two.
+   themselves are listed only when asked for, by a walk along the graph's edges
+   (O(m * #solutions)). One producer writes each prime's distinct cells, from
+   the entries of step 2 and the row's entries per x that step 3 computed, and
+   one pass over the solutions their columns; the document, the columns and the
+   onset all read those two.
 
 run_procedure(n, copies=k) produces the same tables for the base number n(k)
 without ever factoring n(k): crucial primes and deltas carry over, mu shifts
@@ -217,9 +218,9 @@ def crucial_primes(n: int) -> tuple[CrucialPrime, ...]:
 Level = tuple[int, tuple[int, ...]]
 
 
-def _level(cp: CrucialPrime, increments: tuple[int, int, int]) -> Level:
-    # The increments fall strictly from alpha = 0 to 2 but at p = 2, delta = 1,
-    # where they are (2, 2, 1).
+def _level(cp: CrucialPrime) -> Level:
+    increments = _increments_at(cp.p, abs(cp.a - cp.b))
+    # The increments fall strictly from alpha = 0 to 2 but at p = 2, delta = 1: (2, 2, 1).
     us = increments[:0:-1] if increments[0] == increments[1] else increments[::-1]
     return 1 if cp.a > cp.b else -1, us
 
@@ -234,10 +235,7 @@ def _suffix_sums(levels: tuple[Level, ...]) -> list[set[int]]:
     for s, us in levels:
         bounds.append((-hi, -lo))
         # us ascends, so its signed extremes sit at its two ends
-        if s > 0:
-            lo, hi = lo + us[0], hi + us[-1]
-        else:
-            lo, hi = lo - us[-1], hi - us[0]
+        lo, hi = (lo + us[0], hi + us[-1]) if s > 0 else (lo - us[-1], hi - us[0])
     reach = [{0}]  # R_m, ..., R_1
     for (s, us), (low, high) in zip(levels[:0:-1], bounds[:0:-1]):
         after = reach[-1]
@@ -245,14 +243,16 @@ def _suffix_sums(levels: tuple[Level, ...]) -> list[set[int]]:
     return reach[::-1]
 
 
-def _taken_entries(levels: tuple[Level, ...], reach: list[set[int]]) -> list[set[int]]:
-    """Per row, the entries that some solution takes there, from sums alone.
+class _SumGraph:
+    """The solution set as a layered graph, from sums alone: the levels
+    (_level), the node sets G_0, ..., G_m and each row's taken entries.
 
-    The pass keeps G_i, the negated prefix sums -P that reach row i: G_0 =
-    {0}; row i keeps each u for which some g in G_i has g - t in R_{i+1}, t =
-    s_i * u, and G_{i+1} is the set of those g - t. By induction, G_i (i >= 1)
-    is the set of -P for the prefix sums P = t_0 + ... + t_{i-1} of the
-    solutions, and row i keeps exactly the entries u_i of the solutions:
+    After the backward pass (_suffix_sums), a forward pass keeps G_i, the
+    negated prefix sums -P that reach row i: G_0 = {0}; row i keeps each u for
+    which some g in G_i has g - t in R_{i+1}, t = s_i * u, and G_{i+1} is the
+    set of those g - t. By induction, G_i (i >= 1) is the set of -P for the
+    prefix sums P = t_0 + ... + t_{i-1} of the solutions, and row i keeps
+    exactly the entries u_i of the solutions:
     - kept u is taken: g = -P for some prefix (of a solution, or the empty
       one at i = 0), and g - t in R_{i+1} is the sum of some suffix of the
       rows after i, so that prefix, u and that suffix sum to P + t + g - t =
@@ -263,30 +263,38 @@ def _taken_entries(levels: tuple[Level, ...], reach: list[set[int]]) -> list[set
     With no solution, row 0 keeps nothing, so every G_i for i >= 1 and every
     row's set is empty. The cost is O(m * max |G_i|), whatever the number
     of solutions.
+
+    An edge takes g in G_i by entry u to g - s_i * u in G_{i+1}, so the solutions
+    are the paths from G_0 to G_m = {0}: iterating walks them in lexicographic
+    order in O(m * #solutions), and count() counts them in O(m * max |G_i|).
     """
-    owed, taken = {0}, []
-    for (s, us), rest in zip(levels, reach):
-        kept, reached = set(), set()
-        for u in us:
-            t = s * u
-            hits = {x for g in owed if (x := g - t) in rest}
-            if hits:
-                kept.add(u)
-                reached |= hits
-        taken.append(kept)
-        owed = reached
-    return taken
 
+    def __init__(self, crucial: tuple[CrucialPrime, ...]):
+        self.levels = tuple(map(_level, crucial))
+        self.nodes, self.taken = [{0}], []
+        for (s, us), rest in zip(self.levels, _suffix_sums(self.levels)):
+            owed, kept, reached = self.nodes[-1], set(), set()
+            for u in us:
+                if hits := {x for g in owed if (x := g - s * u) in rest}:
+                    kept.add(u)
+                    reached |= hits
+            self.taken.append(kept)
+            self.nodes.append(reached)
 
-def _list_solutions(levels: tuple[Level, ...], reach: list[set[int]]) -> tuple[Solution, ...]:
-    """The pruned walk: a prefix with sum P extends by u_i only when -(P + t_i)
-    is in R_{i+1}, so every prefix kept completes to a solution; extending
-    each prefix in ascending u_i keeps the lexicographic order."""
-    prefixes = [((), 0)]  # (entries so far, minus their signed sum)
-    for (s, us), rest in zip(levels, reach):
-        prefixes = [(pre + (u,), x) for pre, owed in prefixes for u in us
-                    if (x := owed - s * u) in rest]
-    return tuple(pre for pre, _ in prefixes)
+    def __iter__(self):
+        """The solutions in lexicographic order: each prefix extends along its edges by ascending u."""
+        prefixes = [((), 0)]  # (entries so far, minus their signed sum)
+        for (s, us), after in zip(self.levels, self.nodes[1:]):
+            prefixes = [(pre + (u,), x) for pre, owed in prefixes for u in us
+                        if (x := owed - s * u) in after]
+        return (pre for pre, _ in prefixes)
+
+    def count(self) -> int:
+        """The number of solutions: per node of G_i, the number of paths from G_0 to it."""
+        paths = {0: 1}
+        for (s, us), after in zip(self.levels, self.nodes[1:]):
+            paths = {x: sum(paths.get(x + s * u, 0) for u in us) for x in after}
+        return sum(paths.values())
 
 
 def solve_characteristic(crucial: tuple[CrucialPrime, ...]) -> tuple[Solution, ...]:
@@ -296,14 +304,12 @@ def solve_characteristic(crucial: tuple[CrucialPrime, ...]) -> tuple[Solution, .
     exponents 0, 1 and 2 (it stops changing at 2), ascending; a vector solves
     the equation when the delta-signed sum of its entries is zero.
 
-    The reachable suffix sums R_i (_suffix_sums) prune the walk
-    (_list_solutions): the cost is building them plus O(m * #solutions), in
-    place of the 3^m vectors of the product.
+    They are the paths of the sum graph (_SumGraph), listed in O(m *
+    #solutions) once its node sets are built, not the product's 3^m vectors.
     """
     if not crucial:
         raise ValueError("need at least one crucial prime")
-    levels = tuple(_level(cp, _increments_at(cp.p, abs(cp.delta))) for cp in crucial)
-    return _list_solutions(levels, _suffix_sums(levels))
+    return tuple(_SumGraph(crucial))
 
 
 @dataclass(frozen=True)
@@ -318,14 +324,14 @@ class ProcedureResult:
     code c (see _decide). ``accepts``, ``type_of``, ``omega`` and
     ``minimal_period`` read only that table.
 
-    ``solutions`` lists every solution, in lexicographic order, on first read:
-    the pruned walk over the reachable suffix sums that ``tabulate`` built and
-    the result keeps, so the table never waits for the list. The cells come
-    from _cells alone, which lists no solution, and the columns from _columns
-    alone: ``to_json`` writes the document from them, ``columns``
-    (``columns[l]`` the union of column l's cells) holds them as
-    ConstraintPairs when first read, and ``first_member`` reads their first
-    members. Results are built by ``tabulate``.
+    ``solutions`` lists every solution, in lexicographic order, on first read,
+    by the walk of the sum graph (_SumGraph) that ``tabulate`` built for the
+    table's taken entries; the table never waits for the list, and the graph
+    counts it without listing. The cells come from _cells alone, which lists no
+    solution, and the columns from _columns alone: ``to_json`` writes the
+    document from them, ``columns`` (``columns[l]`` the union of column l's
+    cells) holds them as ConstraintPairs when first read, and ``first_member``
+    reads their first members. Results are built by ``tabulate``.
     """
 
     n: int
@@ -333,12 +339,10 @@ class ProcedureResult:
     digit_len: int
     crucial: tuple[CrucialPrime, ...]
     table: tuple[tuple[int, int, tuple[int, int, None, int]], ...]
-    # The levels and the reachable suffix sums R_1, ..., R_m the lister reads,
-    # and each row's taken entries and its entries at x = 0, 1, 2 (_shifted,
-    # without the table's override at p in {2, 5}) the cells read; all follow
-    # from the crucial primes.
-    _sums: tuple[tuple[Level, ...], list[set[int]], list[set[int]],
-                 list[tuple[int, int, int]]] = field(repr=False, compare=False)
+    # The sum graph, and each row's entries at x = 0, 1, 2 (_shifted, without the
+    # table's override at p in {2, 5}) the cells read; both follow from the crucial primes.
+    _graph: _SumGraph = field(repr=False, compare=False)
+    _entries: list[tuple[int, int, int]] = field(repr=False, compare=False)
 
     @classmethod
     def tabulate(cls, n: int, copies: int, digit_len: int, crucial: tuple[CrucialPrime, ...],
@@ -349,31 +353,29 @@ class ProcedureResult:
         at t[0], t[1] and t[3] for x = 0, 1 and 2; no k has code 2. For p in
         {2, 5}, x is 0 at every k, so all three are the x = 0 entry. order(i,
         alpha) is called only where the entries at alpha - 1 and alpha differ
-        and some solution takes one of them (_taken_entries), which is where
-        some cell reads it.
+        and some solution takes one of them (the sum graph's taken entries),
+        which is where some cell reads it.
         """
-        increments = [_increments_at(cp.p, abs(cp.a - cp.b)) for cp in crucial]
-        levels = tuple(map(_level, crucial, increments))
-        reach = _suffix_sums(levels)
-        taken = _taken_entries(levels, reach)
-        entries = [_shifted(inc, min(cp.a, cp.b)) for cp, inc in zip(crucial, increments)]
+        graph = _SumGraph(crucial)
+        entries = [_shifted(_increments_at(cp.p, abs(cp.a - cp.b)), min(cp.a, cp.b)) for cp in crucial]
         table = []
-        for i, (cp, (e0, e1, e2), (s, _), kept) in enumerate(zip(crucial, entries, levels, taken)):
+        rows = zip(crucial, entries, graph.levels, graph.taken)
+        for i, (cp, (e0, e1, e2), (s, _), kept) in enumerate(rows):
             if cp.p in (2, 5):
                 e1 = e2 = e0
             h1 = order(i, 1) if e0 != e1 and (e0 in kept or e1 in kept) else 1
             h2 = order(i, 2) if e1 != e2 and (e1 in kept or e2 in kept) else h1
             table.append((h1, h2, (s * e0, s * e1, None, s * e2)))
-        return cls(n, copies, digit_len, crucial, tuple(table), (levels, reach, taken, entries))
+        return cls(n, copies, digit_len, crucial, tuple(table), graph, entries)
 
     @cached_property
     def solutions(self) -> tuple[Solution, ...]:
         """Every solution, in lexicographic order, listed on first read."""
-        return _list_solutions(*self._sums[:2])
+        return tuple(self._graph)
 
     def _cells(self) -> list[dict[int, tuple[CaseLabel, tuple[int, ...], tuple[int, ...]]]]:
         """Per crucial prime, its distinct cells: each entry its solutions take,
-        ascending, as tabulate found them from sums alone (_taken_entries), with
+        ascending, as the sum graph found them from sums alone, with
         the cell's case and constraints (A, B).
 
         A cell's case is the interval of x where the increment v_increment(p,
@@ -383,13 +385,11 @@ class ProcedureResult:
         (_cell_pair).
         """
         cells = []
-        for cp, kept, increments, (h1, h2, _) in zip(self.crucial, *self._sums[2:], self.table):
+        rows = zip(self.crucial, self._graph.taken, self._entries, self.table)
+        for cp, kept, increments, (h1, h2, _) in rows:
             h = (None, h1, h2).__getitem__
-            row = {}
-            for u in sorted(kept):
-                label = _cell_label(increments, u)
-                row[u] = (label, *_cell_pair(cp.p, label, h))
-            cells.append(row)
+            labels = {u: _cell_label(increments, u) for u in sorted(kept)}
+            cells.append({u: (label, *_cell_pair(cp.p, label, h)) for u, label in labels.items()})
         return cells
 
     def _columns(self, cells):

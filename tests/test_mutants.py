@@ -26,9 +26,9 @@ def _signed_sum_skips_last_row(monkeypatch):
 
 
 def _sum_walk_drops_largest_entry(monkeypatch):
-    taken = procedure._taken_entries
-    monkeypatch.setattr(procedure, "_taken_entries",
-                        lambda levels, reach: taken(tuple((s, us[:-1]) for s, us in levels), reach))
+    # the sum graph is built from levels without their largest entry
+    level = procedure._level
+    monkeypatch.setattr(procedure, "_level", lambda cp: (lambda s, us: (s, us[:-1]))(*level(cp)))
 
 
 def _lift_ignores_wieferich_primes(monkeypatch):
@@ -40,8 +40,8 @@ def _lift_ignores_wieferich_primes(monkeypatch):
 
 
 def _lister_drops_last_solution(monkeypatch):
-    listed = procedure._list_solutions
-    monkeypatch.setattr(procedure, "_list_solutions", lambda levels, reach: listed(levels, reach)[:-1])
+    walk = procedure._SumGraph.__iter__
+    monkeypatch.setattr(procedure._SumGraph, "__iter__", lambda graph: iter(tuple(walk(graph))[:-1]))
 
 
 def _increment_1_1_is_1(monkeypatch):
@@ -81,9 +81,11 @@ MUTANTS = {
     "the signed sum skips its last row": (
         _signed_sum_skips_last_row, compare_procedure_oracle, 1461,
         [(12095811, "every j")]),
-    # At 255 the row of 23 loses its taken entry 23, so its h1 = 22 goes unread.
+    # At 255 only the solution (3, 2, 2, 1) is left: the row of 23 takes only 1,
+    # so its h1 = 22 goes unread (k = 16), and the types at 176 and 68816 are gone.
     "the sum walk drops a row's largest entry": (
-        _sum_walk_drops_largest_entry, compare_procedure_oracle, 255, [(16, "every j")]),
+        _sum_walk_drops_largest_entry, compare_procedure_oracle, 255,
+        [(16, "every j"), (176, "every j"), (68816, "every j")]),
     # 1461 = 3 * 487: the lift moves 487's h2 off the oracle's t2.
     "h(2) = h(1) * p (the Wieferich lift)": (
         _lift_ignores_wieferich_primes, compare_procedure_oracle, 1461,

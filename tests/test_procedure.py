@@ -228,8 +228,9 @@ def test_crucial_primes_rejects_out_of_domain():
 def test_solve_characteristic_examples():
     assert solve_characteristic(crucial_primes(18)) == ((2, 2),)
     assert solve_characteristic(crucial_primes(13)) == ((1, 1), (2, 2))
-    # a single crucial prime can never balance
+    # a single crucial prime can never balance, and its graph counts no path
     assert solve_characteristic((CrucialPrime(3, 2, 0),)) == ()
+    assert procedure._SumGraph((CrucialPrime(3, 2, 0),)).count() == 0
 
 
 def test_solutions_satisfy_signed_sum_and_are_sorted():
@@ -268,12 +269,12 @@ def _brute_force_solutions(crucial):
 def test_solve_characteristic_matches_brute_force(primes_and_deltas):
     crucial = tuple(CrucialPrime(p, max(d, 0), max(-d, 0)) for p, d in primes_and_deltas)
     solutions = _brute_force_solutions(crucial)
-    assert solve_characteristic(crucial) == solutions
-    # The forward walk over sums keeps, per row, exactly the entries some
+    graph = procedure._SumGraph(crucial)
+    assert solve_characteristic(crucial) == tuple(graph) == solutions
+    assert graph.count() == len(solutions)
+    # The forward pass over sums keeps, per row, exactly the entries some
     # solution takes there; with no solution every row's set is empty.
-    levels = tuple(procedure._level(cp, procedure._increments_at(cp.p, abs(cp.delta))) for cp in crucial)
-    taken = procedure._taken_entries(levels, procedure._suffix_sums(levels))
-    assert taken == ([set(column) for column in zip(*solutions)] if solutions else [set()] * len(crucial))
+    assert graph.taken == ([set(column) for column in zip(*solutions)] if solutions else [set()] * len(crucial))
 
 
 # 2 and the 23 primes from 29 on, each with delta 1: entries in {1, 2} below 29
@@ -286,6 +287,7 @@ def test_solve_characteristic_one_signed_is_empty():
         CrucialPrime(p, 4, 1) for p in (1_000_003, 1_000_033, 1_000_037, 1_000_039)
     )
     assert solve_characteristic(crucial) == ()
+    assert procedure._SumGraph(crucial).count() == 0
 
 
 def test_solve_characteristic_closed_form_at_25_primes():
@@ -646,7 +648,7 @@ def test_run_procedure_and_accepts_build_no_cell(monkeypatch):
             calls[_name].append(args)
             return _real(*args)
         monkeypatch.setattr(procedure, name, counted)
-    monkeypatch.setattr(procedure, "_list_solutions", _unlisted)
+    monkeypatch.setattr(procedure._SumGraph, "__iter__", _unlisted)
     r = run_procedure(7955605587183862, copies=3)
     for k in range(1, 9):
         r.accepts(k)
@@ -664,11 +666,13 @@ def test_run_procedure_and_accepts_build_no_cell(monkeypatch):
 
 def test_thirty_digits_decide_without_listing_five_million_solutions(monkeypatch):
     # 22 crucial primes and 5,396,157 solutions: the table reads reachable
-    # sums only, and no k up to 60 gives a v-palindrome (the oracle agrees at 1).
-    monkeypatch.setattr(procedure, "_list_solutions", _unlisted)
+    # sums only, no k up to 60 gives a v-palindrome (the oracle agrees at 1),
+    # and the sum graph counts the solutions without listing them.
+    monkeypatch.setattr(procedure._SumGraph, "__iter__", _unlisted)
     start = time.perf_counter()
     r = run_procedure(294350988072419291464119994383)
     assert not any(r.accepts(k) for k in range(1, 61))
+    assert r._graph.count() == 5396157
     assert time.perf_counter() - start < 1.0
     assert len(r.crucial) == 22
 
@@ -693,13 +697,26 @@ def _table_from_listed_solutions(r: ProcedureResult):
 _BIGN = Path(__file__).parent.parent / "benchmarks" / "data" / "bign.txt"
 
 
-def test_table_reads_the_entries_the_listed_solutions_take():
-    items = [(n, copies) for n in corpus(600) for copies in (1, 2, 3)]
-    items += [tuple(map(int, line.split()[:2])) for line in _BIGN.read_text().splitlines()]
-    assert len(items) > 2000
-    for n, copies in items:
-        r = run_procedure(n, copies=copies)
-        assert r.table == _table_from_listed_solutions(r), (n, copies)
+@pytest.fixture(scope="module")
+def bign_results():
+    """run_procedure of every n of bign.txt at copies 1 and at its own copies."""
+    items = [tuple(map(int, line.split()[:2])) for line in _BIGN.read_text().splitlines()]
+    assert len(items) == 2000
+    items = [(n, 1) for n, _ in items] + [(n, copies) for n, copies in items if copies > 1]
+    return [run_procedure(n, copies=copies) for n, copies in items]
+
+
+def test_table_reads_the_entries_the_listed_solutions_take(bign_results):
+    results = [run_procedure(n, copies=copies) for n in corpus(600) for copies in (1, 2, 3)]
+    for r in results + bign_results:
+        assert r.table == _table_from_listed_solutions(r), (r.n, r.copies)
+
+
+def test_the_sum_graph_counts_the_listed_solutions(bign_results):
+    # The count reads the graph's node sets, not the list.
+    results = [run_procedure(n, copies=copies) for n in corpus(2000) for copies in (1, 2, 3)]
+    assert len(results) == 5046
+    assert [(r.n, r.copies) for r in results + bign_results if r._graph.count() != len(r.solutions)] == []
 
 
 def test_the_benchmark_tracer_finds_every_name_it_wraps():
@@ -823,7 +840,7 @@ def test_the_cells_list_no_solution(monkeypatch):
     big = run_procedure(294350988072419291464119994383)
     results = [run_procedure(n, copies=copies) for n, copies in _WIDE_ITEMS + [(13, 1), (49, 1)]]
     with monkeypatch.context() as m:
-        m.setattr(procedure, "_list_solutions", _unlisted)
+        m.setattr(procedure._SumGraph, "__iter__", _unlisted)
         assert all(0 < len(row) <= 3 for row in big._cells())
         cells = [r._cells() for r in results]
     for r, rows in zip(results, cells):
