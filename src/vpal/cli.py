@@ -40,7 +40,7 @@ from .oracle import (
     verify_invariance,
     verify_lemmas,
 )
-from .procedure import NotAVPalindrome, ProcedureResult, run_procedure
+from .procedure import NotAVPalindrome, run_procedure
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -136,38 +136,6 @@ def _emit_report(report: VerificationReport, as_json: bool) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFICATION_FAILED
 
 
-def _render_procedure_text(result: ProcedureResult) -> str:
-    d = result.to_dict()
-    lines = [f"n = {d['n']}, copies = {d['copies']}, digit length = {d['digit_length']}"]
-    lines.append("crucial primes:")
-    for cp in d["crucial_primes"]:
-        lines.append(f"  p={cp['p']}: a={cp['a']} b={cp['b']} delta={cp['delta']} mu={cp['mu']}")
-    if not d["solutions"]:
-        lines.append("solutions: none (no concatenation is ever a v-palindrome)")
-    else:
-        lines.append("solutions: " + "  ".join(str(tuple(s)) for s in d["solutions"]))
-        lines.append("case table (rows: primes / columns: solutions):")
-        for cp, row in zip(d["crucial_primes"], d["case_table"]):
-            lines.append(f"  p={cp['p']}: " + "  ".join(f"[{v}]" for v in row))
-        lines.append("constraint table:")
-        for cp, row in zip(d["crucial_primes"], d["constraint_table"]):
-            cells = "  ".join(f"(A={e['A']}, B={e['B']})" for e in row)
-            lines.append(f"  p={cp['p']}: {cells}")
-        lines.append("columns (accepted k: divisible by all of A, by none of B):")
-        for col in d["columns"]:
-            lines.append(
-                f"  {tuple(col['solution'])}: A={col['A']} B={col['B']}"
-                f" first accepted k = {col['first_member']}"
-            )
-    c = d["c"] if d["c"] is not None else "infinity"
-    lines.append(f"omega = {d['omega']}, omega0 = {d['omega0']}, c = {c}")
-    lines.append(
-        "nondegenerate solutions: "
-        + ("  ".join(str(tuple(s)) for s in d["nondegenerate"]) if d["nondegenerate"] else "none")
-    )
-    return "\n".join(lines)
-
-
 def _cmd_v(args, budget: Budget) -> int:
     print(v_value(args.n, budget))
     return EXIT_OK
@@ -189,10 +157,7 @@ def _cmd_check(args, budget: Budget) -> int:
 
 def _cmd_procedure(args, budget: Budget) -> int:
     result = run_procedure(args.n, copies=args.copies, budget=budget)
-    if args.json:
-        print(result.to_json())
-    else:
-        print(_render_procedure_text(result))
+    print(result.to_json() if args.json else result.to_text())
     return EXIT_OK
 
 

@@ -260,9 +260,7 @@ def _strong_lucas_prp(n: int) -> bool:
 
 
 def _iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of n."""
-    if n < 2:
-        return n
+    """Floor of the k-th root of n >= 1."""
     r = 1 << ((n.bit_length() + k - 1) // k)
     while True:
         nr = ((k - 1) * r + n // r ** (k - 1)) // k

@@ -36,8 +36,8 @@ n(k) is a v-palindrome, by pure divisibility arithmetic:
    themselves are listed only when asked for, by a walk along the graph's edges
    (O(m * #solutions)). One producer writes each prime's distinct cells, from
    the entries of step 2 and the row's entries per x that step 3 computed, and
-   one pass over the solutions their columns; the document, the columns and the
-   onset all read those two.
+   one pass over the solutions their columns; the document, the text, the
+   columns and the onset all read those two.
 
 run_procedure(n, copies=k) produces the same tables for the base number n(k)
 without ever factoring n(k): crucial primes and deltas carry over, mu shifts
@@ -329,9 +329,10 @@ class ProcedureResult:
     table's taken entries; the table never waits for the list, and the graph
     counts it without listing. The cells come from _cells alone, which lists no
     solution, and the columns from _columns alone: ``to_json`` writes the
-    document from them, ``columns`` (``columns[l]`` the union of column l's
-    cells) holds them as ConstraintPairs when first read, and ``first_member``
-    reads their first members. Results are built by ``tabulate``.
+    document and ``to_text`` the text from them, ``columns`` (``columns[l]``
+    the union of column l's cells) holds them as ConstraintPairs when first
+    read, and ``first_member`` reads their first members. Results are built by
+    ``tabulate``.
     """
 
     n: int
@@ -490,6 +491,39 @@ class ProcedureResult:
                     break
                 d //= b
         return d
+
+    def to_text(self) -> str:
+        """The text ``vpal procedure`` prints, written from _cells and _columns
+        as to_json's tables are: the crucial primes; when some solution exists,
+        the solutions, the case and constraint tables and the columns; then
+        omega, omega0, c (the least first member, infinity when there is none)
+        and the nondegenerate solutions, those whose first member is not None.
+        """
+        lines = [f"n = {decimal_string(self.n)}, copies = {self.copies}, digit length = {self.digit_len}",
+                 "crucial primes:"]
+        lines += (f"  p={cp.p}: a={cp.a} b={cp.b} delta={cp.delta} mu={cp.mu}" for cp in self.crucial)
+        sols, firsts = list(map(str, self.solutions)), []
+        if not sols:
+            lines.append("solutions: none (no concatenation is ever a v-palindrome)")
+        else:
+            lines.append("solutions: " + "  ".join(sols))
+            cells = self._cells()
+            cases, pairs = [], []
+            for cp, row, us in zip(self.crucial, cells, zip(*self.solutions)):
+                case = {u: f"[{label.value}]" for u, (label, _, _) in row.items()}
+                pair = {u: f"(A={list(A)}, B={list(B)})" for u, (_, A, B) in row.items()}
+                cases.append(f"  p={cp.p}: " + "  ".join(map(case.__getitem__, us)))
+                pairs.append(f"  p={cp.p}: " + "  ".join(map(pair.__getitem__, us)))
+            lines += ["case table (rows: primes / columns: solutions):", *cases, "constraint table:", *pairs,
+                      "columns (accepted k: divisible by all of A, by none of B):"]
+            for text, (A, B, f) in zip(sols, self._columns(cells)):
+                firsts.append(f)
+                lines.append(f"  {text}: A={sorted(A)} B={sorted(B)} first accepted k = {f}")
+        nondegenerate = [t for t, f in zip(sols, firsts) if f is not None]
+        c = min((f for f in firsts if f is not None), default="infinity")
+        lines.append(f"omega = {self.omega}, omega0 = {self.minimal_period()}, c = {c}")
+        lines.append("nondegenerate solutions: " + ("  ".join(nondegenerate) or "none"))
+        return "\n".join(lines)
 
     def to_dict(self) -> dict:
         """The document of docs/procedure-result.schema.json: the parse of to_json."""

@@ -91,14 +91,28 @@ def test_procedure_text(capsys):
 
 
 def test_procedure_text_matches_golden_bytes(capsys):
-    # 45 and 238 carry all seven cases between them; 18 at copies 3 is shifted.
+    # 45 and 238 carry all seven cases between them; 18 at copies 3 is shifted;
+    # 16, the least eligible n with no solution, prints "solutions: none".
     golden = Path(__file__).parent / "data" / "golden_procedure_text.txt"
     out = ""
-    for argv in (["45"], ["238"], ["18", "--copies", "3"]):
+    for argv in (["45"], ["238"], ["18", "--copies", "3"], ["16"]):
         code, text, _ = run(capsys, "procedure", *argv)
         assert code == EXIT_OK
         out += text
     assert out.encode() == golden.read_bytes()
+
+
+def test_procedure_text_is_written_without_the_document(capsys, monkeypatch):
+    # The text comes from the cells and the columns, not from the JSON document.
+    def no_document(self):
+        raise AssertionError("the text output built the JSON document")
+
+    monkeypatch.setattr(procedure.ProcedureResult, "to_json", no_document)
+    monkeypatch.setattr(procedure.ProcedureResult, "to_dict", no_document)
+    golden = (Path(__file__).parent / "data" / "golden_procedure_text.txt").read_text()
+    code, out, _ = run(capsys, "procedure", "238")
+    assert code == EXIT_OK
+    assert out == golden[golden.index("n = 238,"):golden.index("n = 18,")]
 
 
 def test_procedure_json_schema_and_verdict_parity(capsys):
@@ -275,6 +289,12 @@ def test_verify_enumerate_cli(capsys):
     code, out, _ = run(capsys, "verify", "enumerate", "--limit", "100", "--print")
     assert code == EXIT_OK
     assert "18" in out and "81" in out
+
+
+def test_verify_enumerate_past_the_golden_file_says_so(capsys):
+    code, out, _ = run(capsys, "verify", "enumerate", "--limit", "10001")
+    assert code == EXIT_OK
+    assert out.startswith("note: golden file covers up to 10000; larger values not compared\n")
 
 
 def test_verify_enumerate_reports_its_elapsed_time(capsys):

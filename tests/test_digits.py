@@ -101,3 +101,14 @@ def test_parse_decimal_sign_and_whitespace():
     assert parse_decimal(" +13\n") == 13
     assert parse_decimal("-7") == -7
     assert parse_decimal("0013") == 13
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    (digit_count, (0,), "expected a positive integer"),
+    (repunit, (0,), "expected k, block_len >= 1"),
+    (repunit, (1, 0), "expected k, block_len >= 1"),
+    (repeat_concat, (0, 1), "expected n, k >= 1"),
+])
+def test_arguments_outside_the_domain_raise(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)

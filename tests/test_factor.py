@@ -399,3 +399,18 @@ def test_factor_repunit_failure_is_not_cached():
     assert f == ((2028119, 1), (247629013, 1), (2212394296770203368013, 1))
     with pytest.raises(BudgetExhausted):
         factor_repunit(37, 1, small)
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    (primes_up_to, (factor._TRIAL_LIMIT + 1,), "exceeds the sieve bound"),
+    (valuation, (1, 5), "expected p >= 2"),
+    (factor_repunit, (0,), "expected k, block_len >= 1"),
+])
+def test_arguments_outside_the_domain_raise(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)
+
+
+def test_is_probable_prime_below_200_matches_sympy():
+    # 0 and 1 included: neither is prime
+    assert [n for n in range(200) if is_probable_prime(n)] == list(primerange(200))

@@ -558,3 +558,14 @@ def test_import_leaves_multiprocessing_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("n", [10, 22, 1210, 12321])
+def test_the_concat_oracle_rejects_n_outside_the_domain(n):
+    # 10 | n or n equals its reversal: so does every concatenation of n
+    assert [oracle_is_vpal_concat(n, k) for k in (1, 2, 3)] == [False] * 3
+
+
+def test_the_enumeration_needs_a_positive_limit():
+    with pytest.raises(ValueError, match="expected limit >= 1"):
+        oracle.verify_enumeration(0)

@@ -208,3 +208,15 @@ def test_rescaling_identity_examples():
 @settings(max_examples=250, deadline=None)
 def test_rescaling_identity_property(p, alpha, k, L):
     assert repunit_order_rescaled(p, alpha, k, L) == repunit_order(p, alpha, L * k)
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    (repunit_order, (1, 1, 1), "expected a prime"),
+    (ten_power_valuation, (3, 0), "expected L >= 1"),
+    (repunit_order, (3, 0, 1), "expected alpha, L >= 1"),
+    (repunit_valuation, (3, 0), "expected k, block_len >= 1"),
+    (repunit_order_rescaled, (3, 0, 1, 1), "expected alpha, k, L >= 1"),
+])
+def test_arguments_outside_the_domain_raise(fn, args, message):
+    with pytest.raises(ValueError, match=message):
+        fn(*args)

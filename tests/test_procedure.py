@@ -863,3 +863,17 @@ def test_json_matches_shipped_schema():
     )
     for n in (18, 12, 13):
         jsonschema.validate(run_procedure(n).to_dict(), schema)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: v_increment(2, 0, 0), "expected delta >= 1"),
+    (lambda: v_increment(2, 1, -1), "expected alpha >= 0"),
+    (lambda: ConstraintPair(A=[0]), "must be positive"),
+    (lambda: CrucialPrime(2, 1, 1), "need distinct nonnegative exponents"),
+    (lambda: solve_characteristic(()), "need at least one crucial prime"),
+    (lambda: run_procedure(13).accepts(0), "expected k >= 1"),
+    (lambda: run_procedure(13, copies=0), "expected copies >= 1"),
+], ids=["delta 0", "alpha -1", "element 0", "equal exponents", "no prime", "k 0", "copies 0"])
+def test_arguments_outside_the_domain_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
