@@ -74,7 +74,7 @@ def _build_parser() -> _Parser:
         "--budget",
         metavar="SECONDS",
         help="wall-clock factorization budget per command, and per n in a sweep"
-             " (env: VPAL_BUDGET, default 10)",
+             " (env: VPAL_BUDGET, default 10); it starts after the decimal arguments are parsed",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

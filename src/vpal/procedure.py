@@ -36,8 +36,9 @@ n(k) is a v-palindrome, by pure divisibility arithmetic:
    themselves are listed only when asked for, by a walk along the graph's edges
    (O(m * #solutions)). One producer writes each prime's distinct cells, from
    the entries of step 2 and the row's entries per x that step 3 computed, and
-   one pass over the solutions their columns; the document, the text, the
-   columns and the onset all read those two.
+   one pass over the solutions their columns. The pass over the lattice M that
+   finds omega0 also finds the least k of each type (k and D(k) | k have one
+   type), which each column's first member, c and the nondegenerate list read.
 
 run_procedure(n, copies=k) produces the same tables for the base number n(k)
 without ever factoring n(k): crucial primes and deltas carry over, mu shifts
@@ -129,16 +130,10 @@ class ConstraintPair:
         return all(x % a == 0 for a in self.A) and all(x % b != 0 for b in self.B)
 
     def first_member(self) -> int | None:
-        """Least positive member, or None (see _first_member)."""
-        return _first_member(self.A, self.B)
-
-
-def _first_member(A, B) -> int | None:
-    """The least positive integer divisible by every a in A and by no b in B,
-    or None: every such integer is a multiple of lcm(A), so the least is
-    lcm(A) itself unless some b in B divides it."""
-    base = math.lcm(*A)
-    return base if all(map(base.__mod__, B)) else None
+        """The least positive member, or None: every member is a multiple of
+        lcm(A), so the least is lcm(A) itself unless some b in B divides it."""
+        base = math.lcm(*self.A)
+        return base if all(map(base.__mod__, self.B)) else None
 
 
 def _cell_label(increments: tuple[int, int, int], u: int) -> CaseLabel:
@@ -328,11 +323,10 @@ class ProcedureResult:
     by the walk of the sum graph (_SumGraph) that ``tabulate`` built for the
     table's taken entries; the table never waits for the list, and the graph
     counts it without listing. The cells come from _cells alone, which lists no
-    solution, and the columns from _columns alone: ``to_json`` writes the
-    document and ``to_text`` the text from them, ``columns`` (``columns[l]``
-    the union of column l's cells) holds them as ConstraintPairs when first
-    read, and ``first_member`` reads their first members. Results are built by
-    ``tabulate``.
+    solution, and the columns' A and B from _columns alone; ``columns``
+    (``columns[l]`` the union of column l's cells) holds them as
+    ConstraintPairs when first read. Both writers read the two, and the
+    least k of each type from _lattice_pass. Results are built by ``tabulate``.
     """
 
     n: int
@@ -395,17 +389,15 @@ class ProcedureResult:
 
     def _columns(self, cells):
         """Per solution, its column's A and B, the unions of its cells'
-        constraints, as sets of integers, and its first member (_first_member)."""
+        constraints, as sets of integers."""
         for sol in self.solutions:
             picked = list(map(dict.__getitem__, cells, sol))
-            A = set().union(*(a for _, a, _ in picked))
-            B = set().union(*(b for _, _, b in picked))
-            yield A, B, _first_member(A, B)
+            yield set().union(*(a for _, a, _ in picked)), set().union(*(b for _, _, b in picked))
 
     @cached_property
     def columns(self) -> tuple[ConstraintPair, ...]:
         """Per solution, the union of its cells' constraints: the columns the document prints."""
-        return tuple(ConstraintPair(A, B) for A, B, _ in self._columns(self._cells()))
+        return tuple(ConstraintPair(A, B) for A, B in self._columns(self._cells()))
 
     def _decide(self, k: int) -> tuple[int, int]:
         """k's code and the sum of the signed entries that hold at k.
@@ -438,8 +430,8 @@ class ProcedureResult:
 
     def first_member(self) -> int | None:
         """Least accepted k (the onset c), or None when no k is ever accepted:
-        the least first member of a column."""
-        return min((f for _, _, f in self._columns(self._cells()) if f is not None), default=None)
+        the least of the least k of each type (_lattice_pass)."""
+        return min(self._lattice_pass[1].values(), default=None)
 
     @cached_property
     def elements(self) -> frozenset[int]:
@@ -480,9 +472,20 @@ class ProcedureResult:
         signed entries they select, which decides the point. As h1 | h2,
         code(gcd(k, j)) = code(k) & code(j); accept(k) depends on k only
         through code(k), and code(D(k)) = code(k) as every threshold above 1
-        is in E.
+        is in E. The pass over M that decides the points is _lattice_pass.
         """
-        accept = {code: total == 0 for code, total in map(self._decide, self.lattice)}
+        return self._lattice_pass[0]
+
+    @cached_property
+    def _lattice_pass(self) -> tuple[int, dict[Solution, int]]:
+        """omega0 and the least k of each type that occurs, from one pass of
+        _decide over M: k and D(k) | k have one type, so that k is a point of M."""
+        accept, accepted = {}, []
+        for m in self.lattice:
+            code, total = self._decide(m)
+            accept[code] = not total
+            if not total:
+                accepted.append(m)
         d = self.omega
         for b in _coprime_base(self.elements):
             while d % b == 0:
@@ -490,19 +493,20 @@ class ProcedureResult:
                 if any(accept[s & q] != v for s, v in accept.items()):
                     break
                 d //= b
-        return d
+        # Written in descending order, each type keeps its least point.
+        return d, {self.type_of(m): m for m in sorted(accepted, reverse=True)}
 
     def to_text(self) -> str:
         """The text ``vpal procedure`` prints, written from _cells and _columns
         as to_json's tables are: the crucial primes; when some solution exists,
         the solutions, the case and constraint tables and the columns; then
-        omega, omega0, c (the least first member, infinity when there is none)
-        and the nondegenerate solutions, those whose first member is not None.
+        omega, omega0, c (infinity when None) and the nondegenerate solutions.
+        Those last three and the first members read the pass minimal_period runs.
         """
         lines = [f"n = {decimal_string(self.n)}, copies = {self.copies}, digit length = {self.digit_len}",
                  "crucial primes:"]
         lines += (f"  p={cp.p}: a={cp.a} b={cp.b} delta={cp.delta} mu={cp.mu}" for cp in self.crucial)
-        sols, firsts = list(map(str, self.solutions)), []
+        sols, omega0, firsts = list(map(str, self.solutions)), self.minimal_period(), self._lattice_pass[1]
         if not sols:
             lines.append("solutions: none (no concatenation is ever a v-palindrome)")
         else:
@@ -516,13 +520,10 @@ class ProcedureResult:
                 pairs.append(f"  p={cp.p}: " + "  ".join(map(pair.__getitem__, us)))
             lines += ["case table (rows: primes / columns: solutions):", *cases, "constraint table:", *pairs,
                       "columns (accepted k: divisible by all of A, by none of B):"]
-            for text, (A, B, f) in zip(sols, self._columns(cells)):
-                firsts.append(f)
-                lines.append(f"  {text}: A={sorted(A)} B={sorted(B)} first accepted k = {f}")
-        nondegenerate = [t for t, f in zip(sols, firsts) if f is not None]
-        c = min((f for f in firsts if f is not None), default="infinity")
-        lines.append(f"omega = {self.omega}, omega0 = {self.minimal_period()}, c = {c}")
-        lines.append("nondegenerate solutions: " + ("  ".join(nondegenerate) or "none"))
+            for sol, text, (A, B) in zip(self.solutions, sols, self._columns(cells)):
+                lines.append(f"  {text}: A={sorted(A)} B={sorted(B)} first accepted k = {firsts.get(sol)}")
+        lines.append(f"omega = {self.omega}, omega0 = {omega0}, c = {self.first_member() or 'infinity'}")
+        lines.append("nondegenerate solutions: " + ("  ".join(map(str, sorted(firsts))) or "none"))
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
@@ -535,11 +536,12 @@ class ProcedureResult:
 
         Each distinct cell's case text and pair text are written once, from
         _cells. A solution's case and pair entries are then looked up by its
-        entry in each row, and its column's A, B and first member are those
-        _columns yields. c is the least first member, and case_vii_count
-        counts the solutions' case vii cells.
+        entry in each row, its column's A and B are those _columns yields, and
+        its first member, omega0, c and the nondegenerate list read the pass
+        minimal_period runs. case_vii_count counts the solutions' case vii cells.
         """
         p1, p2, p3, p4 = _PAD[1:]
+        omega0, firsts = self.minimal_period(), self._lattice_pass[1]
         sols = [_array(map(str, sol), p2) for sol in self.solutions]
         crucial = _array((f'{{{p3}"p": {cp.p},{p3}"a": {cp.a},{p3}"b": {cp.b},'
                           f'{p3}"delta": {cp.delta},{p3}"mu": {cp.mu}{p2}}}' for cp in self.crucial), p1)
@@ -558,23 +560,21 @@ class ProcedureResult:
         # Each section is joined once it is complete, which frees the pieces it
         # was joined from before the next section is written.
         cases, pairs = _array(cases, p1), _array(pairs, p1)
-        columns, firsts = [], []
-        for text, (A, B, f) in zip(sols, self._columns(cells)):
-            firsts.append(f)
+        columns = []
+        for sol, text, (A, B) in zip(self.solutions, sols, self._columns(cells)):
             # In a column a solution's list sits one level deeper: two more spaces per line.
             columns.append(f'{{{p3}"solution": {text.replace(_PAD[0], p1)},'
                            f'{p3}"A": {_array(map(str, sorted(A)), p3)},'
                            f'{p3}"B": {_array(map(str, sorted(B)), p3)},'
-                           f'{p3}"first_member": {_null_or(f)}{p2}}}')
+                           f'{p3}"first_member": {_null_or(firsts.get(sol))}{p2}}}')
         columns = _array(columns, p1)
-        nondegenerate = _array((t for t, f in zip(sols, firsts) if f is not None), p1)
-        c = min((f for f in firsts if f is not None), default=None)
+        nondegenerate = _array((_array(map(str, sol), p2) for sol in sorted(firsts)), p1)
         return (f'{{\n  "n": "{decimal_string(self.n)}",\n  "copies": {self.copies},'
                 f'\n  "digit_length": {self.digit_len},\n  "crucial_primes": {crucial},'
                 f'\n  "solutions": {_array(sols, p1)},\n  "case_table": {cases},'
                 f'\n  "constraint_table": {pairs},\n  "columns": {columns},'
-                f'\n  "omega": {self.omega},\n  "omega0": {self.minimal_period()},'
-                f'\n  "c": {_null_or(c)},\n  "nondegenerate": {nondegenerate},'
+                f'\n  "omega": {self.omega},\n  "omega0": {omega0},'
+                f'\n  "c": {_null_or(self.first_member())},\n  "nondegenerate": {nondegenerate},'
                 f'\n  "case_vii_count": {vii}\n}}')
 
 

@@ -677,6 +677,15 @@ def test_thirty_digits_decide_without_listing_five_million_solutions(monkeypatch
     assert len(r.crucial) == 22
 
 
+def test_the_onset_and_the_period_list_no_solution(monkeypatch):
+    # The least k of each type is a lattice point, so c and omega0 come from
+    # one pass over the lattice, with the solutions never listed.
+    monkeypatch.setattr(procedure._SumGraph, "__iter__", _unlisted)
+    r = run_procedure(7955605587183862, copies=3)
+    assert r.first_member() == 1276442171468360427622484993435
+    assert r.omega % r.minimal_period() == 0
+
+
 def _table_from_listed_solutions(r: ProcedureResult):
     # The table as the listed solutions give it: an entry order where the
     # entries at alpha - 1 and alpha differ and the column of solutions
@@ -710,6 +719,17 @@ def test_table_reads_the_entries_the_listed_solutions_take(bign_results):
     results = [run_procedure(n, copies=copies) for n in corpus(600) for copies in (1, 2, 3)]
     for r in results + bign_results:
         assert r.table == _table_from_listed_solutions(r), (r.n, r.copies)
+
+
+def test_column_first_members_match_the_lattice_pass(bign_results):
+    # Two producers of a column's least member: the closed form lcm(A) that
+    # columns give, and the least k of the column's type from the lattice pass,
+    # which the document prints; c is the least of them. 400 results of 12 to
+    # 16 digits, beyond the per-cell reference's n <= 2000.
+    for r in bign_results[:400]:
+        firsts = [col.first_member() for col in r.columns]
+        assert [col["first_member"] for col in r.to_dict()["columns"]] == firsts, (r.n, r.copies)
+        assert r.first_member() == min((f for f in firsts if f is not None), default=None), (r.n, r.copies)
 
 
 def test_the_sum_graph_counts_the_listed_solutions(bign_results):
