@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 verification failure, 2 factorization budget
 exhausted or memory run out, 64 usage error (including an n outside the
 domain, options that leave a verification harness nothing to check, and
 `verify --json enumerate --print`), 141 (128 + SIGPIPE) when the reader of
-standard output closes it early, as `vpal procedure N --json | head -1` does.
+standard output has closed it before all of the output is written.
 Numbers are accepted as decimal strings of ASCII digits, of unbounded length.
 The factorization budget in seconds, per command and per n in a sweep (`verify
 lemmas` takes none), is --budget, else VPAL_BUDGET, else 10; a value that is not
@@ -213,7 +213,9 @@ def main(argv: list[str] | None = None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args, budget)
+        code = handlers[args.command](args, budget)
+        sys.stdout.flush()  # a short output is still buffered; a gone reader raises here
+        return code
     except BudgetExhausted as exc:
         print(f"vpal: factorization budget exhausted (unfactored cofactor {exc.cofactor})",
               file=sys.stderr)

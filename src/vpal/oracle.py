@@ -417,7 +417,8 @@ def verify_disjointness(n: int, budget: Budget | None = None) -> VerificationRep
     that reads an element the table lacks. At each m, accepts(m), the signed
     sum over the table's rows (whose entry orders are in E), must also hold
     exactly when that count, from the cells' pairs over the solution list,
-    is nonzero. The columns are the ones the result's document prints.
+    is nonzero. The columns are the result's columns, one per solution; the
+    document prints those of the types that occur only.
     """
     with _per_n_report(verify_disjointness, n) as report:
         result = run_procedure(n)

@@ -36,9 +36,10 @@ n(k) is a v-palindrome, by pure divisibility arithmetic:
    themselves are listed only when asked for, by a walk along the graph's edges
    (O(m * #solutions)). One producer writes each prime's distinct cells, from
    the entries of step 2 and the row's entries per x that step 3 computed, and
-   one pass over the solutions their columns. The pass over the lattice M that
-   finds omega0 also finds the least k of each type (k and D(k) | k have one
-   type), which each column's first member, c and the nondegenerate list read.
+   one the columns of any solutions it is given. The pass over the lattice M that finds
+   omega0 also finds the types that occur and the least k of each (k and
+   D(k) | k have one type), so the document lists the cells, the graph, the
+   count and the columns of those types alone, never the solutions.
 
 run_procedure(n, copies=k) produces the same tables for the base number n(k)
 without ever factoring n(k): crucial primes and deltas carry over, mu shifts
@@ -324,9 +325,10 @@ class ProcedureResult:
     table's taken entries; the table never waits for the list, and the graph
     counts it without listing. The cells come from _cells alone, which lists no
     solution, and the columns' A and B from _columns alone; ``columns``
-    (``columns[l]`` the union of column l's cells) holds them as
-    ConstraintPairs when first read. Both writers read the two, and the
-    least k of each type from _lattice_pass. Results are built by ``tabulate``.
+    (``columns[l]`` the union of column l's cells, one per solution) holds them
+    as ConstraintPairs when first read. The document (to_dict) reads the cells,
+    the graph and the columns of the types that occur only, with the least k
+    of each type from _lattice_pass. Results are built by ``tabulate``.
     """
 
     n: int
@@ -387,17 +389,18 @@ class ProcedureResult:
             cells.append({u: (label, *_cell_pair(cp.p, label, h)) for u, label in labels.items()})
         return cells
 
-    def _columns(self, cells):
-        """Per solution, its column's A and B, the unions of its cells'
+    def _columns(self, cells, solutions):
+        """Per solution given, its column's A and B, the unions of its cells'
         constraints, as sets of integers."""
-        for sol in self.solutions:
+        for sol in solutions:
             picked = list(map(dict.__getitem__, cells, sol))
             yield set().union(*(a for _, a, _ in picked)), set().union(*(b for _, _, b in picked))
 
     @cached_property
     def columns(self) -> tuple[ConstraintPair, ...]:
-        """Per solution, the union of its cells' constraints: the columns the document prints."""
-        return tuple(ConstraintPair(A, B) for A, B in self._columns(self._cells()))
+        """Per solution, the union of its cells' constraints; the document prints
+        only the columns of the types that occur."""
+        return tuple(ConstraintPair(A, B) for A, B in self._columns(self._cells(), self.solutions))
 
     def _decide(self, k: int) -> tuple[int, int]:
         """k's code and the sum of the signed entries that hold at k.
@@ -486,6 +489,8 @@ class ProcedureResult:
             accept[code] = not total
             if not total:
                 accepted.append(m)
+        if not accepted:  # a constant pattern: 1 is a period
+            return 1, {}
         d = self.omega
         for b in _coprime_base(self.elements):
             while d % b == 0:
@@ -496,86 +501,53 @@ class ProcedureResult:
         # Written in descending order, each type keeps its least point.
         return d, {self.type_of(m): m for m in sorted(accepted, reverse=True)}
 
-    def to_text(self) -> str:
-        """The text ``vpal procedure`` prints, written from _cells and _columns
-        as to_json's tables are: the crucial primes; when some solution exists,
-        the solutions, the case and constraint tables and the columns; then
-        omega, omega0, c (infinity when None) and the nondegenerate solutions.
-        Those last three and the first members read the pass minimal_period runs.
-        """
-        lines = [f"n = {decimal_string(self.n)}, copies = {self.copies}, digit length = {self.digit_len}",
-                 "crucial primes:"]
-        lines += (f"  p={cp.p}: a={cp.a} b={cp.b} delta={cp.delta} mu={cp.mu}" for cp in self.crucial)
-        sols, omega0, firsts = list(map(str, self.solutions)), self.minimal_period(), self._lattice_pass[1]
-        if not sols:
-            lines.append("solutions: none (no concatenation is ever a v-palindrome)")
-        else:
-            lines.append("solutions: " + "  ".join(sols))
-            cells = self._cells()
-            cases, pairs = [], []
-            for cp, row, us in zip(self.crucial, cells, zip(*self.solutions)):
-                case = {u: f"[{label.value}]" for u, (label, _, _) in row.items()}
-                pair = {u: f"(A={list(A)}, B={list(B)})" for u, (_, A, B) in row.items()}
-                cases.append(f"  p={cp.p}: " + "  ".join(map(case.__getitem__, us)))
-                pairs.append(f"  p={cp.p}: " + "  ".join(map(pair.__getitem__, us)))
-            lines += ["case table (rows: primes / columns: solutions):", *cases, "constraint table:", *pairs,
-                      "columns (accepted k: divisible by all of A, by none of B):"]
-            for sol, text, (A, B) in zip(self.solutions, sols, self._columns(cells)):
-                lines.append(f"  {text}: A={sorted(A)} B={sorted(B)} first accepted k = {firsts.get(sol)}")
-        lines.append(f"omega = {self.omega}, omega0 = {omega0}, c = {self.first_member() or 'infinity'}")
-        lines.append("nondegenerate solutions: " + ("  ".join(map(str, sorted(firsts))) or "none"))
-        return "\n".join(lines)
-
     def to_dict(self) -> dict:
-        """The document of docs/procedure-result.schema.json: the parse of to_json."""
-        return json.loads(self.to_json())
+        """The document of docs/procedure-result.schema.json (schema 2), which
+        lists no solution: the crucial primes, each row's distinct cells
+        (_cells), the sum graph's node sets and its count of the solutions,
+        then the column of each type that occurs (_columns), in lexicographic
+        order with its least k, and omega, omega0 and c. The types and their
+        least k are the pass minimal_period runs.
+        """
+        omega0, firsts = self.minimal_period(), self._lattice_pass[1]
+        cells, types = self._cells(), sorted(firsts)
+        return {
+            "n": decimal_string(self.n), "copies": self.copies, "digit_length": self.digit_len,
+            "crucial_primes": [{"p": cp.p, "a": cp.a, "b": cp.b, "delta": cp.delta, "mu": cp.mu}
+                               for cp in self.crucial],
+            "cells": [[{"entry": u, "case": label.value, "A": list(A), "B": list(B)}
+                       for u, (label, A, B) in row.items()] for row in cells],
+            "sum_graph": [sorted(nodes) for nodes in self._graph.nodes],
+            "solution_count": self._graph.count(),
+            "columns": [{"solution": list(sol), "A": sorted(A), "B": sorted(B), "first_member": firsts[sol]}
+                        for sol, (A, B) in zip(types, self._columns(cells, types))],
+            "omega": self.omega, "omega0": omega0, "c": self.first_member(),
+        }
 
     def to_json(self) -> str:
-        """The text ``vpal procedure --json`` prints, json.dumps(to_dict(), indent=2)
-        byte for byte, in one pass over the solutions that builds no ConstraintPair.
+        """The text ``vpal procedure --json`` prints."""
+        return json.dumps(self.to_dict(), indent=2)
 
-        Each distinct cell's case text and pair text are written once, from
-        _cells. A solution's case and pair entries are then looked up by its
-        entry in each row, its column's A and B are those _columns yields, and
-        its first member, omega0, c and the nondegenerate list read the pass
-        minimal_period runs. case_vii_count counts the solutions' case vii cells.
-        """
-        p1, p2, p3, p4 = _PAD[1:]
-        omega0, firsts = self.minimal_period(), self._lattice_pass[1]
-        sols = [_array(map(str, sol), p2) for sol in self.solutions]
-        crucial = _array((f'{{{p3}"p": {cp.p},{p3}"a": {cp.a},{p3}"b": {cp.b},'
-                          f'{p3}"delta": {cp.delta},{p3}"mu": {cp.mu}{p2}}}' for cp in self.crucial), p1)
-        cells = self._cells()
-        entries = tuple(zip(*self.solutions)) if self.solutions else ((),) * len(self.crucial)
-        cases, pairs, vii = [], [], 0
-        for row, us in zip(cells, entries):
-            case, pair = {}, {}
-            for u, (label, A, B) in row.items():
-                case[u] = f'"{label.value}"'
-                pair[u] = f'{{{p4}"A": {_array(map(str, A), p4)},{p4}"B": {_array(map(str, B), p4)}{p3}}}'
-                if label is CaseLabel.VII:
-                    vii += us.count(u)
-            cases.append(_array(map(case.__getitem__, us), p2))
-            pairs.append(_array(map(pair.__getitem__, us), p2))
-        # Each section is joined once it is complete, which frees the pieces it
-        # was joined from before the next section is written.
-        cases, pairs = _array(cases, p1), _array(pairs, p1)
-        columns = []
-        for sol, text, (A, B) in zip(self.solutions, sols, self._columns(cells)):
-            # In a column a solution's list sits one level deeper: two more spaces per line.
-            columns.append(f'{{{p3}"solution": {text.replace(_PAD[0], p1)},'
-                           f'{p3}"A": {_array(map(str, sorted(A)), p3)},'
-                           f'{p3}"B": {_array(map(str, sorted(B)), p3)},'
-                           f'{p3}"first_member": {_null_or(firsts.get(sol))}{p2}}}')
-        columns = _array(columns, p1)
-        nondegenerate = _array((_array(map(str, sol), p2) for sol in sorted(firsts)), p1)
-        return (f'{{\n  "n": "{decimal_string(self.n)}",\n  "copies": {self.copies},'
-                f'\n  "digit_length": {self.digit_len},\n  "crucial_primes": {crucial},'
-                f'\n  "solutions": {_array(sols, p1)},\n  "case_table": {cases},'
-                f'\n  "constraint_table": {pairs},\n  "columns": {columns},'
-                f'\n  "omega": {self.omega},\n  "omega0": {omega0},'
-                f'\n  "c": {_null_or(self.first_member())},\n  "nondegenerate": {nondegenerate},'
-                f'\n  "case_vii_count": {vii}\n}}')
+    def to_text(self) -> str:
+        """The text ``vpal procedure`` prints: to_dict's document, a line per
+        crucial prime, per row of cells, per node set and per type that occurs;
+        c is infinity when it is null."""
+        d = self.to_dict()
+        lines = [f"n = {d['n']}, copies = {d['copies']}, digit length = {d['digit_length']}", "crucial primes:"]
+        lines += (f"  p={cp['p']}: a={cp['a']} b={cp['b']} delta={cp['delta']} mu={cp['mu']}"
+                  for cp in d["crucial_primes"])
+        lines.append("cells (entry [case] (A, B), accepting the k divisible by all of A, by none of B):")
+        for cp, row in zip(d["crucial_primes"], d["cells"]):
+            cells = (f"{cell['entry']} [{cell['case']}] (A={cell['A']}, B={cell['B']})" for cell in row)
+            lines.append(f"  p={cp['p']}: " + ("  ".join(cells) or "none"))
+        lines.append("sum graph (G_i: the negated sums of the solutions' first i entries):")
+        lines += (f"  G_{i}: " + (" ".join(map(str, nodes)) or "none") for i, nodes in enumerate(d["sum_graph"]))
+        lines.append(f"solutions: {d['solution_count']}")
+        lines.append("types that occur (the columns that accept some k):" + ("" if d["columns"] else " none"))
+        lines += (f"  {tuple(col['solution'])}: A={col['A']} B={col['B']} first accepted k = {col['first_member']}"
+                  for col in d["columns"])
+        lines.append(f"omega = {d['omega']}, omega0 = {d['omega0']}, c = {d['c'] or 'infinity'}")
+        return "\n".join(lines)
 
 
 def lcm_closure(elements) -> frozenset[int]:
@@ -603,25 +575,6 @@ def _coprime_base(xs) -> set[int]:
         else:
             base.add(x)
     return base
-
-
-# What json.dumps(..., indent=2) writes before an item at each depth: a newline
-# and two spaces per level.
-_PAD = tuple("\n" + "  " * depth for depth in range(5))
-# Per pad, the text of a non-empty list at its depth before, between and after its items.
-_BRACKETS = {pad: ("[" + pad + "  ", "," + pad + "  ", pad + "]") for pad in _PAD}
-
-
-def _array(items, pad: str) -> str:
-    """The indent-2 text of a list of items already written, the list itself at
-    the depth of pad; as no item's text is empty, an empty join is an empty list."""
-    start, sep, end = _BRACKETS[pad]
-    body = sep.join(items)
-    return start + body + end if body else "[]"
-
-
-def _null_or(x: int | None) -> str:
-    return "null" if x is None else str(x)
 
 
 @metered

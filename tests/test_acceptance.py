@@ -32,6 +32,8 @@ from vpal.oracle import (
 from vpal.order import repunit_valuation
 from vpal.procedure import run_procedure
 
+from schema1 import rebuild
+
 GOLDEN_TRACES = json.loads(
     (Path(__file__).parent / "data" / "golden_procedures.json").read_text()
 )
@@ -160,12 +162,12 @@ def test_criterion_5_periodicity():
 def test_criterion_6_golden_traces():
     checks = 0
     for n in (18, 12, 13):
-        assert run_procedure(n).to_dict() == GOLDEN_TRACES[str(n)], n
+        assert rebuild(run_procedure(n).to_dict()) == GOLDEN_TRACES[str(n)], n
         checks += 1
 
     r18 = run_procedure(18)
     assert r18.solutions == ((2, 2),)
-    assert r18.to_dict()["case_table"] == [["iii"], ["vi"]]
+    assert rebuild(r18.to_dict())["case_table"] == [["iii"], ["vi"]]
     for k in range(1, 9):
         nk = repeat_concat(18, k)
         rk = reverse_digits(nk)

@@ -17,8 +17,8 @@ from vpal.cli import (
 )
 from vpal import procedure
 from vpal.oracle import VerificationReport
-from vpal.procedure import run_procedure
 
+from schema1 import rebuild, text as schema1_text
 from test_factor import ARNAULT_1995
 from test_oracle import _is_vpal_reference
 
@@ -92,24 +92,28 @@ def test_procedure_text(capsys):
 
 def test_procedure_text_matches_golden_bytes(capsys):
     # 45 and 238 carry all seven cases between them; 18 at copies 3 is shifted;
-    # 16, the least eligible n with no solution, prints "solutions: none".
-    golden = Path(__file__).parent / "data" / "golden_procedure_text.txt"
-    out = ""
+    # 16, the least eligible n with no solution, prints "solutions: 0". The
+    # schema-1 text rebuilt from the JSON document is the old golden file.
+    data = Path(__file__).parent / "data"
+    out = old = ""
     for argv in (["45"], ["238"], ["18", "--copies", "3"], ["16"]):
         code, text, _ = run(capsys, "procedure", *argv)
         assert code == EXIT_OK
         out += text
-    assert out.encode() == golden.read_bytes()
+        code, document, _ = run(capsys, "procedure", *argv, "--json")
+        assert code == EXIT_OK
+        old += schema1_text(rebuild(json.loads(document))) + "\n"
+    assert out.encode() == (data / "golden_procedure_text_schema2.txt").read_bytes()
+    assert old.encode() == (data / "golden_procedure_text.txt").read_bytes()
 
 
 def test_procedure_text_is_written_without_the_document(capsys, monkeypatch):
-    # The text comes from the cells and the columns, not from the JSON document.
+    # The text comes from the document's dict, not from its JSON text.
     def no_document(self):
         raise AssertionError("the text output built the JSON document")
 
     monkeypatch.setattr(procedure.ProcedureResult, "to_json", no_document)
-    monkeypatch.setattr(procedure.ProcedureResult, "to_dict", no_document)
-    golden = (Path(__file__).parent / "data" / "golden_procedure_text.txt").read_text()
+    golden = (Path(__file__).parent / "data" / "golden_procedure_text_schema2.txt").read_text()
     code, out, _ = run(capsys, "procedure", "238")
     assert code == EXIT_OK
     assert out == golden[golden.index("n = 238,"):golden.index("n = 18,")]
@@ -315,7 +319,7 @@ def test_procedure_json_of_a_wide_table_matches_golden_bytes(capsys):
     golden = Path(__file__).parent / "data" / "golden_procedure_396871711257_copies3.json"
     code, out, _ = run(capsys, "procedure", "396871711257", "--copies", "3", "--json")
     assert code == EXIT_OK
-    assert out.encode() == golden.read_bytes()
+    assert (json.dumps(rebuild(json.loads(out)), indent=2) + "\n").encode() == golden.read_bytes()
 
 
 def test_verify_parallel_matches_serial(capsys):
@@ -403,21 +407,18 @@ def test_verification_failure_exits_1(capsys, monkeypatch):
 
 
 def test_a_reader_that_closes_the_pipe_early_gets_exit_141():
-    # About 950 KB of JSON, more than a pipe buffer holds, so the writer is
-    # still writing when the reader goes, as with `vpal procedure ... | head -1`.
-    size = len(run_procedure(7243529084560665).to_json())
-    assert size > 256 * 1024, (
-        f"the document is {size} bytes: a pipe buffer may hold it all, so the "
-        "writer could finish before the reader goes; choose an n with a larger one"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(vpal.__file__).parents[1])}
-    proc = subprocess.Popen(
-        [sys.executable, "-X", "dev", "-W", "error", "-m", "vpal.cli",
-         "procedure", "7243529084560665", "--json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    assert proc.stdout.readline() == b"{\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert (proc.wait(timeout=60), err) == (EXIT_BROKEN_PIPE, b"")
+    # The read end is closed before the child starts, so its first write
+    # meets a reader that is gone, as with `vpal procedure ... | head -1`
+    # while output is still being written, however short that output is.
+    # Default buffering, so a short output is still buffered when the command ends.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(vpal.__file__).parents[1])
+    for argv in (["procedure", "13"], ["procedure", "13", "--json"], ["check", "18"], ["v", "2018"]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "vpal.cli", *argv],
+                                  stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, b""), argv

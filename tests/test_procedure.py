@@ -31,6 +31,8 @@ from vpal.procedure import (
     v_increment,
 )
 
+from schema1 import rebuild
+
 GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_procedures.json").read_text())
 
 
@@ -308,13 +310,13 @@ def test_solve_characteristic_closed_form_at_25_primes():
 
 @pytest.mark.parametrize("n", [18, 12, 13])
 def test_run_procedure_matches_golden_trace(n):
-    assert run_procedure(n).to_dict() == GOLDEN[str(n)]
+    assert rebuild(run_procedure(n).to_dict()) == GOLDEN[str(n)]
 
 
 def test_run_procedure_18():
     r = run_procedure(18)
     assert r.solutions == ((2, 2),)
-    assert r.to_dict()["case_table"] == [["iii"], ["vi"]]
+    assert [[cell["case"] for cell in row] for row in r.to_dict()["cells"]] == [["iii"], ["vi"]]
     assert r.columns == (ConstraintPair(),)
     assert r.omega == 1 and r.first_member() == 1 and r.minimal_period() == 1
     assert all(r.accepts(k) for k in range(1, 30))
@@ -324,7 +326,7 @@ def test_run_procedure_18():
 def test_run_procedure_12():
     r = run_procedure(12)
     assert r.solutions == ((2, 2),)
-    assert r.to_dict()["case_table"] == [["v"], ["ii"]]
+    assert [[cell["case"] for cell in row] for row in r.to_dict()["cells"]] == [["v"], ["ii"]]
     assert r.first_member() is None
     assert not any(r.accepts(k) for k in range(1, 50))
     with pytest.raises(NotAVPalindrome):
@@ -538,7 +540,7 @@ def test_entry_orders_spend_the_callers_budget():
     assert (n - 1) % exc.value.cofactor == 0
     # The failure is not cached: a larger budget finds h(1) = n - 1, h(2) = n * (n - 1).
     result = run_procedure(n, budget=Budget(seconds=1e9, iterations=10**6))
-    assert result.to_dict()["constraint_table"][-1][1] == {"A": [n - 1], "B": [n * (n - 1)]}
+    assert rebuild(result.to_dict())["constraint_table"][-1][1] == {"A": [n - 1], "B": [n * (n - 1)]}
 
 
 def test_a_budget_bounds_the_sum_of_a_calls_factorizations():
@@ -591,8 +593,9 @@ def _per_cell_tables(r: ProcedureResult):
 
 
 def _assert_tables_match_per_cell(n: int, copies: int, budget: Budget | None = None):
-    # The document's tables, columns, omega, c and counts, and the result's
-    # columns, omega and onset, as the per-cell reference gives them.
+    # The schema-1 tables, columns, omega, c and counts rebuilt from the
+    # document, and the result's columns, omega and onset, as the per-cell
+    # reference gives them.
     r = run_procedure(n, copies=copies, budget=budget)
     case_table, constraint_table, columns, omega = _per_cell_tables(r)
     firsts = [col.first_member() for col in columns]
@@ -607,7 +610,7 @@ def _assert_tables_match_per_cell(n: int, copies: int, budget: Budget | None = N
         "nondegenerate": [list(sol) for sol, f in zip(r.solutions, firsts) if f is not None],
         "case_vii_count": sum(row.count(CaseLabel.VII) for row in case_table),
     }
-    document = r.to_dict()
+    document = rebuild(r.to_dict())
     assert {key: document[key] for key in expected} == expected, (n, copies)
     assert (r.columns, r.omega, r.first_member()) == (columns, omega, expected["c"]), (n, copies)
 
@@ -728,7 +731,7 @@ def test_column_first_members_match_the_lattice_pass(bign_results):
     # 16 digits, beyond the per-cell reference's n <= 2000.
     for r in bign_results[:400]:
         firsts = [col.first_member() for col in r.columns]
-        assert [col["first_member"] for col in r.to_dict()["columns"]] == firsts, (r.n, r.copies)
+        assert [col["first_member"] for col in rebuild(r.to_dict())["columns"]] == firsts, (r.n, r.copies)
         assert r.first_member() == min((f for f in firsts if f is not None), default=None), (r.n, r.copies)
 
 
@@ -771,8 +774,9 @@ def test_case_vii_never_accepts():
 
 
 def test_to_dict_round_trips():
-    # The digest pins the bytes of all 5,046 documents, one newline after each.
-    digest = hashlib.sha256()
+    # The digests pin the bytes of all 5,046 documents and of the schema-1
+    # documents rebuilt from them, one newline after each.
+    digest, digest1 = hashlib.sha256(), hashlib.sha256()
     for n in corpus(2000):
         for copies in (1, 2, 3):
             r = run_procedure(n, copies=copies)
@@ -796,7 +800,9 @@ def test_to_dict_round_trips():
                 assert (h1, h2) == (h.get(1, 1), h.get(2, h.get(1, 1))), (n, copies, i)
                 assert h2 % h1 == 0 and {h1, h2} - {1} <= r.elements, (n, copies, i)
             digest.update(text.encode() + b"\n")
-    assert digest.hexdigest() == "f9230dc12d1cfcd8ab92b1629d8e09cceced236a584e618f7018bb1d0091840f"
+            digest1.update(json.dumps(rebuild(r.to_dict()), indent=2).encode() + b"\n")
+    assert digest.hexdigest() == "1a029368fe2250406805e94ce18856f5094f6b579a39ff7d03ce4068a059c797"
+    assert digest1.hexdigest() == "f9230dc12d1cfcd8ab92b1629d8e09cceced236a584e618f7018bb1d0091840f"
 
 
 # (n, copies) of 12 to 16 digits: one without solutions, then 1, 5, 20 and 21
@@ -811,15 +817,19 @@ _WIDE_ITEMS = [
 
 
 def test_to_json_bytes_at_12_to_16_digits():
-    # The digest pins the bytes of all 20 documents, one newline after each.
-    digest = hashlib.sha256()
+    # The digests pin the bytes of all 20 documents and of the schema-1
+    # documents rebuilt from them, one newline after each.
+    digest, digest1 = hashlib.sha256(), hashlib.sha256()
     for n, copies in _WIDE_ITEMS:
-        digest.update(run_procedure(n, copies=copies).to_json().encode() + b"\n")
-    assert digest.hexdigest() == "31bda5ce3a69ef71e7cc67f51636d8f513de381b20016454d856d5ab3ce68da6"
+        r = run_procedure(n, copies=copies)
+        digest.update(r.to_json().encode() + b"\n")
+        digest1.update(json.dumps(rebuild(r.to_dict()), indent=2).encode() + b"\n")
+    assert digest.hexdigest() == "b2144c5351e6bc14a313c1dda772ae7b38083726d4f0562ef3414dfb8e88d61c"
+    assert digest1.hexdigest() == "31bda5ce3a69ef71e7cc67f51636d8f513de381b20016454d856d5ab3ce68da6"
 
 
 def test_the_document_matches_the_per_cell_reference():
-    # to_json writes these keys from the table and the solutions; the
+    # The schema-1 keys rebuilt from to_dict, which lists no solution; the
     # reference builds them one cell at a time from the definition.
     items = [(n, copies) for n in corpus(2000) for copies in (1, 2, 3)] + _WIDE_ITEMS
     assert len(items) == 5_066
@@ -837,6 +847,29 @@ def test_to_json_builds_no_view(monkeypatch):
         r = run_procedure(n, copies=copies)
         r.to_json()
         assert "columns" not in r.__dict__, (n, copies)
+
+
+def test_the_writers_list_no_solution(monkeypatch):
+    # The document holds the cells, the graph's node sets and count, and the
+    # columns of the types that occur, none of which lists a solution.
+    monkeypatch.setattr(procedure._SumGraph, "__iter__", _unlisted)
+    for n, copies in _WIDE_ITEMS + [(13, 1), (1461, 1), (49, 2)]:
+        r = run_procedure(n, copies=copies)
+        r.to_json()
+        r.to_text()
+        assert "solutions" not in r.__dict__, (n, copies)
+
+
+def _no_coprime_base(xs):
+    raise AssertionError("walked the coprime base")
+
+
+def test_a_pattern_that_accepts_no_k_has_period_1_at_once(monkeypatch):
+    # No lattice point is accepted, so 1 is a period: the pass returns it
+    # without the coprime base and the descent.
+    monkeypatch.setattr(procedure, "_coprime_base", _no_coprime_base)
+    for n in (7243529084560665, 12):
+        assert run_procedure(n).minimal_period() == 1, n
 
 
 def _no_cells(self):
@@ -873,7 +906,7 @@ def test_rows_hold_each_entry_once_with_its_solution_mask():
     assert r.solutions == ((1, 2, 1), (1, 3, 2), (2, 3, 1))
     assert [(u, label) for u, (label, _, _) in r._cells()[0].items()] == [(1, CaseLabel.V), (2, CaseLabel.III)]
     # solutions 0 and 1 take the cell of entry 1, solution 2 that of entry 2
-    assert r.to_dict()["case_table"][0] == ["v", "v", "iii"]
+    assert rebuild(r.to_dict())["case_table"][0] == ["v", "v", "iii"]
 
 
 def test_json_matches_shipped_schema():
@@ -881,7 +914,7 @@ def test_json_matches_shipped_schema():
     schema = json.loads(
         (Path(__file__).parent.parent / "docs" / "procedure-result.schema.json").read_text()
     )
-    for n in (18, 12, 13):
+    for n in (18, 12, 13, 16, 49):  # 16 has no solution
         jsonschema.validate(run_procedure(n).to_dict(), schema)
 
 
