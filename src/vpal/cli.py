@@ -97,8 +97,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run a verification harness")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--jobs", type=_decimal, default=1,
-                   help="worker processes for the corpus sweeps (at most the CPU count)")
     what = p.add_subparsers(dest="what", required=True, parser_class=_Parser)
 
     q = what.add_parser("oracle", help="procedure verdicts vs the factorization oracle")
@@ -172,13 +170,13 @@ def _cmd_type(args, budget: Budget) -> int:
 
 def _cmd_verify(args, budget: Budget) -> int:
     if args.what == "oracle":
-        report = sweep(compare_procedure_oracle, args.nmax, args.jobs, budget=budget)
+        report = sweep(compare_procedure_oracle, args.nmax, budget=budget)
     elif args.what == "invariance":
-        report = sweep(verify_invariance, args.nmax, args.jobs, kmax=args.kmax, budget=budget)
+        report = sweep(verify_invariance, args.nmax, kmax=args.kmax, budget=budget)
     elif args.what == "lemmas":
         report = verify_lemmas(args.pmax, args.alphamax, args.kmax, args.lmax)
     elif args.what == "disjointness":
-        report = sweep(verify_disjointness, args.nmax, args.jobs, budget=budget)
+        report = sweep(verify_disjointness, args.nmax, budget=budget)
     else:  # enumerate
         if args.json and args.print_values:
             print("vpal: error: --json cannot go with enumerate --print, whose values are not JSON",

@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import inspect
 import math
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import NamedTuple
 
 from .digits import digit_count, repeat_concat, reverse_digits
@@ -495,25 +493,15 @@ def verify_enumeration(limit: int, budget: Budget | None = None) -> tuple[list[i
     return values, report
 
 
-def sweep(check, nmax: int, jobs: int = 1, **params) -> VerificationReport:
+def sweep(check, nmax: int, **params) -> VerificationReport:
     """Run check(n, **params) for every n in corpus(nmax); merge the reports in corpus order.
 
     ``check`` is one of the per-n harnesses above. The merged report takes the
-    harness's label with n<=nmax, and its elapsed time is wall time. With
-    jobs > 1 the corpus is spread over at most os.cpu_count() worker processes.
+    harness's label with n<=nmax, and its elapsed time is wall time.
     """
     args = inspect.signature(check).bind(0, **params)
     args.apply_defaults()
-    item = partial(check, **params)
-    workers = min(jobs, os.cpu_count() or 1)
     with _report(check.label.format(**{**args.arguments, "n": f"<={nmax}"})) as merged:
-        if workers > 1:
-            from multiprocessing import Pool  # imported here: a serial run never needs it
-
-            with Pool(workers) as pool:
-                for rep in pool.imap(item, corpus(nmax), chunksize=8):
-                    merged.merge(rep)
-        else:
-            for n in corpus(nmax):
-                merged.merge(item(n))
+        for n in corpus(nmax):
+            merged.merge(check(n, **params))
     return merged

@@ -322,15 +322,6 @@ def test_procedure_json_of_a_wide_table_matches_golden_bytes(capsys):
     assert (json.dumps(rebuild(json.loads(out)), indent=2) + "\n").encode() == golden.read_bytes()
 
 
-def test_verify_parallel_matches_serial(capsys):
-    code1, out1, _ = run(capsys, "verify", "--json", "oracle", "--nmax", "40")
-    code2, out2, _ = run(capsys, "verify", "--json", "--jobs", "2", "oracle", "--nmax", "40")
-    assert code1 == code2 == EXIT_OK
-    d1, d2 = json.loads(out1), json.loads(out2)
-    for key in ("checked", "passed", "failed", "skipped"):
-        assert d1[key] == d2[key]
-
-
 def test_unbounded_decimal_input(capsys):
     n = "1" * 5001  # 5001 digits, past any int/str conversion cap
     code, out, _ = run(capsys, "check", n)
@@ -341,12 +332,12 @@ def test_unbounded_decimal_input(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "--jobs", "0", "oracle", "--nmax", "30"],
-        ["verify", "--jobs", "-4", "oracle", "--nmax", "30"],
         ["verify", "disjointness", "--nmax", "0"],
         ["verify", "oracle", "--nmax", "-5"],
         ["verify", "invariance", "--kmax", "0"],
         ["verify", "lemmas", "--pmax", "0"],
+        ["verify", "lemmas", "--lmax", "0"],
+        ["verify", "enumerate", "--limit", "0"],
     ],
 )
 def test_verify_counts_that_check_nothing_exit_64(capsys, argv):
@@ -356,6 +347,22 @@ def test_verify_counts_that_check_nothing_exit_64(capsys, argv):
     assert exc.value.code == EXIT_USAGE
     assert "expected a positive integer" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--jobs", "2", "oracle", "--nmax", "40"],
+        ["verify", "oracle", "--nmax", "40", "--jobs", "2"],
+    ],
+)
+def test_verify_jobs_is_a_usage_error(capsys, argv):
+    # sweeps run in one process; the option of older releases is unknown
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == EXIT_USAGE and out == ""
+    assert "usage:" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -390,7 +397,7 @@ def test_non_decimal_syntax_exits_64(capsys, argv):
 
 
 def test_verification_failure_exits_1(capsys, monkeypatch):
-    def failing_sweep(check, nmax, jobs=1, **params):
+    def failing_sweep(check, nmax, **params):
         report = VerificationReport(corpus="patched")
         report.record(True, n=13)
         report.record(False, n=18, k=2)

@@ -1,16 +1,16 @@
-"""Named mutants of the procedure core and of the oracle's rows, each pinned
-by the check that kills it: at its witness n the check passes, and under the
-mutant's patch it reports exactly the listed failures. The mirror check, which
-needs no oracle, is pinned here too."""
+"""Named mutants of the procedure core, the oracle's rows and the repunit
+valuation they share, each pinned by the check that kills it: at its witness n
+the check passes, and under the mutant's patch it reports exactly the listed
+failures. The mirror check, which needs no oracle, is pinned here too."""
 
 from dataclasses import replace
 from functools import partial
 
 import pytest
 
-from vpal import oracle, procedure
+from vpal import oracle, order, procedure
 from vpal.digits import reverse_digits
-from vpal.oracle import compare_procedure_oracle, corpus, verify_disjointness
+from vpal.oracle import compare_procedure_oracle, corpus, verify_disjointness, verify_lemmas
 from vpal.procedure import CaseLabel, run_procedure
 
 
@@ -72,9 +72,21 @@ def _oracle_t2_is_t1_times_p(monkeypatch):
         (p, f, (t[0], t[0] * p) if t else t) for p, f, t in rows(terms, L)))
 
 
-# Mutants of the procedure core and of the oracle's rows: per name, the patch,
-# the check that kills it, a witness n, and the (k, kind) of each failure the
-# check reports there.
+def _valuation_2_read_as_1(monkeypatch):
+    # a fault shared by the procedure, the oracle's rows and the entry orders
+    valuation = order.repunit_valuation
+
+    def wrong(p, k, block_len=1):
+        x = valuation(p, k, block_len)
+        return 1 if x == 2 else x
+
+    for module in (order, oracle, procedure):
+        monkeypatch.setattr(module, "repunit_valuation", wrong)
+
+
+# Mutants of the procedure core, the oracle's rows and their shared valuation:
+# per name, the patch, the check that kills it, a witness n, and the (k, kind)
+# of each failure the check reports there.
 MUTANTS = {
     "case ii allows x in [0, 1]": (
         _case_ii_allows_x_0, verify_disjointness, 13, [(1, "lattice scan"), (3, "lattice scan")]),
@@ -107,6 +119,12 @@ MUTANTS = {
     "the oracle's t2 = t1 * p": (
         _oracle_t2_is_t1_times_p, compare_procedure_oracle, 1461,
         [(22113, "every j"), (12095811, "every j")]),
+    # Only the lemma grid records this fault: the procedure and the oracle read
+    # the same wrong valuation and agree. v_3(repunit(9)) = 2, so the rescaled
+    # order at k = 9 reads the entry order of 3**(alpha + 1), not 3**(alpha + 2).
+    "repunit_valuation reads a valuation of 2 as 1": (
+        _valuation_2_read_as_1, partial(verify_lemmas, alpha_max=2, k_max=9, L_max=1), 3,
+        [(9, "rescale"), (9, "rescale")]),
 }
 
 
@@ -115,7 +133,12 @@ def test_each_mutant_fails_its_check_at_its_witness(monkeypatch, mutant):
     patch, check, n, failures = MUTANTS[mutant]
     assert check(n).failed == 0
     patch(monkeypatch)
-    assert [(f["k"], f.get("kind")) for f in check(n).failures] == failures
+    try:
+        assert [(f["k"], f.get("kind")) for f in check(n).failures] == failures
+    finally:
+        # entry orders cached under a patched repunit_valuation must not outlive it
+        monkeypatch.undo()
+        order.repunit_order.cache_clear()
 
 
 def _facts(res, sign=1):
