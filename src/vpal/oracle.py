@@ -227,13 +227,18 @@ def _oracle_rows(terms: tuple[tuple[int, int, int], ...], L: int) -> tuple[tuple
     and f[x] = c(p, a_p + x) - c(p, b_p + x) is p's term of the sum at
     min(x_p, 2) = x. At p in {2, 5}, x_p = 0 at every k and the row has no
     threshold. Otherwise d_p = ord_p(10**L), the least divisor d of p - 1
-    with 10**(d*L) = 1 (mod p), comes from factorize(p - 1) alone and x_d =
-    repunit_valuation(p, d_p, L), reading no entry order: the independent
-    side of compare_procedure_oracle's check of them. If d_p does not divide
-    k, p does not divide 10**(kL) - 1, a multiple of repunit(k, L), so x_p =
-    0; if it does, x_p = x_d + v_p(k) by lifting the exponent (see the order
-    module), and d_p | p - 1 is coprime to p, so t_alpha = d_p *
-    p**max(0, alpha - x_d). At d_p = 1, x_d = 0, so t1 = p.
+    with 10**(d*L) = 1 (mod p), comes from factorize(p - 1) alone. Of x_d =
+    v_p(repunit(d_p, L)) only min(x_d, 2) is read, from one modular power: at
+    d_p = 1, repunit(1, L) = 1 and x_d = 0; at d_p > 1, p does not divide
+    10**L - 1, so x_d = v_p(10**(d_p*L) - 1) >= 1 and min(x_d, 2) = 1 +
+    [10**(d_p*L) = 1 (mod p**2)]. No entry order or repunit_valuation is
+    read, as the procedure's h2 and mu shift do: this second producer of
+    min(x_d, 2) is the independent side of compare_procedure_oracle's check,
+    kept on purpose; do not merge the two. If d_p does not divide k, p does
+    not divide 10**(kL) - 1, a multiple of repunit(k, L), so x_p = 0; if it
+    does, x_p = x_d + v_p(k) by lifting the exponent (see the order module),
+    and d_p | p - 1 is coprime to p, so t_alpha = d_p * p**max(0, alpha -
+    x_d), the same with min(x_d, 2) at alpha <= 2. At d_p = 1, t1 = p.
     """
     rows = []
     for p, a_p, b_p in terms:
@@ -243,7 +248,7 @@ def _oracle_rows(terms: tuple[tuple[int, int, int], ...], L: int) -> tuple[tuple
             for q, e in factorize(p - 1):
                 divisors = [d * q**i for d in divisors for i in range(e + 1)]
             d = min(d for d in divisors if pow(10, d * L, p) == 1)
-            x_d = repunit_valuation(p, d, L)
+            x_d = 0 if d == 1 else 1 + (pow(10, d * L, p * p) == 1)
             thresholds = (d * p ** max(0, 1 - x_d), d * p ** max(0, 2 - x_d))
         f = tuple(v_term(p, a_p + x) - v_term(p, b_p + x) for x in (0, 1, 2))
         rows.append((p, f, thresholds))

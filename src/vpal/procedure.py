@@ -271,9 +271,10 @@ class _SumGraph:
         for (s, us), rest in zip(self.levels, _suffix_sums(self.levels)):
             owed, kept, reached = self.nodes[-1], set(), set()
             for u in us:
-                if hits := {x for g in owed if (x := g - s * u) in rest}:
-                    kept.add(u)
-                    reached |= hits
+                for g in owed:
+                    if (x := g - s * u) in rest:
+                        kept.add(u)
+                        reached.add(x)
             self.taken.append(kept)
             self.nodes.append(reached)
 
@@ -289,7 +290,11 @@ class _SumGraph:
         """The number of solutions: per node of G_i, the number of paths from G_0 to it."""
         paths = {0: 1}
         for (s, us), after in zip(self.levels, self.nodes[1:]):
-            paths = {x: sum(paths.get(x + s * u, 0) for u in us) for x in after}
+            previous, paths = paths, dict.fromkeys(after, 0)
+            for g, ways in previous.items():
+                for u in us:
+                    if (x := g - s * u) in paths:
+                        paths[x] += ways
         return sum(paths.values())
 
 
@@ -326,7 +331,7 @@ class ProcedureResult:
     counts it without listing. The cells come from _cells alone, which lists no
     solution, and the columns' A and B from _columns alone; ``columns``
     (``columns[l]`` the union of column l's cells, one per solution) holds them
-    as ConstraintPairs when first read. The document (to_dict) reads the cells,
+    as ConstraintPairs when first read. The document (to_json) reads the cells,
     the graph and the columns of the types that occur only, with the least k
     of each type from _lattice_pass. Results are built by ``tabulate``.
     """
@@ -411,11 +416,15 @@ class ProcedureResult:
         """
         if k < 1:
             raise ValueError(f"expected k >= 1, got {k}")
-        code = total = 0
-        for i, (h1, h2, t) in enumerate(self.table):
-            c = 0 if k % h1 else 1 if k % h2 else 3
-            code |= c << 2 * i
-            total += t[c]
+        code, total, bit = 0, 0, 1  # bit is 1 << 2i at row i
+        for h1, h2, t in self.table:
+            if k % h1:
+                total += t[0]
+            elif k % h2:
+                code, total = code | bit, total + t[1]
+            else:
+                code, total = code | 3 * bit, total + t[3]
+            bit <<= 2
         return code, total
 
     def accepts(self, k: int) -> bool:
@@ -498,56 +507,72 @@ class ProcedureResult:
                 if any(accept[s & q] != v for s, v in accept.items()):
                     break
                 d //= b
-        # Written in descending order, each type keeps its least point.
-        return d, {self.type_of(m): m for m in sorted(accepted, reverse=True)}
+        # One point of M per type: m = D(m)'s code names the elements dividing
+        # it, and codes that differ select different entries of some row.
+        return d, {self.type_of(m): m for m in accepted}
 
-    def to_dict(self) -> dict:
-        """The document of docs/procedure-result.schema.json (schema 2), which
-        lists no solution: the crucial primes, each row's distinct cells
-        (_cells), the sum graph's node sets and its count of the solutions,
-        then the column of each type that occurs (_columns), in lexicographic
-        order with its least k, and omega, omega0 and c. The types and their
-        least k are the pass minimal_period runs.
-        """
-        omega0, firsts = self.minimal_period(), self._lattice_pass[1]
-        cells, types = self._cells(), sorted(firsts)
-        return {
-            "n": decimal_string(self.n), "copies": self.copies, "digit_length": self.digit_len,
-            "crucial_primes": [{"p": cp.p, "a": cp.a, "b": cp.b, "delta": cp.delta, "mu": cp.mu}
-                               for cp in self.crucial],
-            "cells": [[{"entry": u, "case": label.value, "A": list(A), "B": list(B)}
-                       for u, (label, A, B) in row.items()] for row in cells],
-            "sum_graph": [sorted(nodes) for nodes in self._graph.nodes],
-            "solution_count": self._graph.count(),
-            "columns": [{"solution": list(sol), "A": sorted(A), "B": sorted(B), "first_member": firsts[sol]}
-                        for sol, (A, B) in zip(types, self._columns(cells, types))],
-            "omega": self.omega, "omega0": omega0, "c": self.first_member(),
-        }
+    def _types(self, cells) -> list[tuple[Solution, list[int], list[int], int]]:
+        """Each type that occurs, in lexicographic order, with its column's A
+        and B, sorted (_columns), and its least k (_lattice_pass)."""
+        firsts = self._lattice_pass[1]
+        types = sorted(firsts)
+        return [(sol, sorted(A), sorted(B), firsts[sol]) for sol, (A, B) in zip(types, self._columns(cells, types))]
 
     def to_json(self) -> str:
-        """The text ``vpal procedure --json`` prints."""
-        return json.dumps(self.to_dict(), indent=2)
+        """The text ``vpal procedure --json`` prints, as json.dumps(...,
+        indent=2) would: the document of docs/procedure-result.schema.json
+        (schema 2), written in one pass over the crucial primes, the cells
+        (_cells), the sum graph's node sets and count, the types that occur
+        (_types), omega, omega0 and c. Only this writer names the keys."""
+        omega0, cells = self.minimal_period(), self._cells()
+        primes = (f'{{\n      "p": {cp.p},\n      "a": {cp.a},\n      "b": {cp.b},\n'
+                  f'      "delta": {cp.delta},\n      "mu": {cp.mu}\n    }}' for cp in self.crucial)
+        rows = (_list("    ", (f'{{\n        "entry": {u},\n        "case": "{label.value}",\n        "A": '
+                                f'{_list(" " * 8, A)},\n        "B": {_list(" " * 8, B)}\n      }}'
+                                for u, (label, A, B) in row.items())) for row in cells)
+        graph = (_list("    ", sorted(nodes)) for nodes in self._graph.nodes)
+        columns = (f'{{\n      "solution": {_list(" " * 6, sol)},\n      "A": {_list(" " * 6, A)},\n'
+                   f'      "B": {_list(" " * 6, B)},\n      "first_member": {first}\n    }}'
+                   for sol, A, B, first in self._types(cells))
+        c = self.first_member()
+        return (f'{{\n  "n": "{decimal_string(self.n)}",\n  "copies": {self.copies},\n'
+                f'  "digit_length": {self.digit_len},\n  "crucial_primes": {_list("  ", primes)},\n'
+                f'  "cells": {_list("  ", rows)},\n  "sum_graph": {_list("  ", graph)},\n'
+                f'  "solution_count": {self._graph.count()},\n  "columns": {_list("  ", columns)},\n'
+                f'  "omega": {self.omega},\n  "omega0": {omega0},\n  "c": {"null" if c is None else c}\n}}')
+
+    def to_dict(self) -> dict:
+        """The document to_json writes, parsed."""
+        return json.loads(self.to_json())
 
     def to_text(self) -> str:
-        """The text ``vpal procedure`` prints: to_dict's document, a line per
-        crucial prime, per row of cells, per node set and per type that occurs;
-        c is infinity when it is null."""
-        d = self.to_dict()
-        lines = [f"n = {d['n']}, copies = {d['copies']}, digit length = {d['digit_length']}", "crucial primes:"]
-        lines += (f"  p={cp['p']}: a={cp['a']} b={cp['b']} delta={cp['delta']} mu={cp['mu']}"
-                  for cp in d["crucial_primes"])
+        """The text ``vpal procedure`` prints, from the sections to_json writes:
+        a line per crucial prime, per row of cells, per node set and per type
+        that occurs; c is infinity when there is none."""
+        omega0, cells = self.minimal_period(), self._cells()
+        lines = [f"n = {decimal_string(self.n)}, copies = {self.copies}, digit length = {self.digit_len}",
+                 "crucial primes:"]
+        lines += (f"  p={cp.p}: a={cp.a} b={cp.b} delta={cp.delta} mu={cp.mu}" for cp in self.crucial)
         lines.append("cells (entry [case] (A, B), accepting the k divisible by all of A, by none of B):")
-        for cp, row in zip(d["crucial_primes"], d["cells"]):
-            cells = (f"{cell['entry']} [{cell['case']}] (A={cell['A']}, B={cell['B']})" for cell in row)
-            lines.append(f"  p={cp['p']}: " + ("  ".join(cells) or "none"))
+        for cp, row in zip(self.crucial, cells):
+            texts = (f"{u} [{label.value}] (A={list(A)}, B={list(B)})" for u, (label, A, B) in row.items())
+            lines.append(f"  p={cp.p}: " + ("  ".join(texts) or "none"))
         lines.append("sum graph (G_i: the negated sums of the solutions' first i entries):")
-        lines += (f"  G_{i}: " + (" ".join(map(str, nodes)) or "none") for i, nodes in enumerate(d["sum_graph"]))
-        lines.append(f"solutions: {d['solution_count']}")
-        lines.append("types that occur (the columns that accept some k):" + ("" if d["columns"] else " none"))
-        lines += (f"  {tuple(col['solution'])}: A={col['A']} B={col['B']} first accepted k = {col['first_member']}"
-                  for col in d["columns"])
-        lines.append(f"omega = {d['omega']}, omega0 = {d['omega0']}, c = {d['c'] or 'infinity'}")
+        lines += (f"  G_{i}: " + (" ".join(map(str, sorted(nodes))) or "none")
+                  for i, nodes in enumerate(self._graph.nodes))
+        lines.append(f"solutions: {self._graph.count()}")
+        types = self._types(cells)
+        lines.append("types that occur (the columns that accept some k):" + ("" if types else " none"))
+        lines += (f"  {sol}: A={A} B={B} first accepted k = {first}" for sol, A, B, first in types)
+        lines.append(f"omega = {self.omega}, omega0 = {omega0}, c = {self.first_member() or 'infinity'}")
         return "\n".join(lines)
+
+
+def _list(pad: str, items) -> str:
+    """A JSON array of the items' texts (str) whose brackets sit at indent
+    pad, as json.dumps(..., indent=2) writes it: [] when there are none."""
+    inner = f",\n{pad}  ".join(map(str, items))
+    return f"[\n{pad}  {inner}\n{pad}]" if inner else "[]"
 
 
 def lcm_closure(elements) -> frozenset[int]:

@@ -108,11 +108,13 @@ def test_procedure_text_matches_golden_bytes(capsys):
 
 
 def test_procedure_text_is_written_without_the_document(capsys, monkeypatch):
-    # The text comes from the document's dict, not from its JSON text.
+    # The text is written from the result's sections, neither from the
+    # document's JSON text nor from its dict.
     def no_document(self):
-        raise AssertionError("the text output built the JSON document")
+        raise AssertionError("the text output built the document")
 
     monkeypatch.setattr(procedure.ProcedureResult, "to_json", no_document)
+    monkeypatch.setattr(procedure.ProcedureResult, "to_dict", no_document)
     golden = (Path(__file__).parent / "data" / "golden_procedure_text_schema2.txt").read_text()
     code, out, _ = run(capsys, "procedure", "238")
     assert code == EXIT_OK

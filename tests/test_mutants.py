@@ -82,6 +82,8 @@ def _valuation_2_read_as_1(monkeypatch):
 
     for module in (order, oracle, procedure):
         monkeypatch.setattr(module, "repunit_valuation", wrong)
+    # entry orders cached under the true valuation would hide the fault
+    order.repunit_order.cache_clear()
 
 
 # Mutants of the procedure core, the oracle's rows and their shared valuation:
@@ -119,12 +121,17 @@ MUTANTS = {
     "the oracle's t2 = t1 * p": (
         _oracle_t2_is_t1_times_p, compare_procedure_oracle, 1461,
         [(22113, "every j"), (12095811, "every j")]),
-    # Only the lemma grid records this fault: the procedure and the oracle read
-    # the same wrong valuation and agree. v_3(repunit(9)) = 2, so the rescaled
-    # order at k = 9 reads the entry order of 3**(alpha + 1), not 3**(alpha + 2).
+    # v_3(repunit(9)) = 2, so the rescaled order at k = 9 reads the entry
+    # order of 3**(alpha + 1), not 3**(alpha + 2).
     "repunit_valuation reads a valuation of 2 as 1": (
         _valuation_2_read_as_1, partial(verify_lemmas, alpha_max=2, k_max=9, L_max=1), 3,
         [(9, "rescale"), (9, "rescale")]),
+    # The oracle's rows read min(x_d, 2) from their own modular power, not from
+    # repunit_valuation, so the fault moves only the procedure's h2 of 487
+    # (487**2 divides repunit(486)); 1641, another witness, fails at the same k.
+    "repunit_valuation reads a valuation of 2 as 1, against the oracle": (
+        _valuation_2_read_as_1, compare_procedure_oracle, 1461,
+        [(22113, "every j"), (12095811, "every j")]),
 }
 
 

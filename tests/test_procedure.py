@@ -735,6 +735,39 @@ def test_column_first_members_match_the_lattice_pass(bign_results):
         assert r.first_member() == min((f for f in firsts if f is not None), default=None), (r.n, r.copies)
 
 
+def _decide_by_rows(r: ProcedureResult, k: int) -> tuple[int, int]:
+    """The reference of ProcedureResult._decide: each row's code, shifted to
+    bits 2i and 2i + 1, selects its signed entry."""
+    code = total = 0
+    for i, (h1, h2, t) in enumerate(r.table):
+        c = 0 if k % h1 else 1 if k % h2 else 3
+        code |= c << 2 * i
+        total += t[c]
+    return code, total
+
+
+def _least_k_of_each_type(r: ProcedureResult) -> dict:
+    """The reference of the types _lattice_pass returns: every point of M is
+    decided by _decide_by_rows, which _decide must match there, and the
+    accepted points are written in descending order, so that each type keeps
+    its least."""
+    accepted = []
+    for m in r.lattice:
+        decided = _decide_by_rows(r, m)
+        assert r._decide(m) == decided, (r.n, r.copies, m)
+        if not decided[1]:
+            accepted.append(m)
+    return {r.type_of(m): m for m in sorted(accepted, reverse=True)}
+
+
+def test_the_lattice_pass_matches_its_reference(bign_results):
+    # Each type the pass finds has one accepted point of M, its least k.
+    results = [run_procedure(n, copies=copies) for n in corpus(2000) for copies in (1, 2, 3)]
+    assert len(results) == 5046
+    for r in results + bign_results:
+        assert r._lattice_pass[1] == _least_k_of_each_type(r), (r.n, r.copies)
+
+
 def test_the_sum_graph_counts_the_listed_solutions(bign_results):
     # The count reads the graph's node sets, not the list.
     results = [run_procedure(n, copies=copies) for n in corpus(2000) for copies in (1, 2, 3)]
@@ -774,14 +807,17 @@ def test_case_vii_never_accepts():
 
 
 def test_to_dict_round_trips():
-    # The digests pin the bytes of all 5,046 documents and of the schema-1
-    # documents rebuilt from them, one newline after each.
+    # The text is canonical, the one json.dumps(indent=2) writes for the
+    # document it holds, and to_dict is that document parsed. The digests pin
+    # the bytes of all 5,046 documents and of the schema-1 documents rebuilt
+    # from them, one newline after each.
     digest, digest1 = hashlib.sha256(), hashlib.sha256()
     for n in corpus(2000):
         for copies in (1, 2, 3):
             r = run_procedure(n, copies=copies)
             text = r.to_json()
-            assert text == json.dumps(r.to_dict(), indent=2), (n, copies)
+            assert text == json.dumps(json.loads(text), indent=2), (n, copies)
+            assert r.to_dict() == json.loads(text), (n, copies)
             for i, (cp, row) in enumerate(zip(r.crucial, r._cells())):
                 us = [sol[i] for sol in r.solutions]
                 assert set(row) == set(us), (n, copies, i)
@@ -835,6 +871,18 @@ def test_the_document_matches_the_per_cell_reference():
     assert len(items) == 5_066
     for n, copies in items:
         _assert_tables_match_per_cell(n, copies)
+
+
+def _no_encoder(*args, **kwargs):
+    raise AssertionError("ran a json encoder")
+
+
+def test_to_json_runs_no_json_encoder(monkeypatch):
+    # The writer formats the sections itself; json.dumps is the tests' reference.
+    monkeypatch.setattr(json, "dumps", _no_encoder)
+    monkeypatch.setattr(json.encoder.JSONEncoder, "iterencode", _no_encoder)
+    for n, copies in [(n, 1) for n in corpus(2000)] + _WIDE_ITEMS:
+        run_procedure(n, copies=copies).to_json()
 
 
 def _no_pair(*args, **kwargs):
